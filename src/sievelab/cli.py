@@ -12,6 +12,7 @@ Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import __version__, randmodel, residue_legendre, stats_lab
 from .errors import DomainError, ResourceError
-from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, compute_interval_records
+from .intervals import (DEFAULT_CHUNK_ENTRIES, IntervalRecord, IntervalSet,
+                        compute_interval_records)
 from .sieve_core import build_prime_table
 
 _CHECKPOINT_BLOCK = 500  # intervals per checkpoint flush
@@ -105,19 +107,45 @@ def _table_for(k_needed: int):
 # Checkpointed interval building shared by intervals/bias/corr/conjecture.
 # ---------------------------------------------------------------------------
 
+_CHECKPOINT_KEYS = {f.name for f in dataclasses.fields(IntervalRecord)}
+
+
 def _checkpoint_load(path: Path) -> list:
+    """Checkpoint rows in k order, repairing a torn tail in place.
+
+    An append cut short leaves an unparseable last line: it is cut from
+    the file with a warning, so the scan resumes after the last complete
+    record. A complete last record missing only its newline gets one.
+    Any other bad line raises DomainError.
+    """
     rows = []
     if not path.exists():
         return rows
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append(json.loads(line))
-    for i, row in enumerate(rows):
-        if row["k"] != i + 1:
+    data = path.read_bytes()
+    lines = []  # (byte offset, line) of the non-blank lines
+    offset = 0
+    for raw in data.splitlines(keepends=True):
+        if raw.strip():
+            lines.append((offset, raw))
+        offset += len(raw)
+    for i, (offset, raw) in enumerate(lines):
+        try:
+            row = json.loads(raw)
+        except ValueError:
+            if i + 1 < len(lines):
+                raise DomainError(f"checkpoint {path} corrupt at line {i + 1}") from None
+            with path.open("r+b") as fh:
+                fh.truncate(offset)
+            _progress(f"checkpoint: dropped torn line {i + 1} of {path}, "
+                      f"resuming after k={len(rows)}")
+            return rows
+        if (not isinstance(row, dict) or row.keys() != _CHECKPOINT_KEYS
+                or row["k"] != i + 1):
             raise DomainError(f"checkpoint {path} corrupt at line {i + 1}")
+        rows.append(row)
+    if lines and not data.endswith(b"\n"):
+        with path.open("ab") as fh:
+            fh.write(b"\n")
     return rows
 
 
@@ -133,7 +161,6 @@ def _checkpoint_append(path: Path, records) -> None:
 
 
 def _records_from_rows(rows) -> list:
-    from .intervals import IntervalRecord
     return [IntervalRecord(**row) for row in rows]
 
 
@@ -314,7 +341,7 @@ def _add_common(sp, kmax=True):
     sp.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int))
     sp.add_argument("--segment-size", type=int,
                     default=_env_default("SEGMENT_SIZE", DEFAULT_CHUNK_ENTRIES, int),
-                    help="sieve chunk span in entries")
+                    help="sieve chunk span in integers (flags take half as many bytes)")
     if kmax:
         sp.add_argument("--kmax", type=_positive_int, required=True,
                         help="largest interval index k")

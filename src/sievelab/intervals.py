@@ -2,11 +2,17 @@
 
 Every integer in s_k is either divisible by one of the first k primes or
 prime, so sieving s_k with exactly P_k determines its primes. The scan
-here works in chunks of consecutive intervals: one numpy span per chunk,
-primality-marked once, with per-interval counts taken by reduceat at the
-square boundaries. Marking a chunk with primes beyond p_k only ever hits
-already-composite entries inside s_k, so the chunk result equals the
-defining per-interval sieve while costing one pass per prime per chunk.
+here works in chunks of consecutive intervals: one span per chunk,
+marked once by the odds-only presieved primality kernel of
+``sieve_core``, with per-interval counts taken between the odd indices
+of the square boundaries. Marking a chunk with primes beyond p_k only
+ever hits already-composite entries inside s_k, so the chunk result
+equals the defining per-interval sieve while costing one pass per prime
+per chunk. The kernel holds no flag for the even prime 2, which lies in
+no s_k (s_1 starts at 4), so interval counts need no correction.
+
+Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
+span of integers; its flag array takes half as many bytes.
 
 All per-record quantities (pi_k, li_k, the PNT estimate) are computed
 independently per k; neither chunk boundaries nor worker count can
@@ -25,9 +31,9 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _mark_primality
+from .sieve_core import PrimeTable, _odd_index, _odd_primality
 
-# Target chunk span in sieve entries; one bool per entry.
+# Target chunk span in integers; one bool flag per odd integer.
 DEFAULT_CHUNK_ENTRIES = 1 << 25
 
 
@@ -131,8 +137,8 @@ def _chunk_pi_counts_impl(k_lo: int, k_hi: int, primes: np.ndarray) -> np.ndarra
     hi = int(sq[-1]) - 1
     root = math.isqrt(hi)
     base = ps[: int(np.searchsorted(ps, root, side="right"))]
-    flags = _mark_primality(lo, hi, base)
-    bounds = (sq - lo).astype(np.int64)
+    first, flags = _odd_primality(lo, hi, base)
+    bounds = _odd_index(sq, first)
     counts = np.empty(len(sq) - 1, dtype=np.int64)
     for i in range(len(counts)):
         counts[i] = np.count_nonzero(flags[bounds[i] : bounds[i + 1]])
@@ -228,8 +234,7 @@ def partial_counts(x: int, interval_set: IntervalSet, table: PrimeTable) -> tupl
     lo = interval_set.record(k).p_k ** 2
     if x == lo:
         return 0, 0.0
-    base = table.first(k)
-    flags = _mark_primality(lo, x, np.asarray(base))
+    _, flags = _odd_primality(lo, x, table.first(k))
     return int(np.count_nonzero(flags)), analytic.li_between(lo, x)
 
 
@@ -237,8 +242,8 @@ def gap_series(k: int, interval_set: IntervalSet, table: PrimeTable) -> GapSerie
     """All consecutive prime gaps with both endpoints inside s_k."""
     rec = interval_set.record(k)
     lo, hi = rec.p_k ** 2, rec.p_next ** 2 - 1
-    flags = _mark_primality(lo, hi, np.asarray(table.first(k)))
-    primes = np.flatnonzero(flags).astype(np.int64) + lo
+    first, flags = _odd_primality(lo, hi, table.first(k))
+    primes = 2 * np.flatnonzero(flags).astype(np.int64) + first
     gaps = np.diff(primes)
     pairs = [(int(p), int(g)) for p, g in zip(primes[:-1], gaps)]
     mean_gap = float(np.mean(gaps)) if len(gaps) else float("nan")

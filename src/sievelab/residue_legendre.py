@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _mark_primality
+from .sieve_core import PrimeTable, _odd_primality
 
 # Abort inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_TERM_CAP = 5_000_000
@@ -446,7 +446,7 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable,
             pi_k = interval_set.record(k).pi_k
         else:
             pi_k = int(np.count_nonzero(
-                _mark_primality(p * p, p_next * p_next - 1, table.first(k))))
+                _odd_primality(p * p, p_next * p_next - 1, table.first(k))[1]))
         rows.append(LegendreScanRow(
             k=k,
             length=length,

@@ -17,7 +17,7 @@ import numpy as np
 from . import analytic
 from .errors import DomainError
 from .intervals import IntervalSet
-from .sieve_core import PrimeTable, _mark_primality
+from .sieve_core import PrimeTable, _odd_index, _odd_primality
 
 
 @dataclass
@@ -88,15 +88,16 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
         raise DomainError(f"window (log x)^{lam} does not fit inside s_{k}")
     if step <= 0:
         step = math.ceil(phi_lo / 100.0)
-    flags = _mark_primality(lo, hi, np.asarray(table.first(k)))
-    prefix = np.concatenate([[0], np.cumsum(flags)])  # primes in [lo, lo + i)
+    first, flags = _odd_primality(lo, hi, table.first(k))
+    prefix = np.concatenate([[0], np.cumsum(flags)])  # primes in [lo, first + 2i)
 
     xs = np.arange(lo, hi + 1, step, dtype=np.int64)
     logs = np.log(xs.astype(np.float64))
     upper = np.floor(xs + logs ** lam).astype(np.int64)
     keep = upper <= hi
     xs, logs, upper = xs[keep], logs[keep], upper[keep]
-    counts = prefix[upper - lo + 1] - prefix[xs - lo + 1]  # primes in (x, x + phi]
+    # primes in (x, x + phi] = primes in [lo, upper + 1) - primes in [lo, x + 1)
+    counts = prefix[_odd_index(upper + 1, first)] - prefix[_odd_index(xs + 1, first)]
     ratios = counts / logs ** (lam - 1.0)
 
     pi_k = int(prefix[-1])

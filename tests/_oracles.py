@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath
+import numpy as np
 
 mpmath.mp.dps = 30
 
@@ -32,6 +33,26 @@ def trial_primes(bound: int) -> list:
 
 def pi_trial(x: int) -> int:
     return sum(1 for n in range(2, x + 1) if is_prime_trial(n))
+
+
+def mark_primality(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
+    """Primality flags for [lo, hi], one per integer: multiples struck from max(p*p, lo).
+
+    A plain full-width sieve with no presieve or blocking: the reference
+    for the package's odds-only primality kernel.
+    """
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    if lo <= 1:
+        flags[: min(2 - lo, hi - lo + 1)] = False
+    for p in base_primes:
+        p = int(p)
+        if p * p > hi:
+            break
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        if start > hi:
+            continue
+        flags[start - lo :: p] = False
+    return flags
 
 
 def coprime_survivors(lo: int, hi: int, primes) -> list:

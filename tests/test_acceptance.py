@@ -175,6 +175,14 @@ def test_criterion_08_sandwich_and_eta(table, set10k):
     _report(8, ok, f"sandwich={sandwich}, eta bound={eta_ok} for all k<=1e4, {elapsed:.2f}s")
 
 
+def test_rows_above_k1000_match_sympy_primepi(set10k):
+    # 2 + sum_{j<=k} pi_j counts every prime below p_{k+1}^2 (2 and 3 lie below s_1).
+    cumulative = np.cumsum(set10k.pi_array())
+    for k in (2000, 5000, ACCEPT_KMAX):
+        x = set10k.record(k).p_next ** 2 - 1
+        assert 2 + int(cumulative[k - 1]) == sympy.primepi(x), k
+
+
 def test_criterion_09_variance_bound(table):
     t0 = time.perf_counter()
     exhaustive = sl.variance_comparison(range(1, 7), table, budget=10 ** 9, seed=0)

@@ -73,6 +73,55 @@ def test_checkpoint_resume_matches_single_shot(tmp_path):
     assert sha(again / "intervals.csv") == sha(part / "intervals.csv")
 
 
+def test_torn_checkpoint_tail_is_dropped_and_resumed(tmp_path, capsys):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part",
+                "--checkpoint", ck]) == 0
+    data = ck.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    ck.write_bytes(data[: last + (len(data) - last) // 2])  # cut the last line short
+    capsys.readouterr()
+    full, direct = tmp_path / "full", tmp_path / "direct"
+    assert run(["intervals", "--kmax", 60, "--out", full, "--checkpoint", ck]) == 0
+    assert "dropped torn line 30" in capsys.readouterr().err
+    assert run(["intervals", "--kmax", 60, "--out", direct]) == 0
+    assert sha(full / "intervals.csv") == sha(direct / "intervals.csv")
+    assert sha(full / "deviations.csv") == sha(direct / "deviations.csv")
+    assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, 61))
+
+
+def test_checkpoint_missing_final_newline_is_kept(tmp_path):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part",
+                "--checkpoint", ck]) == 0
+    ck.write_bytes(ck.read_bytes().rstrip(b"\n"))
+    full, direct = tmp_path / "full", tmp_path / "direct"
+    assert run(["intervals", "--kmax", 60, "--out", full, "--checkpoint", ck]) == 0
+    assert run(["intervals", "--kmax", 60, "--out", direct]) == 0
+    assert sha(full / "intervals.csv") == sha(direct / "intervals.csv")
+    assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, 61))
+
+
+@pytest.mark.parametrize("line, corrupt", [
+    (10, lambda text: text[:20]),   # unparseable, not the last line
+    (10, lambda text: '{"k": 10}'),  # parses, but is not a record
+    (30, lambda text: '{"k": 30}'),  # a complete last line is never dropped
+], ids=["unparseable-middle", "not-a-record", "bad-last-record"])
+def test_corrupt_checkpoint_line_is_domain_error(tmp_path, capsys, line, corrupt):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part",
+                "--checkpoint", ck]) == 0
+    lines = read_lines(ck)
+    lines[line - 1] = corrupt(lines[line - 1])
+    ck.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = ck.read_bytes()
+    capsys.readouterr()
+    assert run(["intervals", "--kmax", 60, "--out", tmp_path / "o",
+                "--checkpoint", ck]) == 2
+    assert f"corrupt at line {line}" in capsys.readouterr().err
+    assert ck.read_bytes() == before
+
+
 def test_maier_command(tmp_path):
     out = tmp_path / "o"
     assert run(["maier", "--k", "50", "--lambda", 3, "--out", out]) == 0

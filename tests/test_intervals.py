@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sievelab import (
     DomainError,
@@ -135,3 +136,16 @@ def test_build_errors(table_small):
         build_intervals(0, table_small)
     with pytest.raises(DomainError):
         build_intervals(len(table_small), table_small)  # needs k_max + 1 primes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chunk_entries=st.one_of(st.integers(2, 64), st.integers(2, 200_000)),
+    k_from=st.integers(1, 60),
+    count=st.integers(1, 60),
+)
+def test_chunk_entries_do_not_change_records(table_small, chunk_entries, k_from, count):
+    k_to = k_from + count - 1
+    reference = compute_interval_records(k_from, k_to, table_small)
+    assert compute_interval_records(k_from, k_to, table_small,
+                                    chunk_entries=chunk_entries) == reference

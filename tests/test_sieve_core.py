@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from sievelab import (
     DomainError,
@@ -13,7 +14,13 @@ from sievelab import (
     sieve_window,
 )
 
-from _oracles import coprime_survivors, trial_primes
+from sievelab.sieve_core import _BLOCK_SLOTS, _odd_primality
+
+from _oracles import coprime_survivors, mark_primality, trial_primes
+
+# Base primes up to 4000 cover every window below 1.6e7.
+_BASE = build_prime_table(4000).primes
+_PERIOD = 3 * 5 * 7 * 11 * 13 * 17
 
 
 def test_build_prime_table_small():
@@ -133,3 +140,37 @@ def test_nth_prime(table):
 def test_prime_table_is_read_only(table_small):
     with pytest.raises(ValueError):
         table_small.primes[0] = 9
+
+
+def _integer_flags(lo, hi, first, odd_flags):
+    """Map odd-slot flags back to one flag per integer of [lo, hi], adding 2."""
+    out = np.zeros(hi - lo + 1, dtype=bool)
+    out[first - lo :: 2] = odd_flags
+    if lo <= 2 <= hi:
+        out[2 - lo] = True
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.one_of(st.sampled_from([0, 1, 2, 3, 4]), st.integers(0, 40),
+                 st.integers(0, 8_000_000)),
+    length=st.one_of(st.just(1), st.integers(1, 64), st.integers(1, 5000),
+                     st.integers(_PERIOD - 10, 3 * _PERIOD),
+                     st.integers(2 * _BLOCK_SLOTS - 10, 7 * _BLOCK_SLOTS)),
+)
+@example(lo=2, length=1)
+@example(lo=3, length=1)
+@example(lo=4, length=1)
+@example(lo=2, length=16)     # every presieve prime, even lo
+@example(lo=3, length=15)     # every presieve prime, odd lo
+@example(lo=17, length=1)
+@example(lo=2 * _PERIOD - 1, length=2 * _PERIOD + 7)  # pattern wrap-around
+@example(lo=1_000_001, length=6 * _BLOCK_SLOTS + 3)    # several strike blocks
+def test_odd_primality_matches_reference(lo, length):
+    hi = lo + length - 1
+    first, flags = _odd_primality(lo, hi, _BASE)
+    assert first == lo | 1
+    assert flags.dtype == bool and len(flags) == max(0, (hi - first) // 2 + 1)
+    assert np.array_equal(_integer_flags(lo, hi, first, flags),
+                          mark_primality(lo, hi, _BASE))
