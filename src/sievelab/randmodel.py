@@ -4,9 +4,12 @@ The sample space for the count in a window of length l_k is the set of
 shifted-window values S(s_k^j, p_k#), 0 <= j < p_k#, of which the true
 pi_k is the j = 0 element. Exhaustive mode walks the entire period with
 a sliding window (one cumulative sum over coprimality flags of one
-period), keeping every moment in exact integer arithmetic; sampled mode
-draws shifts with a derived per-sample seed so results are independent
-of evaluation order and worker count.
+period), keeping every moment in exact integer arithmetic. Sampled mode
+draws shifts with a derived per-sample seed, so results are independent
+of evaluation order and worker count; the drawn windows are counted in
+fixed batches by the coprime counter of ``sieve_core``, and the count
+sum, sum of squares, minimum, maximum and histogram are accumulated
+exactly batch by batch, so memory does not grow with the draw count.
 
 Rescaling the raw (coprimality) model by e^gamma / 2 moves its mean to
 the density-of-primes scale l_k / log p_{k+1}^2, where it is compared
@@ -25,7 +28,7 @@ import numpy as np
 from . import analytic
 from .errors import DomainError
 from .intervals import IntervalSet
-from .sieve_core import PrimeTable
+from .sieve_core import PrimeTable, _coprime_counts
 from .residue_legendre import primorial
 from .stats_lab import ScanSeries
 
@@ -50,15 +53,6 @@ class ShiftModelSummary:
     count_min: int
     count_max: int
     histogram: np.ndarray     # bincount of the observed window counts
-
-
-def _window_count(lo, length: int, primes) -> int:
-    """Coprime survivors in [lo, lo + length); lo may be arbitrary precision."""
-    flags = np.ones(length, dtype=bool)
-    for p in primes:
-        p = int(p)
-        flags[(-lo) % p :: p] = False
-    return int(np.count_nonzero(flags))
 
 
 def _summarize(k: int, mode: str, samples: int, counts_sum: int, counts_sq: int,
@@ -86,7 +80,8 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
     is l_k * phi(p_k#) / p_k# with zero numerical error beyond the final
     float division. Sampled mode draws ``budget`` shifts; each draw's
     shift is derived from (seed, k, draw index), so the result does not
-    depend on evaluation order.
+    depend on evaluation order. Draws are counted in fixed batches in one
+    reused buffer, and only exact moments and the histogram are kept.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -122,16 +117,19 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
         return _summarize(k, "exhaustive", period, csum, csq,
                           int(counts.min()), int(counts.max()), hist, None)
 
-    n = budget
-    counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        j = random.Random(f"{seed}:{k}:{i}").randrange(period)
-        counts[i] = _window_count(lo0 + j, length, ps)
-    csum = int(counts.sum())
-    csq = int(np.dot(counts, counts))
-    hist = np.bincount(counts)
-    return _summarize(k, "sampled", n, csum, csq,
-                      int(counts.min()), int(counts.max()), hist, seed)
+    # Draws go through the batched coprime counter; only the moments and
+    # the histogram are kept, so memory does not grow with the budget.
+    starts = (lo0 + random.Random(f"{seed}:{k}:{i}").randrange(period) for i in range(budget))
+    csum = csq = 0
+    hist = np.zeros(0, dtype=np.int64)
+    for counts in _coprime_counts(starts, length, ps):
+        csum += int(counts.sum())
+        csq += int(np.dot(counts, counts))
+        batch_hist = np.bincount(counts, minlength=len(hist))
+        batch_hist[: len(hist)] += hist
+        hist = batch_hist
+    return _summarize(k, "sampled", budget, csum, csq,
+                      int(np.flatnonzero(hist)[0]), len(hist) - 1, hist, seed)
 
 
 @dataclass(frozen=True)

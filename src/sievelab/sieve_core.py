@@ -2,25 +2,35 @@
 
 Two marking disciplines live here and must not be confused:
 
-* coprimality marking (``sieve_window``): every multiple of every sieve
-  prime inside the window is struck, so survivors are exactly the
-  integers coprime to the product of the sieve primes;
+* coprimality marking: every multiple of every sieve prime inside the
+  window is struck, so survivors are exactly the integers coprime to the
+  product of the sieve primes. ``sieve_window`` does this for one window
+  with one flag per integer; the batched generator ``_coprime_counts`` is
+  the one counting path for shifted windows, used by the sampled
+  ``shift_model``;
 * primality marking (``_odd_primality``): survivors are exactly the odd
   primes of the window. Every primality count in the package goes
   through this one kernel: ``count_primes_upto``, the interval scan and
   ``partial_counts``/``gap_series`` in ``intervals``, ``maier_scan`` in
   ``stats_lab`` and the per-k fallback of ``legendre_scan``.
 
-The primality kernel keeps one flag per odd integer, so a window spans
-twice as many integers as it has flags. Each window starts as a copy of a
-precomputed pattern in which the odd multiples of 3, 5, 7, 11, 13 and 17
-are already struck (period 3*5*7*11*13*17 = 255255 odd slots); those six
-primes are restored where they fall inside the window, and each base
-prime p >= 19 then strikes its odd multiples from ``max(p*p, first odd
-multiple >= lo)`` with stride p in odd-index space, one cache-sized
-block of the window at a time. The prime 2 has no flag:
-``count_primes_upto`` adds it explicitly, and no interval s_k contains
-it since s_1 starts at 4.
+Both kernels keep one flag per odd integer, so a window spans twice as
+many integers as it has flags, and both start each window as a rotated
+copy of one precomputed presieve pattern in which the odd multiples of
+3, 5, 7, 11, 13 and 17 are already struck (period 3*5*7*11*13*17 =
+255255 odd slots). For coprimality that pattern is exactly the marking
+by those primes (sieve sets missing some of them use the pattern of the
+ones present); for primality the six primes are restored where they
+fall inside the window. The primality kernel then lets each base prime
+p >= 19 strike its odd multiples from ``max(p*p, first odd multiple >=
+lo)`` with stride p, one cache-sized block of the window at a time. The
+coprime counter strikes a batch of windows at arbitrary-precision
+starts at once: the start residues come from an int64 product of the
+starts' 32-bit digits with a table of 2**(32*i) mod q, and each prime
+strikes every window of the batch with one strided write. The prime 2
+has no flag: ``count_primes_upto`` adds it explicitly, no interval s_k
+contains it since s_1 starts at 4, and the coprime counter requires it
+among the sieve primes, so even integers never survive.
 
 On a window ``[p_k^2, p_{k+1}^2 - 1]`` sieved by the first k primes the
 two disciplines coincide, which is the property everything downstream
@@ -34,6 +44,7 @@ index arguments are named ``k`` and documented as 1-based.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -155,16 +166,35 @@ _BLOCK_SLOTS = 1 << 20
 
 
 @functools.cache
-def _presieve_pattern() -> np.ndarray:
-    """Flags for the odd integers 1, 3, 5, ...: False on odd multiples of 3..17.
+def _presieve_pattern(primes: tuple) -> np.ndarray:
+    """Flags for the odd integers 1, 3, 5, ...: False on the odd multiples of ``primes``.
 
-    Built on first use, so processes that never mark primality skip it.
+    The period is ``prod(primes)`` odd slots. Built on first use, so
+    processes that never sieve skip it.
     """
-    pattern = np.ones(_PRESIEVE_PERIOD, dtype=bool)
-    for q in _PRESIEVE_PRIMES:
+    pattern = np.ones(math.prod(primes), dtype=bool)
+    for q in primes:
         pattern[(q - 1) // 2 :: q] = False  # slot j holds 2j + 1
     pattern.setflags(write=False)
     return pattern
+
+
+def _fill_rotated(dst: np.ndarray, pattern: np.ndarray, offset: int) -> None:
+    """Fill ``dst`` with ``pattern`` repeated from ``pattern[offset]`` on.
+
+    Copies one period, rotated, then doubles the filled prefix: it always
+    holds whole periods.
+    """
+    size = len(dst)
+    head = min(len(pattern) - offset, size)
+    dst[:head] = pattern[offset : offset + head]
+    tail = min(offset, size - head)
+    dst[head : head + tail] = pattern[:tail]
+    filled = head + tail
+    while filled < size:
+        step = min(filled, size - filled)
+        dst[filled : filled + step] = dst[:step]
+        filled += step
 
 
 def _odd_index(n, first):
@@ -188,19 +218,7 @@ def _odd_primality(lo: int, hi: int, base_primes) -> tuple[int, np.ndarray]:
     first = lo | 1
     size = max(0, (hi - first) // 2 + 1)
     flags = np.empty(size, dtype=bool)
-    # Copy one period of the pattern, rotated to start at first, then
-    # double the filled prefix: it always holds whole periods.
-    pattern = _presieve_pattern()
-    offset = (first // 2) % _PRESIEVE_PERIOD
-    head = min(_PRESIEVE_PERIOD - offset, size)
-    flags[:head] = pattern[offset : offset + head]
-    tail = min(offset, size - head)
-    flags[head : head + tail] = pattern[:tail]
-    filled = head + tail
-    while filled < size:
-        step = min(filled, size - filled)
-        flags[filled : filled + step] = flags[:step]
-        filled += step
+    _fill_rotated(flags, _presieve_pattern(_PRESIEVE_PRIMES), (first // 2) % _PRESIEVE_PERIOD)
     if first == 1 and size:
         flags[0] = False  # 1 is not prime
     for q in _PRESIEVE_PRIMES:
@@ -226,6 +244,129 @@ def _odd_primality(lo: int, hi: int, base_primes) -> tuple[int, np.ndarray]:
                 block[i - a :: p] = False
                 nxt[j] = i + (b - i + p - 1) // p * p
     return first, flags
+
+
+# Starts are split into little-endian digits of this many bits.
+_DIGIT_BITS = 32
+_INT64_MAX = (1 << 63) - 1
+
+# Windows struck together by the batched coprime counter.
+_COPRIME_BATCH = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _digit_weights(moduli: tuple, width: int) -> np.ndarray:
+    """Read-only ``(width, len(moduli))`` int64 table of 2**(32*i) mod q; needs q < 2**31."""
+    mod = np.array(moduli, dtype=np.int64)
+    weights = np.empty((width, len(mod)), dtype=np.int64)
+    weights[0] = 1 % mod
+    step = (1 << _DIGIT_BITS) % mod
+    for i in range(1, width):
+        weights[i] = weights[i - 1] * step % mod
+    weights.setflags(write=False)
+    return weights
+
+
+def _chunk_digits(q_max: int) -> int:
+    """Most digits whose weighted sum stays below 2**63 for moduli up to ``q_max``."""
+    return _INT64_MAX // (((1 << _DIGIT_BITS) - 1) * max(q_max - 1, 1))
+
+
+def _strike_offsets(starts, moduli: tuple) -> np.ndarray:
+    """``(-s) mod q`` for every start s (rows) and modulus q (columns), exactly.
+
+    Each start is split into 32-bit digits with one ``int.to_bytes`` call;
+    its residues are then an int64 matrix product of the digits with the
+    table of 2**(32*i) mod q (built on first use and cached), reduced
+    after every ``_chunk_digits(max(moduli))`` digits so that no partial
+    sum reaches 2**63. No per-modulus big-integer division runs and no
+    float BLAS is involved.
+
+    Args:
+        starts: non-empty sequence of integers >= 0, arbitrary precision.
+        moduli: tuple of moduli, each in [1, 2**31).
+    """
+    q_max = max(moduli)
+    if q_max >= 1 << 31:
+        raise DomainError(f"modulus {q_max} exceeds 2**31 - 1")
+    if min(starts) < 0:
+        raise DomainError("window starts must be >= 0")
+    chunk = _chunk_digits(q_max)
+    width = max(1, -(-max(starts).bit_length() // _DIGIT_BITS))
+    raw = b"".join(s.to_bytes(width * _DIGIT_BITS // 8, "little") for s in starts)
+    digits = np.frombuffer(raw, dtype="<u4").reshape(len(starts), width).astype(np.int64)
+    weights = _digit_weights(moduli, width)
+    mod = np.array(moduli, dtype=np.int64)
+    res = np.zeros((len(starts), len(mod)), dtype=np.int64)
+    for a in range(0, width, chunk):
+        part = digits[:, a : a + chunk] @ weights[a : a + chunk]
+        np.remainder(part, mod, out=part)
+        res += part  # below (chunks * q), far from 2**63
+    np.negative(res, out=res)
+    return np.remainder(res, mod, out=res)
+
+
+def _coprime_counts(starts, length: int, primes):
+    """Integers coprime to ``prod(primes)`` in ``[s, s + length)``, batch by batch.
+
+    Takes any iterable of starts (integers >= 0 of any precision) and
+    yields one int64 count array per ``_COPRIME_BATCH`` starts (the last
+    may be shorter), so memory does not grow with the number of starts.
+    One flag per odd integer: ``primes`` must start with 2, so no even
+    integer survives. Each batch fills one row per start in one reused
+    buffer:
+
+    * each row starts as a rotated copy of the presieve pattern of the odd
+      primes of ``primes`` among 3..17, which marks coprimality to them
+      exactly (1 survives, each q itself is struck);
+    * the row offsets come from ``_strike_offsets`` over the moduli
+      2 (the parity of s), the pattern period and every other prime;
+    * each remaining prime q strikes the whole batch with one write
+      through a ``(rows, slots // q, q)`` strided view, one column per
+      row. Rows are padded by ``max(primes)`` so that view stays inside.
+    """
+    ps = [int(p) for p in primes]
+    if length < 1:
+        raise DomainError(f"window length must be >= 1, got {length}")
+    if not ps or ps[0] != 2 or any(a >= b for a, b in zip(ps, ps[1:])):
+        raise DomainError("primes must be ascending distinct primes starting with 2")
+    present = set(ps)
+    pre = tuple(q for q in _PRESIEVE_PRIMES if q in present)
+    pattern = _presieve_pattern(pre)
+    period = len(pattern)
+    strike = [q for q in ps[1:] if q not in pre]
+    moduli = (2, period, *strike)
+    m = (length + 1) // 2
+    buf = np.empty((_COPRIME_BATCH, m + ps[-1]), dtype=bool)
+    views = [np.lib.stride_tricks.as_strided(buf, (_COPRIME_BATCH, -(-m // q), q),
+                                             (buf.strides[0], q, 1))
+             for q in strike]
+    strike = np.array(strike, dtype=np.int64)
+    it = iter(starts)
+    while batch := list(itertools.islice(it, _COPRIME_BATCH)):
+        n = len(batch)
+        off = _strike_offsets(batch, moduli)
+        par = off[:, :1]  # s mod 2; row slot i holds first + 2i with first = s + 1 - par
+        rotation = -(off[:, 1] + par[:, 0]) * ((period + 1) // 2) % period  # (first // 2) mod period
+        flags = buf[:n]
+        for r in range(n):
+            _fill_rotated(flags[r, :m], pattern, int(rotation[r]))
+        # The first odd multiple of q at or after s is s + x, with x = off
+        # when s + off is odd and x = off + q otherwise; its slot is
+        # (x - 1 + par) // 2. Computed in place to keep one temporary.
+        slot = off[:, 2:] + par
+        slot &= 1
+        slot ^= 1
+        slot *= strike
+        slot += off[:, 2:]
+        slot += par - 1
+        slot //= 2
+        rows = np.arange(n)
+        for view, column in zip(views, slot.T):
+            view[rows, :, column] = False
+        if length & 1:
+            flags[par[:, 0] == 0, m - 1] = False  # an even start leaves one slot fewer
+        yield np.count_nonzero(flags[:, :m], axis=1).astype(np.int64)
 
 
 def count_primes_upto(x: int, table: PrimeTable, segment_size: int = DEFAULT_SEGMENT) -> int:

@@ -55,6 +55,19 @@ def mark_primality(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return flags
 
 
+def window_count(lo, length: int, primes) -> int:
+    """Coprime survivors in [lo, lo + length); lo may be arbitrary precision.
+
+    One window at a time, one slice write per prime: the reference for the
+    package's batched coprime counter.
+    """
+    flags = np.ones(length, dtype=bool)
+    for p in primes:
+        p = int(p)
+        flags[(-lo) % p :: p] = False
+    return int(np.count_nonzero(flags))
+
+
 def coprime_survivors(lo: int, hi: int, primes) -> list:
     prod = 1
     for p in primes:

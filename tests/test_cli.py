@@ -169,6 +169,16 @@ def test_randmodel_command_sampled_seeded(tmp_path):
     assert row[1] == "sampled" and row[2] == "200" and row[7] == "9"
 
 
+def test_randmodel_sampled_bytes_pinned(tmp_path):
+    # Digests recorded from the one-window-at-a-time sampler.
+    out = tmp_path / "o"
+    assert run(["randmodel", "--k", 200, "--budget", 2000, "--seed", 1, "--out", out]) == 0
+    assert sha(out / "randmodel.csv") == \
+        "8c33ba6dfb3bae6d91fac731ddfe2c7ebe1bbf205d95ff7710f43a327e3c99a2"
+    assert sha(out / "randmodel_hist.csv") == \
+        "2cff07fb42f49b13407ddd0a7a320e471ab987d85423626d6cc49972f1e446a9"
+
+
 def test_corr_command(tmp_path):
     out = tmp_path / "o"
     assert run(["corr", "--kmax", 80, "--max-lag", 5, "--out", out]) == 0

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from sievelab import (
     variance_comparison,
 )
 
-from _oracles import totient_of_primorial
+from _oracles import totient_of_primorial, window_count
 
 
 def test_exhaustive_k2(table_small):
@@ -72,6 +74,45 @@ def test_sampled_mode_standard_error_halves(table_small):
                 for s in range(40)]
     ratio = np.var(means_n, ddof=1) / np.var(means_2n, ddof=1)
     assert 1.0 < ratio < 4.0
+
+
+def test_sampled_moments_pinned(table):
+    # Recorded from the one-window-at-a-time sampler the batched one replaced.
+    for k, budget, expected in ((200, 20000, (23142247, 26782830575, 1094, 1233)),
+                                (50, 2000, (376913, 71097847, 165, 208))):
+        s = shift_model(k, table, budget=budget, seed=3)
+        assert (s.count_sum, s.count_sq_sum, s.count_min, s.count_max) == expected
+        assert s.histogram.sum() == budget and len(s.histogram) == s.count_max + 1
+        assert s.histogram[s.count_min] > 0 and s.histogram[: s.count_min].sum() == 0
+
+
+def test_sampled_counts_match_window_reference(table_small):
+    k, budget, seed = 12, 150, 5
+    ps = [int(p) for p in table_small.first(k)]
+    lo0 = ps[-1] ** 2
+    length = table_small.nth(k + 1) ** 2 - lo0
+    period = math.prod(ps)
+    counts = [window_count(lo0 + random.Random(f"{seed}:{k}:{i}").randrange(period), length, ps)
+              for i in range(budget)]
+    s = shift_model(k, table_small, budget=budget, seed=seed)
+    assert s.count_sum == sum(counts)
+    assert s.count_sq_sum == sum(c * c for c in counts)
+    assert (s.count_min, s.count_max) == (min(counts), max(counts))
+    assert s.histogram.tolist() == np.bincount(counts).tolist()
+
+
+def test_sampled_memory_does_not_grow_with_budget(table_small):
+    shift_model(30, table_small, budget=2, seed=0)  # builds the cached presieve pattern
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            shift_model(30, table_small, budget=budget, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(64_000) - peak(2_000) < 128 * 1024
 
 
 def test_binomial_reference(table_small):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -14,9 +15,10 @@ from sievelab import (
     sieve_window,
 )
 
-from sievelab.sieve_core import _BLOCK_SLOTS, _odd_primality
+from sievelab.sieve_core import (_BLOCK_SLOTS, _COPRIME_BATCH, _INT64_MAX, _chunk_digits,
+                                 _coprime_counts, _odd_primality, _strike_offsets)
 
-from _oracles import coprime_survivors, mark_primality, trial_primes
+from _oracles import coprime_survivors, mark_primality, trial_primes, window_count
 
 # Base primes up to 4000 cover every window below 1.6e7.
 _BASE = build_prime_table(4000).primes
@@ -174,3 +176,106 @@ def test_odd_primality_matches_reference(lo, length):
     assert flags.dtype == bool and len(flags) == max(0, (hi - first) // 2 + 1)
     assert np.array_equal(_integer_flags(lo, hi, first, flags),
                           mark_primality(lo, hi, _BASE))
+
+
+_SMALL = build_prime_table(2000).primes
+_BATCH_SIZES = (1, _COPRIME_BATCH - 1, _COPRIME_BATCH, _COPRIME_BATCH + 1,
+                3 * _COPRIME_BATCH + 5)
+
+
+def _check_coprime_counts(starts, length, primes, gcd_rows):
+    batches = list(_coprime_counts(iter(starts), length, primes))
+    assert [len(b) for b in batches[:-1]] == [_COPRIME_BATCH] * (len(batches) - 1)
+    got = np.concatenate(batches)
+    assert got.dtype == np.int64 and len(got) == len(starts)
+    assert got.tolist() == [window_count(s, length, primes) for s in starts]
+    for i in gcd_rows:
+        s = starts[i]
+        assert got[i] == len(coprime_survivors(s, s + length - 1, primes))
+
+
+def test_coprime_counts_cover_batch_edges():
+    # Every k in 1..40 (k < 7 presieves only part of 3..17), every batch
+    # size around the batch boundary, odd and even starts, small starts,
+    # starts above 2**64 and next to p_k# - 1, on l_k and on odd lengths.
+    rng = random.Random(7)
+    for k in range(1, 41):
+        primes = [int(p) for p in _SMALL[:k]]
+        period = math.prod(primes)
+        n = _BATCH_SIZES[k % len(_BATCH_SIZES)]
+        pool = [0, 1, 2, 3, period - 1, period - 2, period, period + 1,
+                2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, rng.getrandbits(200) | 1,
+                rng.getrandbits(200) & ~1, max(period - 1 - rng.randrange(40), 0)]
+        starts = [pool[i % len(pool)] if i < len(pool) else rng.choice(pool) + rng.randrange(1000)
+                  for i in range(n)]
+        l_k = int(_SMALL[k]) ** 2 - primes[-1] ** 2
+        for length in (l_k, 2 * rng.randrange(1, 100) + 1):
+            _check_coprime_counts(starts, length, primes, gcd_rows=range(min(n, 16)))
+
+
+@st.composite
+def _coprime_batches(draw):
+    k = draw(st.integers(1, 40))
+    primes = [int(p) for p in _SMALL[:k]]
+    period = math.prod(primes)
+    start = st.one_of(
+        st.integers(0, 64),
+        st.integers(0, 2 ** 64 - 1),
+        st.integers(2 ** 64, 2 ** 260),
+        st.integers(0, 64).map(lambda d: max(period - 1 - d, 0)),
+        st.integers(0, 2 ** 30).map(lambda d: period + d),
+    )
+    n = draw(st.one_of(st.sampled_from(_BATCH_SIZES), st.integers(1, 3 * _COPRIME_BATCH + 5)))
+    starts = draw(st.lists(start, min_size=n, max_size=n))
+    length = draw(st.one_of(st.integers(1, 40), st.integers(1, 1200)))
+    return starts, length, primes
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=_coprime_batches())
+def test_coprime_counts_match_references(batch):
+    starts, length, primes = batch
+    _check_coprime_counts(starts, length, primes, gcd_rows=range(0, len(starts), 7))
+
+
+def test_strike_offsets_are_exact_at_k300():
+    primes = [int(p) for p in _SMALL[:300]]
+    rng = random.Random(300)
+    starts = [rng.getrandbits(2000 + 37 * i) for i in range(20)]
+    starts += [2 ** 2048 - 1, 2 ** 2000, math.prod(primes) - 1, math.prod(primes)]
+    moduli = (2, _PERIOD, *(q for q in primes if q > 17))
+    got = _strike_offsets(starts, moduli)
+    assert got.tolist() == [[(-s) % q for q in moduli] for s in starts]
+
+
+def test_strike_offsets_chunked_sums_stay_exact():
+    rng = random.Random(31)
+    # Moduli near 2**31 leave room for one 32-bit digit per partial sum.
+    big = (2, 3, 2 ** 31 - 1, 2 ** 31 - 19, 1_000_003)
+    starts = [rng.getrandbits(bits) for bits in (1, 31, 32, 33, 64, 65, 2047, 2048, 4100)]
+    assert _chunk_digits(2 ** 31 - 1) == 1
+    assert _strike_offsets(starts, big).tolist() == [[(-s) % q for q in big] for s in starts]
+    # Moduli below 2**20 allow 2048 digits per sum, so a 70 000-bit start
+    # (2188 digits) needs two partial sums.
+    small = (2, 255255, 1223, 2 ** 20 - 3)
+    starts += [rng.getrandbits(70_000), 2 ** 70_000 - 1]
+    assert _chunk_digits(2 ** 20 - 3) == 2048
+    assert _strike_offsets(starts, small).tolist() == [[(-s) % q for q in small] for s in starts]
+    # The chunk is the largest whose digit sums cannot reach 2**63.
+    for q_max in (2, 3, 1223, 255255, 2 ** 20 + 7, 2 ** 31 - 1):
+        c = _chunk_digits(q_max)
+        bound = ((1 << 32) - 1) * max(q_max - 1, 1)
+        assert c >= 1 and c * bound <= _INT64_MAX < (c + 1) * bound
+
+
+def test_coprime_counter_errors():
+    primes = [int(p) for p in _SMALL[:5]]
+    for starts, length, ps in (([5], 10, primes[1:]),  # no 2
+                               ([5], 10, [2, 5, 3]),
+                               ([5], 0, primes),
+                               ([4, -1], 10, primes)):
+        with pytest.raises(DomainError):
+            list(_coprime_counts(starts, length, ps))
+    assert list(_coprime_counts([], 10, primes)) == []
+    with pytest.raises(DomainError):
+        _strike_offsets([5], (3, 2 ** 31))
