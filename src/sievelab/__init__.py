@@ -17,7 +17,6 @@ from .sieve_core import (
     SieveWindow,
     build_prime_table,
     count_primes_upto,
-    nth_prime,
     sieve_window,
 )
 from .analytic import (
@@ -45,7 +44,6 @@ from .intervals import (
     build_intervals,
     compute_interval_records,
     gap_series,
-    locate_interval,
     partial_counts,
 )
 from .residue_legendre import (

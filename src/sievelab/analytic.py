@@ -152,21 +152,13 @@ def mertens_delta_bound(x: float) -> float:
 def mertens_product(k: int, table: PrimeTable) -> MertensEvaluation:
     """prod_{p in P_k} (1 - 1/p) with the error bound at x = p_{k+1}^2 - 1.
 
-    Ordered multiplication for k <= 1000; beyond that the product is
-    rebuilt as exp of a compensated sum of log1p terms.
+    The product is the ordered running product of ``mertens_products``.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    ps = table.first(k)
-    if k <= 1000:
-        product = 1.0
-        for p in ps:
-            product *= 1.0 - 1.0 / int(p)
-    else:
-        product = math.exp(math.fsum(math.log1p(-1.0 / int(p)) for p in ps))
     x = table.nth(k + 1) ** 2 - 1
-    return MertensEvaluation(k=k, product=product, gamma=EULER_GAMMA,
-                             delta_bound=mertens_delta_bound(x))
+    return MertensEvaluation(k=k, product=float(mertens_products(k, table)[k]),
+                             gamma=EULER_GAMMA, delta_bound=mertens_delta_bound(x))
 
 
 def mertens_products(k_max: int, table: PrimeTable) -> np.ndarray:
@@ -232,13 +224,22 @@ def expected_pi_upto(x: int, interval_set, table: PrimeTable) -> float:
     interval containing x; continuous and monotone in x.
     """
     k = interval_set.locate(x)
-    products = mertens_products(k, table)
-    total = 0.0
-    for j in range(1, k):
-        total += interval_set.records[j - 1].length * products[j]
-    rec = interval_set.records[k - 1]
-    frac = (x - rec.p_k * rec.p_k) / rec.length
-    return total + frac * rec.length * products[k]
+    expected = interval_set.length[:k] * mertens_products(k, table)[1:]
+    frac = (x - int(interval_set.p_k[k - 1]) ** 2) / int(interval_set.length[k - 1])
+    return float(np.sum(expected[:-1]) + frac * expected[-1])
+
+
+def _spread_columns(p_k: np.ndarray, p_next: np.ndarray):
+    """l_j / log p_j^2, l_j / log p_{j+1}^2 and Delta_k for consecutive intervals.
+
+    Delta_k = (1/2) sum_{j<=k} (l_j / log p_j^2 - l_j / log p_{j+1}^2), the
+    normalizer of the bias curves. The logs are 2 math.log(p) on Python
+    ints, so the values do not depend on numpy's log.
+    """
+    lengths = (p_next * p_next - p_k * p_k).astype(np.float64)
+    over_lo = lengths / np.array([2.0 * math.log(p) for p in p_k.tolist()])
+    over_hi = lengths / np.array([2.0 * math.log(p) for p in p_next.tolist()])
+    return over_lo, over_hi, 0.5 * np.cumsum(over_lo - over_hi)
 
 
 def delta_normalizer(k: int, table: PrimeTable) -> float:
@@ -249,9 +250,5 @@ def delta_normalizer(k: int, table: PrimeTable) -> float:
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    total = 0.0
-    for j in range(1, k + 1):
-        p, p_next = table.nth(j), table.nth(j + 1)
-        l = p_next * p_next - p * p
-        total += l * (1.0 / math.log(p * p) - 1.0 / math.log(p_next * p_next))
-    return 0.5 * total
+    ps = table.first(k + 1)
+    return float(_spread_columns(ps[:-1], ps[1:])[2][-1])

@@ -12,7 +12,6 @@ Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -24,8 +23,7 @@ import numpy as np
 
 from . import __version__, randmodel, residue_legendre, stats_lab
 from .errors import DomainError, ResourceError
-from .intervals import (DEFAULT_CHUNK_ENTRIES, IntervalRecord, IntervalSet,
-                        compute_interval_records)
+from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, compute_interval_records
 from .sieve_core import build_prime_table
 
 _CHECKPOINT_BLOCK = 500  # intervals per checkpoint flush
@@ -47,6 +45,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list:
+    try:
+        return [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
 def _env_default(name: str, fallback, cast):
     raw = os.environ.get(f"SIEVELAB_{name}")
     if raw is None:
@@ -65,7 +71,7 @@ def _fmt(v) -> str:
     return f"{float(v):.15g}"
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
@@ -107,11 +113,12 @@ def _table_for(k_needed: int):
 # Checkpointed interval building shared by intervals/bias/corr/conjecture.
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_KEYS = {f.name for f in dataclasses.fields(IntervalRecord)}
+# IntervalRecord's fields: the checkpoint keys and the intervals.csv header.
+_FIELDS = ["k", *IntervalSet.COLUMNS]
 
 
-def _checkpoint_load(path: Path) -> list:
-    """Checkpoint rows in k order, repairing a torn tail in place.
+def _checkpoint_load(path: Path) -> dict:
+    """Checkpoint columns for k = 1..n, repairing a torn tail in place.
 
     An append cut short leaves an unparseable last line: it is cut from
     the file with a warning, so the scan resumes after the last complete
@@ -119,9 +126,7 @@ def _checkpoint_load(path: Path) -> list:
     Any other bad line raises DomainError.
     """
     rows = []
-    if not path.exists():
-        return rows
-    data = path.read_bytes()
+    data = path.read_bytes() if path.exists() else b""
     lines = []  # (byte offset, line) of the non-blank lines
     offset = 0
     for raw in data.splitlines(keepends=True):
@@ -138,60 +143,50 @@ def _checkpoint_load(path: Path) -> list:
                 fh.truncate(offset)
             _progress(f"checkpoint: dropped torn line {i + 1} of {path}, "
                       f"resuming after k={len(rows)}")
-            return rows
-        if (not isinstance(row, dict) or row.keys() != _CHECKPOINT_KEYS
+            break
+        if (not isinstance(row, dict) or row.keys() != set(_FIELDS)
                 or row["k"] != i + 1):
             raise DomainError(f"checkpoint {path} corrupt at line {i + 1}")
         rows.append(row)
-    if lines and not data.endswith(b"\n"):
-        with path.open("ab") as fh:
-            fh.write(b"\n")
-    return rows
+    else:
+        if lines and not data.endswith(b"\n"):
+            with path.open("ab") as fh:
+                fh.write(b"\n")
+    try:
+        return {name: np.array([row[name] for row in rows], dtype=dtype)
+                for name, dtype in IntervalSet.COLUMNS.items()}
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"checkpoint {path} corrupt: a value is not a number") from None
 
 
-def _checkpoint_append(path: Path, records) -> None:
+def _checkpoint_append(path: Path, k_from: int, block: dict) -> None:
+    columns = [block[name].tolist() for name in IntervalSet.COLUMNS]
     with path.open("a", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "k": r.k, "p_k": r.p_k, "p_next": r.p_next, "gap": r.gap,
-                "length": r.length, "pi_k": r.pi_k, "li_k": r.li_k,
-                "pnt_estimate": r.pnt_estimate,
-            }) + "\n")
+        for k, *values in zip(range(k_from, k_from + len(columns[0])), *columns):
+            fh.write(json.dumps(dict(zip(_FIELDS, [k, *values]))) + "\n")
         fh.flush()
 
 
-def _records_from_rows(rows) -> list:
-    return [IntervalRecord(**row) for row in rows]
-
-
-def _build_records(k_max: int, table, threads: int, chunk_entries: int,
-                   checkpoint) -> list:
-    done = []
-    if checkpoint:
-        ck = Path(checkpoint)
-        done = _records_from_rows(_checkpoint_load(ck))
-        if done:
-            _progress(f"checkpoint: {len(done)} records loaded from {ck}")
-    if len(done) >= k_max:
-        return done[:k_max]
-    k_next = len(done) + 1
-    while k_next <= k_max:
-        k_hi = min(k_next + _CHECKPOINT_BLOCK - 1, k_max)
-        block = compute_interval_records(k_next, k_hi, table, threads=threads,
-                                         chunk_entries=chunk_entries)
-        if checkpoint:
-            _checkpoint_append(Path(checkpoint), block)
-        done.extend(block)
+def _interval_set(args):
+    """The interval set for k = 1..args.kmax, resumed from and saved to
+    ``--checkpoint`` in blocks of _CHECKPOINT_BLOCK intervals."""
+    table = _table_for(args.kmax + 1)
+    ck = Path(args.checkpoint) if args.checkpoint else None
+    blocks = [_checkpoint_load(ck)] if ck else []
+    k_next = len(blocks[0]["pi_k"]) + 1 if ck else 1
+    if k_next > 1:
+        _progress(f"checkpoint: {k_next - 1} records loaded from {ck}")
+    while k_next <= args.kmax:
+        k_hi = min(k_next + _CHECKPOINT_BLOCK - 1, args.kmax)
+        block = compute_interval_records(k_next, k_hi, table, threads=args.threads,
+                                         chunk_entries=args.segment_size)
+        if ck:
+            _checkpoint_append(ck, k_next, block)
+        blocks.append(block)
         _progress(f"intervals k={k_next}..{k_hi} done")
         k_next = k_hi + 1
-    return done
-
-
-def _interval_set(args):
-    table = _table_for(args.kmax + 1)
-    records = _build_records(args.kmax, table, args.threads, args.segment_size,
-                             args.checkpoint)
-    return IntervalSet(records), table
+    return IntervalSet({name: np.concatenate([b[name] for b in blocks])[: args.kmax]
+                        for name in IntervalSet.COLUMNS}), table
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +196,15 @@ def _interval_set(args):
 def _cmd_intervals(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    interval_set, _ = _interval_set(args)
-    rows = [(r.k, r.p_k, r.p_next, r.gap, r.length, r.pi_k, r.li_k, r.pnt_estimate)
-            for r in interval_set.records]
+    s, _ = _interval_set(args)
+    ks = range(1, len(s) + 1)
     f1 = out / "intervals.csv"
-    _write_csv(f1, ["k", "p_k", "p_next", "gap", "length", "pi_k", "li_k", "pnt_estimate"], rows)
-    dev_rows = [(r.k, r.p_next ** 2, r.pi_k, r.li_k, r.pi_k - r.li_k)
-                for r in interval_set.records]
+    _write_csv(f1, _FIELDS,
+               zip(ks, *(getattr(s, name).tolist() for name in IntervalSet.COLUMNS)))
     f2 = out / "deviations.csv"
-    _write_csv(f2, ["k", "x", "pi_k", "li_k", "diff"], dev_rows)
+    _write_csv(f2, ["k", "x", "pi_k", "li_k", "diff"],
+               zip(ks, (s.p_next * s.p_next).tolist(), s.pi_k.tolist(), s.li_k.tolist(),
+                   (s.pi_k - s.li_k).tolist()))
     _write_manifest(out, "intervals", argv, [f1, f2], seed=args.seed, k_max=args.kmax)
     return 0
 
@@ -217,7 +212,7 @@ def _cmd_intervals(args, argv) -> int:
 def _cmd_maier(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    k_list = [int(tok) for tok in args.k.split(",") if tok.strip()]
+    k_list = args.k
     if not k_list:
         raise DomainError("empty k list")
     table = _table_for(max(k_list) + 1)
@@ -299,7 +294,7 @@ def _cmd_corr(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     interval_set, _ = _interval_set(args)
-    deviations = interval_set.pi_array() - interval_set.li_array()
+    deviations = interval_set.pi_k - interval_set.li_k
     series = stats_lab.lag_correlation(deviations, args.max_lag, block=args.block or 0)
     f1 = out / "corr.csv"
     _write_csv(f1, ["lag_or_block", "value"], [(int(x), v) for x, v in series.points])
@@ -369,7 +364,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("maier", help="window-density ratio scans over chosen intervals")
     _add_common(sp, kmax=False)
-    sp.add_argument("--k", required=True, help="comma-separated interval indices")
+    sp.add_argument("--k", type=_int_list, required=True,
+                    help="comma-separated interval indices")
     sp.add_argument("--lambda", dest="lam", type=float, default=3.0)
     sp.add_argument("--delta-band", type=float, default=0.03,
                     help="illustrative band half width recorded in the manifest")
@@ -384,7 +380,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("randmodel", help="shifted-window model summary for one interval")
     _add_common(sp, kmax=False)
     sp.add_argument("--k", type=_positive_int, required=True)
-    sp.add_argument("--budget", type=int, default=_env_default("BUDGET", 100_000, int),
+    sp.add_argument("--budget", type=int,
+                    default=_env_default("BUDGET", randmodel.DEFAULT_BUDGET, int),
                     help="exhaustive threshold / sampled draw count")
     sp.set_defaults(func=_cmd_randmodel)
 

@@ -14,14 +14,16 @@ no s_k (s_1 starts at 4), so interval counts need no correction.
 Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers; its flag array takes half as many bytes.
 
-All per-record quantities (pi_k, li_k, the PNT estimate) are computed
+All per-interval quantities (pi_k, li_k, the PNT estimate) are computed
 independently per k; neither chunk boundaries nor worker count can
-change a single record, which is what makes parallel scans and
-checkpoint resumes byte-reproducible.
+change a single row, which is what makes parallel scans and
+checkpoint resumes byte-reproducible. ``IntervalSet`` holds the rows as
+read-only numpy columns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing as mp
 from dataclasses import dataclass
@@ -61,28 +63,54 @@ class GapSeries:
     expected_gap: float  # log p_{k+1}^2
 
 
-class IntervalSet:
-    """Contiguous records for k = 1..k_max, immutable once built."""
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    def __init__(self, records: list[IntervalRecord]):
-        if not records or records[0].k != 1:
+
+class IntervalSet:
+    """The decomposition for k = 1..k_max as read-only numpy columns.
+
+    One column per ``IntervalRecord`` field except k, indexed by k - 1,
+    plus the running sums ``pi_cum`` and ``li_cum``, built on first use
+    (the primes 2, 3 and li(4) lie below s_1).
+    """
+
+    # Column name -> dtype, in IntervalRecord field order.
+    COLUMNS = {"p_k": np.int64, "p_next": np.int64, "gap": np.int64, "length": np.int64,
+               "pi_k": np.int64, "li_k": np.float64, "pnt_estimate": np.float64}
+
+    def __init__(self, columns):
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, _read_only(np.array(columns[name], dtype=dtype)))
+        self.k_max = len(self.p_k)
+        if self.k_max == 0 or self.p_k[0] != 2:
             raise DomainError("interval set must start at k = 1")
-        for a, b in zip(records, records[1:]):
-            if b.k != a.k + 1 or b.p_k != a.p_next:
-                raise DomainError(f"records not contiguous at k = {b.k}")
-        self.records = records
-        self.k_max = records[-1].k
-        squares = [r.p_k * r.p_k for r in records]
-        squares.append(records[-1].p_next ** 2)
-        self._squares = np.array(squares, dtype=np.int64)
+        if any(len(getattr(self, name)) != self.k_max for name in self.COLUMNS):
+            raise DomainError("interval columns differ in length")
+        broken = np.flatnonzero(self.p_k[1:] != self.p_next[:-1])
+        if len(broken):
+            raise DomainError(f"records not contiguous at k = {int(broken[0]) + 2}")
+        self._squares = np.append(self.p_k, self.p_next[-1]) ** 2
+
+    @functools.cached_property
+    def pi_cum(self) -> np.ndarray:
+        """pi(p_{k+1}^2) = 2 + sum_{j<=k} pi_j, indexed by k - 1."""
+        return _read_only(2 + np.cumsum(self.pi_k))
+
+    @functools.cached_property
+    def li_cum(self) -> np.ndarray:
+        """li(p_{k+1}^2) = li(4) + sum_{j<=k} li_j, indexed by k - 1."""
+        return _read_only(analytic.li(4.0) + np.cumsum(self.li_k))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.k_max
 
     def record(self, k: int) -> IntervalRecord:
+        """Row k of the columns."""
         if k < 1 or k > self.k_max:
             raise DomainError(f"k = {k} outside interval set (1..{self.k_max})")
-        return self.records[k - 1]
+        return IntervalRecord(k, *(getattr(self, name)[k - 1].item() for name in self.COLUMNS))
 
     def locate(self, x: int) -> int:
         """The unique k with p_k^2 <= x < p_{k+1}^2."""
@@ -90,22 +118,6 @@ class IntervalSet:
             raise DomainError(
                 f"x = {x} outside covered range [{self._squares[0]}, {self._squares[-1]})")
         return int(np.searchsorted(self._squares, x, side="right"))
-
-    # Column views used by the statistics modules.
-    def pi_array(self) -> np.ndarray:
-        return np.array([r.pi_k for r in self.records], dtype=np.int64)
-
-    def li_array(self) -> np.ndarray:
-        return np.array([r.li_k for r in self.records])
-
-    def length_array(self) -> np.ndarray:
-        return np.array([r.length for r in self.records], dtype=np.int64)
-
-    def gap_array(self) -> np.ndarray:
-        return np.array([r.gap for r in self.records], dtype=np.int64)
-
-    def p_next_array(self) -> np.ndarray:
-        return np.array([r.p_next for r in self.records], dtype=np.int64)
 
 
 def _chunk_bounds(k_from: int, k_to: int, table: PrimeTable, chunk_entries: int) -> list:
@@ -157,11 +169,12 @@ def compute_interval_records(
     threads: int = 1,
     chunk_entries: int = DEFAULT_CHUNK_ENTRIES,
     progress: Optional[Callable[[int, int], None]] = None,
-) -> list[IntervalRecord]:
-    """Records for k in [k_from, k_to], sieved chunk by chunk.
+) -> dict:
+    """The ``IntervalSet.COLUMNS`` for k in [k_from, k_to], sieved chunk by chunk.
 
-    threads > 1 distributes whole chunks over a fork pool; records are
+    threads > 1 distributes whole chunks over a fork pool; counts are
     assembled in k order and are bit-identical for any thread count.
+    ``progress(k_done, k_to)`` is called once per chunk.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad interval range [{k_from}, {k_to}]")
@@ -187,23 +200,21 @@ def compute_interval_records(
             if progress:
                 progress(k_hi, k_to)
 
-    records = []
-    for (k_lo, k_hi), counts in zip(chunks, counts_per_chunk):
-        for off, k in enumerate(range(k_lo, k_hi + 1)):
-            p = table.nth(k)
-            p_next = table.nth(k + 1)
-            length = p_next * p_next - p * p
-            records.append(IntervalRecord(
-                k=k,
-                p_k=p,
-                p_next=p_next,
-                gap=p_next - p,
-                length=length,
-                pi_k=int(counts[off]),
-                li_k=analytic.li_between(p * p, p_next * p_next),
-                pnt_estimate=length / math.log(p_next * p_next),
-            ))
-    return records
+    p_k = table.primes[k_from - 1 : k_to]
+    p_next = table.primes[k_from : k_to + 1]
+    length = p_next * p_next - p_k * p_k
+    # li_between per k and math.log on Python ints: np.log can differ from
+    # math.log in the last bit, which would change CSV bytes.
+    ps, pns = p_k.tolist(), p_next.tolist()
+    return {
+        "p_k": p_k,
+        "p_next": p_next,
+        "gap": p_next - p_k,
+        "length": length,
+        "pi_k": np.concatenate(counts_per_chunk),
+        "li_k": np.array([analytic.li_between(p * p, q * q) for p, q in zip(ps, pns)]),
+        "pnt_estimate": np.array([l / math.log(q * q) for l, q in zip(length.tolist(), pns)]),
+    }
 
 
 def build_intervals(
@@ -218,11 +229,6 @@ def build_intervals(
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     return IntervalSet(compute_interval_records(
         1, k_max, table, threads=threads, chunk_entries=chunk_entries, progress=progress))
-
-
-def locate_interval(x: int, interval_set: IntervalSet) -> int:
-    """The unique k with p_k^2 <= x < p_{k+1}^2."""
-    return interval_set.locate(x)
 
 
 def partial_counts(x: int, interval_set: IntervalSet, table: PrimeTable) -> tuple[int, float]:

@@ -32,8 +32,10 @@ from .sieve_core import PrimeTable, _coprime_counts
 from .residue_legendre import primorial
 from .stats_lab import ScanSeries
 
-# Exhaustive evaluation threshold and default sampled draw count.
-DEFAULT_BUDGET = 10 ** 9
+# Exhaustive evaluation threshold and default sampled draw count. At 10^5
+# a default call is exhaustive only for k <= 6 (p_7# = 510510) and never
+# draws more than 10^5 windows.
+DEFAULT_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -207,17 +209,15 @@ def variance_comparison(k_range, table: PrimeTable, budget: int = DEFAULT_BUDGET
 def sum_model_bounds(x: int, interval_set: IntervalSet, table: PrimeTable) -> tuple[float, float]:
     """(mu, sigma_bound) for the summed count model at x.
 
-    mu sums the per-interval densities l_j / log p_{j+1}^2 with the
-    fractional last term; with Poisson per-interval variances the summed
-    variance equals mu, so sigma_bound = sqrt(mu) <= sqrt(li(x)) up to
-    the density-vs-integral gap.
+    mu sums the per-interval densities l_j / log p_{j+1}^2 (the
+    ``pnt_estimate`` column) with the fractional last term; with Poisson
+    per-interval variances the summed variance equals mu, so
+    sigma_bound = sqrt(mu) <= sqrt(li(x)) up to the density-vs-integral
+    gap.
     """
     k = interval_set.locate(x)
-    mu = 0.0
-    for j in range(1, k):
-        rec = interval_set.record(j)
-        mu += rec.length / math.log(rec.p_next ** 2)
     rec = interval_set.record(k)
+    mu = float(np.sum(interval_set.pnt_estimate[: k - 1]))
     mu += (x - rec.p_k ** 2) / math.log(rec.p_next ** 2)
     return mu, math.sqrt(mu)
 
@@ -229,17 +229,13 @@ def conjecture_check(interval_set: IntervalSet) -> ScanSeries:
     raised: whether the model's bound transfers to the true counts is an
     empirical question.
     """
-    recs = interval_set.records
-    pi_cum = 2 + np.cumsum([r.pi_k for r in recs])
-    li_cum = analytic.li(4.0) + np.cumsum([r.li_k for r in recs])
-    diff = pi_cum - li_cum
-    sqrt_li = np.sqrt(li_cum)
-    xs = [r.p_next ** 2 for r in recs]
-    violations = [recs[i].k for i in range(len(recs)) if abs(diff[i]) >= sqrt_li[i]]
+    diff = interval_set.pi_cum - interval_set.li_cum
+    sqrt_li = np.sqrt(interval_set.li_cum)
+    xs = (interval_set.p_next * interval_set.p_next).tolist()
     return ScanSeries(
         label="conjecture",
         points=[(float(x), float(d)) for x, d in zip(xs, diff)],
-        metadata={"k": [r.k for r in recs], "sqrt_li": sqrt_li.tolist(),
-                  "pi": pi_cum.tolist(), "li": li_cum.tolist(),
-                  "violations": violations},
+        metadata={"k": list(range(1, len(interval_set) + 1)), "sqrt_li": sqrt_li.tolist(),
+                  "pi": interval_set.pi_cum.tolist(), "li": interval_set.li_cum.tolist(),
+                  "violations": (np.flatnonzero(np.abs(diff) >= sqrt_li) + 1).tolist()},
     )

@@ -443,7 +443,7 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable,
         base = length / log_hi
         tsum = truncated_moebius_sum(k, table, context=context)
         if interval_set is not None and interval_set.k_max >= k:
-            pi_k = interval_set.record(k).pi_k
+            pi_k = int(interval_set.pi_k[k - 1])
         else:
             pi_k = int(np.count_nonzero(
                 _odd_primality(p * p, p_next * p_next - 1, table.first(k))[1]))

@@ -395,8 +395,3 @@ def count_primes_upto(x: int, table: PrimeTable, segment_size: int = DEFAULT_SEG
         total += int(np.count_nonzero(_odd_primality(lo, hi, base)[1]))
         lo = hi + 1
     return total
-
-
-def nth_prime(k: int, table: PrimeTable) -> int:
-    """p_k, 1-based (p_1 = 2, p_3 = 5)."""
-    return table.nth(k)

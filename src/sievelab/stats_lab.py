@@ -264,29 +264,22 @@ def bias_series(interval_set: IntervalSet, table: PrimeTable) -> ScanSeries:
 
     (a) pi(x) - li(x); (b) running sum of l_j/log p_j^2 - li_j;
     (c) running sum of l_j/log p_{j+1}^2 - li_j; each also divided by
-    the spread normalizer Delta_k. pi and li accumulate from the exact
-    interval records (the two primes 2, 3 and li(4) seed the sums).
+    the spread normalizer Delta_k (``analytic.delta_normalizer``). pi and
+    li are the interval set's running sums ``pi_cum`` and ``li_cum``.
     """
-    recs = interval_set.records
-    pi_cum = 2 + np.cumsum([r.pi_k for r in recs])
-    li_cum = analytic.li(4.0) + np.cumsum([r.li_k for r in recs])
-    lengths = np.array([r.length for r in recs], dtype=np.float64)
-    log_lo = np.array([2.0 * math.log(r.p_k) for r in recs])
-    log_hi = np.array([2.0 * math.log(r.p_next) for r in recs])
-    li_ks = np.array([r.li_k for r in recs])
-
-    upper = np.cumsum(lengths / log_lo - li_ks)            # curve (b)
-    lower = np.cumsum(lengths / log_hi - li_ks)            # curve (c)
-    delta = 0.5 * np.cumsum(lengths / log_lo - lengths / log_hi)
-    a = pi_cum - li_cum
-    xs = np.array([r.p_next ** 2 for r in recs], dtype=np.float64)
+    s = interval_set
+    over_lo, over_hi, delta = analytic._spread_columns(s.p_k, s.p_next)
+    upper = np.cumsum(over_lo - s.li_k)                    # curve (b)
+    lower = np.cumsum(over_hi - s.li_k)                    # curve (c)
+    a = s.pi_cum - s.li_cum
+    xs = (s.p_next * s.p_next).astype(np.float64)
 
     fit = fit_gaussian(a / delta)
     return ScanSeries(
         label="bias",
         points=[(float(x), float(v)) for x, v in zip(xs, a)],
         metadata={
-            "k": [r.k for r in recs],
+            "k": list(range(1, len(s) + 1)),
             "b": upper.tolist(),
             "c": lower.tolist(),
             "a_norm": (a / delta).tolist(),
@@ -294,7 +287,7 @@ def bias_series(interval_set: IntervalSet, table: PrimeTable) -> ScanSeries:
             "c_norm": (lower / delta).tolist(),
             "delta": delta.tolist(),
             "fit": fit,
-            "pi_cum": pi_cum.tolist(),
-            "li_cum": li_cum.tolist(),
+            "pi_cum": s.pi_cum.tolist(),
+            "li_cum": s.li_cum.tolist(),
         },
     )

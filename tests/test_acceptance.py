@@ -161,10 +161,10 @@ def test_criterion_07_bias_ordering_sign_band(table, set10k):
 
 def test_criterion_08_sandwich_and_eta(table, set10k):
     t0 = time.perf_counter()
-    li_ks = set10k.li_array()
-    lengths = set10k.length_array().astype(np.float64)
-    p = np.array([r.p_k for r in set10k.records], dtype=np.float64)
-    pn = set10k.p_next_array().astype(np.float64)
+    li_ks = set10k.li_k
+    lengths = set10k.length.astype(np.float64)
+    p = set10k.p_k.astype(np.float64)
+    pn = set10k.p_next.astype(np.float64)
     lower = lengths / np.log(pn * pn)
     upper = lengths / np.log(p * p)
     sandwich = bool(np.all(lower < li_ks) and np.all(li_ks < upper))
@@ -176,11 +176,10 @@ def test_criterion_08_sandwich_and_eta(table, set10k):
 
 
 def test_rows_above_k1000_match_sympy_primepi(set10k):
-    # 2 + sum_{j<=k} pi_j counts every prime below p_{k+1}^2 (2 and 3 lie below s_1).
-    cumulative = np.cumsum(set10k.pi_array())
+    # pi_cum = 2 + sum_{j<=k} pi_j counts every prime below p_{k+1}^2 (2 and 3 lie below s_1).
     for k in (2000, 5000, ACCEPT_KMAX):
         x = set10k.record(k).p_next ** 2 - 1
-        assert 2 + int(cumulative[k - 1]) == sympy.primepi(x), k
+        assert int(set10k.pi_cum[k - 1]) == sympy.primepi(x), k
 
 
 def test_criterion_09_variance_bound(table):

@@ -73,6 +73,14 @@ def test_mertens_product_matches_fraction_oracle(table_small):
         assert mertens_product(k, table_small).product == pytest.approx(ref, rel=1e-13)
 
 
+def test_mertens_product_is_the_running_product(table):
+    # One numeric path: the ordered running product, also beyond k = 1000.
+    for k in (1, 1000, 1001, 5000):
+        assert mertens_product(k, table).product == mertens_products(k, table)[k]
+    ref = float(fraction_mertens(int(p) for p in table.first(2000)))
+    assert mertens_product(2000, table).product == pytest.approx(ref, rel=1e-12)
+
+
 def test_mertens_products_running(table_small):
     prods = mertens_products(60, table_small)
     assert prods[0] == 1.0

@@ -122,6 +122,18 @@ def test_corrupt_checkpoint_line_is_domain_error(tmp_path, capsys, line, corrupt
     assert ck.read_bytes() == before
 
 
+def test_non_numeric_checkpoint_value_is_domain_error(tmp_path, capsys):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part",
+                "--checkpoint", ck]) == 0
+    lines = read_lines(ck)
+    lines[9] = json.dumps({**json.loads(lines[9]), "pi_k": "many"})
+    ck.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["bias", "--kmax", 60, "--out", tmp_path / "o", "--checkpoint", ck]) == 2
+    assert "a value is not a number" in capsys.readouterr().err
+
+
 def test_maier_command(tmp_path):
     out = tmp_path / "o"
     assert run(["maier", "--k", "50", "--lambda", 3, "--out", out]) == 0
@@ -132,6 +144,13 @@ def test_maier_command(tmp_path):
     assert "delta_lambda" in manifest
     # A window that cannot fit is a domain error (exit 2).
     assert run(["maier", "--k", "3", "--lambda", 3, "--out", tmp_path / "bad"]) == 2
+
+
+def test_maier_bad_k_token_is_usage_error(tmp_path, capsys):
+    assert run(["maier", "--k", "5,x", "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert "--k" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_legendre_command(tmp_path):
@@ -223,3 +242,42 @@ def test_output_lines_end_with_lf(tmp_path):
     raw = (out / "intervals.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+# sha256 of every interval-derived output at --kmax 300, recorded from the
+# list-of-records implementation before the interval table became columnar.
+PINNED_KMAX_300 = {
+    "checkpoint": "4a1e75831cc7f622b95cc6515e5757b1483894e777d1a0e6b32e994e633d165a",
+    "intervals.csv": "2495d2f34528233c25c265f812695d7117cf3e122eb2654cac9ee3de7565f54e",
+    "deviations.csv": "2775bab6b99b3d8912b1a15a51fa36e8e47cc83346501ccc9031432a4684bc5c",
+    "bias.csv": "a012f5fd51d4af13539e7bad603d9ff99282541eb05f7dcc70559673ead69eda",
+    "bias.csv --count-offset":
+        "efb89208354a17b91e78111a8c297f53cb6dc721868363c859f49f0e8c602e0f",
+    "conjecture.csv": "512f0ac512d2e957819e4ee57b700a7f1badd3d5a7c733a17c0602999f9d0615",
+    "conjecture.csv --count-offset":
+        "545540e88ac5b8075aef6b9a830db8bfbd5cf8f803025097aa59f74b31eee9f9",
+    "corr.csv": "eabee103cac05c98d1a25f5ee0df10fa538a26c3338f10f2b12556383139ff9b",
+}
+
+
+@pytest.mark.parametrize("resume_from", [None, 150], ids=["single-shot", "resumed"])
+def test_interval_outputs_bytes_pinned(tmp_path, resume_from):
+    ck = tmp_path / "scan.ckpt"
+    if resume_from:
+        assert run(["intervals", "--kmax", resume_from, "--out", tmp_path / "part",
+                    "--checkpoint", ck]) == 0
+    out = tmp_path / "intervals"
+    assert run(["intervals", "--kmax", 300, "--out", out, "--checkpoint", ck]) == 0
+    digests = {"checkpoint": sha(ck),
+               "intervals.csv": sha(out / "intervals.csv"),
+               "deviations.csv": sha(out / "deviations.csv")}
+    # The resumed run reads the other commands' intervals from the checkpoint.
+    scan = ["--checkpoint", ck] if resume_from else []
+    for command in ("bias", "conjecture"):
+        for flags in ([], ["--count-offset"]):
+            out = tmp_path / f"{command}{len(flags)}"
+            assert run([command, "--kmax", 300, "--out", out] + scan + flags) == 0
+            digests[" ".join([f"{command}.csv"] + flags)] = sha(out / f"{command}.csv")
+    assert run(["corr", "--kmax", 300, "--out", tmp_path / "corr"] + scan) == 0
+    digests["corr.csv"] = sha(tmp_path / "corr" / "corr.csv")
+    assert digests == PINNED_KMAX_300

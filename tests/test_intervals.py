@@ -11,16 +11,22 @@ from sievelab import (
     count_coprime_direct,
     count_primes_upto,
     gap_series,
-    locate_interval,
+    li,
     partial_counts,
 )
-from sievelab.intervals import compute_interval_records
+from sievelab.intervals import IntervalSet, compute_interval_records
 
 from _oracles import li_between_oracle
 
 
+def _columns(source):
+    """Column name -> list, from an IntervalSet or a compute_interval_records block."""
+    return {name: (source[name] if isinstance(source, dict) else getattr(source, name)).tolist()
+            for name in IntervalSet.COLUMNS}
+
+
 def test_first_record(table_small):
-    r = build_intervals(1, table_small).records[0]
+    r = build_intervals(1, table_small).record(1)
     assert (r.k, r.p_k, r.p_next, r.gap, r.length, r.pi_k) == (1, 2, 3, 1, 5, 2)
 
 
@@ -37,33 +43,41 @@ def test_k1000_row(set1000):
 
 
 def test_length_identity(set1000):
-    for r in set1000.records:
-        assert r.length == 2 * r.p_next * r.gap - r.gap * r.gap
+    s = set1000
+    assert np.array_equal(s.length, 2 * s.p_next * s.gap - s.gap * s.gap)
 
 
 def test_pi_k_at_least_one(set1000):
-    assert min(r.pi_k for r in set1000.records) >= 1
+    assert set1000.pi_k.min() >= 1
 
 
 def test_sandwich_per_record(set1000):
-    for r in set1000.records:
-        lo_est = r.length / math.log(r.p_k ** 2)
-        assert r.pnt_estimate < r.li_k < lo_est
+    s = set1000
+    lo_est = np.array([l / math.log(p ** 2) for l, p in zip(s.length.tolist(), s.p_k.tolist())])
+    assert np.all(s.pnt_estimate < s.li_k) and np.all(s.li_k < lo_est)
 
 
 def test_length_telescoping(set1000):
-    total = 0
-    for r in set1000.records:
-        total += r.length
-        assert total == r.p_next ** 2 - 4
+    assert np.array_equal(np.cumsum(set1000.length), set1000.p_next ** 2 - 4)
 
 
 def test_pi_telescoping_against_counting(table, set1000):
-    running = 0
-    for r in set1000.records:
-        running += r.pi_k
-        if r.k in (10, 100, 1000):
-            assert running == count_primes_upto(r.p_next ** 2, table) - 2
+    # pi_cum[k - 1] = 2 + sum_{j<=k} pi_j counts the primes 2 and 3 below s_1.
+    for k in (10, 100, 1000):
+        x = set1000.record(k).p_next ** 2
+        assert set1000.pi_cum[k - 1] == count_primes_upto(x, table)
+
+
+def test_li_cum_against_li(set1000):
+    for k in (1, 10, 1000):
+        x = set1000.record(k).p_next ** 2
+        assert set1000.li_cum[k - 1] == pytest.approx(li(x), rel=1e-12)
+
+
+def test_columns_are_read_only(set200):
+    for name in [*IntervalSet.COLUMNS, "pi_cum", "li_cum"]:
+        with pytest.raises(ValueError):
+            getattr(set200, name)[0] = 0
 
 
 def test_pi_matches_coprime_count(table_small, set200):
@@ -74,7 +88,7 @@ def test_pi_matches_coprime_count(table_small, set200):
 
 
 def test_ratio_convergence_band(set1000):
-    ratios = [r.pi_k / r.pnt_estimate for r in set1000.records[499:1000]]
+    ratios = set1000.pi_k[499:1000] / set1000.pnt_estimate[499:1000]
     assert 0.95 <= np.mean(ratios) <= 1.05
 
 
@@ -86,13 +100,13 @@ def test_li_k_column_matches_oracle(set200):
 
 
 def test_locate_interval(set200):
-    assert locate_interval(25, set200) == 3
-    assert locate_interval(48, set200) == 3
-    assert locate_interval(24, set200) == 2
+    assert set200.locate(25) == 3
+    assert set200.locate(48) == 3
+    assert set200.locate(24) == 2
     with pytest.raises(DomainError):
-        locate_interval(3, set200)
+        set200.locate(3)
     with pytest.raises(DomainError):
-        locate_interval(set200.record(200).p_next ** 2, set200)
+        set200.locate(set200.record(200).p_next ** 2)
 
 
 def test_partial_counts(table_small, set200):
@@ -114,21 +128,20 @@ def test_gap_series(table, set1000):
 
 
 def test_contiguity(set200):
-    for a, b in zip(set200.records, set200.records[1:]):
-        assert b.p_k == a.p_next
+    assert np.array_equal(set200.p_k[1:], set200.p_next[:-1])
 
 
 def test_chunking_and_threads_invisible(table_small):
-    base = build_intervals(80, table_small).records
-    tiny_chunks = build_intervals(80, table_small, chunk_entries=4096).records
-    threaded = build_intervals(80, table_small, threads=2).records
+    base = _columns(build_intervals(80, table_small))
+    tiny_chunks = _columns(build_intervals(80, table_small, chunk_entries=4096))
+    threaded = _columns(build_intervals(80, table_small, threads=2))
     assert base == tiny_chunks == threaded
 
 
 def test_partial_range_matches_full(table_small):
-    full = build_intervals(60, table_small).records
-    tail = compute_interval_records(31, 60, table_small)
-    assert full[30:] == tail
+    full = _columns(build_intervals(60, table_small))
+    tail = _columns(compute_interval_records(31, 60, table_small))
+    assert {name: col[30:] for name, col in full.items()} == tail
 
 
 def test_build_errors(table_small):
@@ -146,6 +159,6 @@ def test_build_errors(table_small):
 )
 def test_chunk_entries_do_not_change_records(table_small, chunk_entries, k_from, count):
     k_to = k_from + count - 1
-    reference = compute_interval_records(k_from, k_to, table_small)
-    assert compute_interval_records(k_from, k_to, table_small,
-                                    chunk_entries=chunk_entries) == reference
+    reference = _columns(compute_interval_records(k_from, k_to, table_small))
+    assert _columns(compute_interval_records(k_from, k_to, table_small,
+                                             chunk_entries=chunk_entries)) == reference

@@ -15,6 +15,8 @@ from sievelab import (
     sum_model_bounds,
     variance_comparison,
 )
+from sievelab.cli import build_parser
+from sievelab.randmodel import DEFAULT_BUDGET
 
 from _oracles import totient_of_primorial, window_count
 
@@ -101,6 +103,14 @@ def test_sampled_counts_match_window_reference(table_small):
     assert s.histogram.tolist() == np.bincount(counts).tolist()
 
 
+def test_default_budget_is_bounded(table_small, monkeypatch):
+    monkeypatch.delenv("SIEVELAB_BUDGET", raising=False)
+    assert build_parser().parse_args(["randmodel", "--k", "9"]).budget == DEFAULT_BUDGET
+    # p_9# = 223092870 exceeds the default, so no period-sized arrays are built.
+    s = shift_model(9, table_small)
+    assert s.mode == "sampled" and s.samples == DEFAULT_BUDGET == 100_000
+
+
 def test_sampled_memory_does_not_grow_with_budget(table_small):
     shift_model(30, table_small, budget=2, seed=0)  # builds the cached presieve pattern
 
@@ -152,7 +162,7 @@ def test_variance_comparison_exhaustive(table_small):
 
 def test_variance_gap_widens_on_gap6_subsequence(table, set1000):
     # Sampled margins (binomial stdev - model stdev) grow with k along g_k = 6.
-    ks = [r.k for r in set1000.records if r.gap == 6 and 40 <= r.k <= 250]
+    ks = [k for k in range(40, 251) if set1000.gap[k - 1] == 6]
     picks = [ks[0], ks[len(ks) // 2], ks[-1]]
     margins = []
     for k in picks:
@@ -169,6 +179,12 @@ def test_sum_model_bounds(table_small, set200):
     for x in (100, 5000, 25_000):
         mu, sigma = sum_model_bounds(x, set200, table_small)
         assert sigma < math.sqrt(li(x))
+    # Loop reference: sum of l_j / log p_{j+1}^2 for j < k plus the fractional term.
+    k = set200.locate(25_000)
+    recs = [set200.record(j) for j in range(1, k + 1)]
+    ref = math.fsum(r.length / math.log(r.p_next ** 2) for r in recs[:-1])
+    ref += (25_000 - recs[-1].p_k ** 2) / math.log(recs[-1].p_next ** 2)
+    assert mu == pytest.approx(ref, rel=1e-13)
 
 
 def test_conjecture_check(set200):

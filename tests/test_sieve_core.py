@@ -11,7 +11,6 @@ from sievelab import (
     ResourceError,
     build_prime_table,
     count_primes_upto,
-    nth_prime,
     sieve_window,
 )
 
@@ -130,13 +129,13 @@ def test_count_primes_upto_errors(table_small):
 
 
 def test_nth_prime(table):
-    assert nth_prime(1, table) == 2
-    assert nth_prime(3, table) == 5
-    assert nth_prime(500, table) == 3571
+    assert table.nth(1) == 2
+    assert table.nth(3) == 5
+    assert table.nth(500) == 3571
     with pytest.raises(DomainError):
-        nth_prime(0, table)
+        table.nth(0)
     with pytest.raises(DomainError):
-        nth_prime(len(table) + 1, table)
+        table.nth(len(table) + 1)
 
 
 def test_prime_table_is_read_only(table_small):

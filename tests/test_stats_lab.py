@@ -6,6 +6,7 @@ import pytest
 from sievelab import (
     DomainError,
     bias_series,
+    delta_normalizer,
     empirical_pdf,
     extract_delta,
     fit_gaussian,
@@ -136,8 +137,8 @@ def test_extract_delta(table):
 
 
 def test_phi_vs_lengths_identity(set1000):
-    for r in set1000.records:
-        assert r.length == 2 * r.p_next * r.gap - r.gap * r.gap  # l_g at x = p_next^2
+    s = set1000
+    assert np.array_equal(s.length, 2 * s.p_next * s.gap - s.gap * s.gap)  # l_g at x = p_next^2
 
 
 def test_phi_vs_lengths_crossing_matches_root_oracle(table):
@@ -152,9 +153,7 @@ def test_phi_vs_lengths_beyond_crossing(table, set1000):
     x_star = max(x for _, x in series.points)
     for x in (x_star * 1.01, x_star * 2, x_star * 10):
         phi = math.log(x) ** 3
-        for r in set1000.records:
-            if r.p_next ** 2 > x:
-                assert phi < r.length
+        assert np.all(phi < set1000.length[set1000.p_next ** 2 > x])
 
 
 def test_moving_average_of_gap_series(table, set1000):
@@ -170,11 +169,17 @@ def test_moving_average_of_gap_series(table, set1000):
 
 
 def test_lag_correlation_of_interval_deviations(set1000):
-    d = set1000.pi_array() - set1000.li_array()
+    d = set1000.pi_k - set1000.li_k
     series = lag_correlation(d, max_lag=3)
     lag1 = series.points[1][1]
     assert lag1 < 0  # near neighbours are mildly anti-correlated
     assert abs(lag1) < 0.5
+
+
+def test_bias_delta_is_delta_normalizer(table, set200):
+    delta = bias_series(set200, table).metadata["delta"]
+    for k in (1, 2, 50, 200):
+        assert delta[k - 1] == delta_normalizer(k, table)
 
 
 def test_bias_series_ordering_and_normalized_lines(table, set1000):
