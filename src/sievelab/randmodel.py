@@ -3,8 +3,9 @@
 The sample space for the count in a window of length l_k is the set of
 shifted-window values S(s_k^j, p_k#), 0 <= j < p_k#, of which the true
 pi_k is the j = 0 element. Exhaustive mode walks the entire period with
-a sliding window (one cumulative sum over coprimality flags of one
-period), keeping every moment in exact integer arithmetic. Sampled mode
+a sliding window (one cumulative sum over the coprimality flags of one
+period, struck by ``sieve_window`` under its memory budget), keeping
+every moment in exact integer arithmetic. Sampled mode
 draws shifts with a derived per-sample seed, so results are independent
 of evaluation order and worker count; the drawn windows are counted in
 fixed batches by the coprime counter of ``sieve_core``, and the count
@@ -28,7 +29,7 @@ import numpy as np
 from . import analytic
 from .errors import DomainError
 from .intervals import IntervalSet
-from .sieve_core import PrimeTable, _coprime_counts
+from .sieve_core import PrimeTable, _coprime_counts, sieve_window
 from .residue_legendre import primorial
 from .stats_lab import ScanSeries
 
@@ -96,9 +97,8 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
     length = p_next * p_next - lo0
 
     if period <= budget:
-        flags = np.ones(period, dtype=np.uint8)
-        for q in ps:
-            flags[::q] = 0
+        # Coprimality flags of one period; residue i is coprime iff period + i is.
+        flags = sieve_window(period, 2 * period - 1, ps).flags
         r0 = lo0 % period
         reps = (r0 + period + length + period - 1) // period
         ext = np.tile(flags, reps)[r0 : r0 + period + length]

@@ -27,8 +27,13 @@ with B <= p_{k+1}^2 has at most one prime factor above p_k, so
 
 with M(y) = sum_{m <= y} mu(m)/m over all integers. The same
 decomposition counts the admissible divisors via the squarefree
-counting function. Depth-first enumeration with an early product
-cutoff remains the reference path for small k.
+counting function. For small k, and for bounds up to 2^20, the
+admissible divisors are enumerated outright by one array builder,
+_squarefree_products: every squarefree product d <= limit of the
+ascending primes, with mu(d), d = 1 first and the rest in depth-first
+order with the smallest prime first. The full count, the truncated sum
+and the term count all read its arrays; the truncated sum adds mu(d)/d
+in that order, one term at a time.
 """
 
 from __future__ import annotations
@@ -41,13 +46,14 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _odd_primality
+from .sieve_core import _INT64_MAX, PrimeTable, _odd_primality
 
 # Abort inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_TERM_CAP = 5_000_000
 
-# Use depth-first enumeration for truncated sums up to this many primes.
-_DFS_K_LIMIT = 25
+# Truncated sums enumerate their divisors up to this many primes (and for
+# bounds up to 2^20); beyond it they use the MoebiusContext decomposition.
+_ENUMERATE_K_LIMIT = 25
 
 
 @dataclass(frozen=True)
@@ -154,33 +160,16 @@ def count_coprime_legendre(window: Window, k: int, table: PrimeTable,
     truncate_below is set, d < truncate_below. With truncate_below unset
     the result equals the direct count exactly.
     """
-    ps = [int(p) for p in table.first(k)]
     lo_m1 = window.lo - 1
     hi = window.hi
     d_max = hi if truncate_below is None else min(hi, truncate_below - 1)
-    if d_max < 1:
-        return CoprimeCount(window=window, k=k, count=0,
-                            method="legendre_truncated", terms_evaluated=0)
-
-    total = 0
-    terms = 0
-
-    def descend(start: int, d: int, sign: int) -> None:
-        nonlocal total, terms
-        terms += 1
-        if terms > term_cap:
-            raise ResourceError(f"legendre enumeration exceeded {term_cap} terms")
-        total += sign * (hi // d - lo_m1 // d)
-        for idx in range(start, k):
-            nd = d * ps[idx]
-            if nd > d_max:
-                break
-            descend(idx + 1, nd, -sign)
-
-    descend(0, 1, 1)
+    d, mu = _squarefree_products(table.first(k), d_max, term_cap)
+    if hi > _INT64_MAX:
+        d = d.astype(object)  # hi // d needs Python ints once hi leaves int64
+    count = sum((mu * (hi // d - lo_m1 // d)).tolist())
     method = "legendre_full" if truncate_below is None else "legendre_truncated"
-    return CoprimeCount(window=window, k=k, count=total, method=method,
-                        terms_evaluated=terms)
+    return CoprimeCount(window=window, k=k, count=count, method=method,
+                        terms_evaluated=len(d))
 
 
 def expected_legendre(window_length: int, k: int, table: PrimeTable) -> float:
@@ -194,24 +183,29 @@ def expected_legendre(window_length: int, k: int, table: PrimeTable) -> float:
 # Truncated smooth expansion and divisor accounting.
 # ---------------------------------------------------------------------------
 
-def _dfs_moebius_sum(ps: list, bound: int) -> tuple[float, int]:
-    """(sum of mu(d)/d, term count) over squarefree products d < bound."""
-    total = 0.0
-    terms = 0
-    k = len(ps)
+def _squarefree_products(ps, limit: int,
+                         term_cap: int = DEFAULT_TERM_CAP) -> tuple[np.ndarray, np.ndarray]:
+    """(d, mu(d)) for every squarefree product d <= limit of the ascending primes ps.
 
-    def descend(start: int, d: int, sign: int) -> None:
-        nonlocal total, terms
-        terms += 1
-        total += sign / d
-        for idx in range(start, k):
-            nd = d * ps[idx]
-            if nd >= bound:
-                break
-            descend(idx + 1, nd, -sign)
-
-    descend(0, 1, 1)
-    return total, terms
+    d = 1 comes first; the rest follow in depth-first order, smallest
+    prime first. The list for ps[j:] is built from the one for ps[j+1:]:
+    L_j = [1] ++ p_j * L_{j+1}[d <= limit // p_j] ++ L_{j+1}[1:].
+    d is int64 when limit < 2^63 and holds Python ints otherwise; mu is
+    int8. limit < 1 gives no terms. Raises ResourceError before holding
+    more than term_cap terms.
+    """
+    if limit < 1:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
+    d = np.ones(1, dtype=np.int64 if limit <= _INT64_MAX else object)
+    mu = np.ones(1, dtype=np.int8)
+    for p in reversed([int(p) for p in ps]):
+        keep = d <= limit // p
+        size = len(d) + int(np.count_nonzero(keep))
+        if size > term_cap:
+            raise ResourceError(f"squarefree enumeration exceeded {term_cap} terms")
+        d = np.concatenate((d[:1], p * d[keep], d[1:]))
+        mu = np.concatenate((mu[:1], -mu[keep], mu[1:]))
+    return d, mu
 
 
 def _mobius_array(limit: int, base_primes: Iterable[int]) -> np.ndarray:
@@ -259,12 +253,8 @@ class MoebiusContext:
             raise DomainError("prime table too small for moebius context")
         base = table.primes[: table.count_upto(root)]
         # Primes up to limit, for the single-large-factor correction.
-        flags = np.ones(limit + 1, dtype=bool)
-        flags[:2] = False
-        for p in base:
-            p = int(p)
-            flags[p * p :: p] = False
-        self.primes = np.flatnonzero(flags).astype(np.int64)
+        first, odd = _odd_primality(0, limit, base)
+        self.primes = np.concatenate(([2], first + 2 * np.flatnonzero(odd)))
         # Small prefix tables cover every reduced argument (B-1)//q < p_{k+1}.
         small_cap = root + 1
         mu_small = _mobius_array(small_cap, base)
@@ -351,9 +341,11 @@ def truncated_moebius_sum(k: int, table: PrimeTable, bound: Optional[int] = None
     p_next = table.nth(k + 1)
     if bound is None:
         bound = p_next * p_next
-    if k <= _DFS_K_LIMIT or bound <= 1 << 20:
-        ps = [int(p) for p in table.first(k)]
-        return _dfs_moebius_sum(ps, bound)[0]
+    if k <= _ENUMERATE_K_LIMIT or bound <= 1 << 20:
+        d, mu = _squarefree_products(table.first(k), bound - 1)
+        # cumsum adds term by term in enumeration order; a pairwise sum would
+        # change the last bits of ratio_truncated.
+        return float(np.cumsum(mu / d)[-1]) if len(d) else 0.0
     if context is None:
         context = MoebiusContext(bound - 1, table)
     return context.truncated_sum(k, bound, table)
@@ -390,22 +382,7 @@ def legendre_term_count(k: int, table: PrimeTable, bound: Optional[int] = None,
         if context is None:
             context = MoebiusContext(bound - 1, table)
         return context.term_count(k, bound, table)
-    ps = [int(p) for p in table.first(k)]
-    count = 0
-
-    def descend(start: int, d: int) -> None:
-        nonlocal count
-        count += 1
-        if count > term_cap:
-            raise ResourceError(f"term enumeration exceeded {term_cap}")
-        for idx in range(start, k):
-            nd = d * ps[idx]
-            if nd >= bound:
-                break
-            descend(idx + 1, nd)
-
-    descend(0, 1)
-    return count
+    return len(_squarefree_products(table.first(k), bound - 1, term_cap)[0])
 
 
 @dataclass(frozen=True)
@@ -430,10 +407,10 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable,
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
     limit = table.nth(k_to + 1) ** 2 - 1
-    context = MoebiusContext(limit, table) if k_to > _DFS_K_LIMIT else None
+    context = MoebiusContext(limit, table) if k_to > _ENUMERATE_K_LIMIT else None
     if context is not None:
         context.preload([table.nth(k + 1) ** 2 - 1 for k in range(k_from, k_to + 1)
-                         if k > _DFS_K_LIMIT])
+                         if k > _ENUMERATE_K_LIMIT])
     products = analytic.mertens_products(k_to, table)
     rows = []
     for k in range(k_from, k_to + 1):

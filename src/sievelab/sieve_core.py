@@ -5,14 +5,16 @@ Two marking disciplines live here and must not be confused:
 * coprimality marking: every multiple of every sieve prime inside the
   window is struck, so survivors are exactly the integers coprime to the
   product of the sieve primes. ``sieve_window`` does this for one window
-  with one flag per integer; the batched generator ``_coprime_counts`` is
-  the one counting path for shifted windows, used by the sampled
+  with one flag per integer, and gives the exhaustive ``shift_model`` its
+  one-period pattern; the batched generator ``_coprime_counts`` is the
+  one counting path for shifted windows, used by the sampled
   ``shift_model``;
 * primality marking (``_odd_primality``): survivors are exactly the odd
   primes of the window. Every primality count in the package goes
   through this one kernel: ``count_primes_upto``, the interval scan and
   ``partial_counts``/``gap_series`` in ``intervals``, ``maier_scan`` in
-  ``stats_lab`` and the per-k fallback of ``legendre_scan``.
+  ``stats_lab``, the per-k fallback of ``legendre_scan`` and the prime
+  list of ``MoebiusContext``.
 
 Both kernels keep one flag per odd integer, so a window spans twice as
 many integers as it has flags, and both start each window as a rotated

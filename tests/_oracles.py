@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's code paths: trial
 division instead of sieving, subset enumeration instead of pruned
 depth-first search, Fraction arithmetic instead of floats, mpmath
-instead of the package integrator.
+instead of the package integrator. The one exception is
+dfs_moebius_sum, the package's former depth-first float sum, kept as
+the bit-exact reference for its divisor enumerator.
 """
 
 import math
@@ -109,6 +111,26 @@ def fraction_truncated_moebius(primes, bound: int) -> Fraction:
 
     rec(0, 1, 1)
     return total
+
+
+def dfs_moebius_sum(ps: list, bound: int) -> tuple[float, int]:
+    """(sum of mu(d)/d, term count) over squarefree products d < bound."""
+    total = 0.0
+    terms = 0
+    k = len(ps)
+
+    def descend(start: int, d: int, sign: int) -> None:
+        nonlocal total, terms
+        terms += 1
+        total += sign / d
+        for idx in range(start, k):
+            nd = d * ps[idx]
+            if nd >= bound:
+                break
+            descend(idx + 1, nd, -sign)
+
+    descend(0, 1, 1)
+    return total, terms
 
 
 def count_squarefree_products(primes, bound: int) -> int:

@@ -198,6 +198,27 @@ def test_randmodel_sampled_bytes_pinned(tmp_path):
         "2cff07fb42f49b13407ddd0a7a320e471ab987d85423626d6cc49972f1e446a9"
 
 
+# sha256 recorded from the depth-first Legendre enumeration and the
+# per-prime exhaustive striker. --kmax 200 covers both truncated-sum paths.
+@pytest.mark.parametrize("argv, digests", [
+    (["legendre", "--kmax", 200], {
+        "legendre_scan.csv": "48552bbe2ad1b8633d1b882b2035f4d865045df9feb2248da4004d43200dfa8e",
+        "legendre_terms.csv": "9fae08c2202f4f60fa983e130aeb08234c799b0a9ecaa5011a2977a5f426f58b"}),
+    (["randmodel", "--k", 7, "--budget", 1000000], {
+        "randmodel.csv": "a8cdce45ecbec61bf1aa39cc0c8c00bed8dce188c93e8871f3da4b85c01ee39e",
+        "randmodel_hist.csv": "1e2003a3ae4612fc3708760ccc8a89addd3b870322f7e4607afe19dde725f46c"}),
+], ids=["legendre-kmax200", "randmodel-k7-exhaustive"])
+def test_enumeration_outputs_bytes_pinned(tmp_path, argv, digests):
+    out = tmp_path / "o"
+    assert run(argv + ["--out", out]) == 0
+    assert {name: sha(out / name) for name in digests} == digests
+
+
+def test_randmodel_period_beyond_memory_budget_exits_3(tmp_path, capsys):
+    assert run(["randmodel", "--k", 10, "--budget", 10 ** 10, "--out", tmp_path / "o"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_corr_command(tmp_path):
     out = tmp_path / "o"
     assert run(["corr", "--kmax", 80, "--max-lag", 5, "--out", out]) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from sievelab import (
     EULER_GAMMA,
+    ResourceError,
     binomial_reference,
     conjecture_check,
     li,
@@ -42,6 +43,21 @@ def test_exhaustive_identity_k_up_to_6(table_small):
         phi = totient_of_primorial(int(p) for p in table_small.first(k))
         assert s.mode == "exhaustive"
         assert s.count_sum == length * phi
+
+
+@pytest.mark.parametrize("k, moments", [(6, (691200, 15949640, 18, 26)),
+                                         (7, (6635520, 86985900, 9, 18))])
+def test_exhaustive_moments_pinned(table_small, k, moments):
+    # Recorded from the per-prime flags[::q] striker.
+    s = shift_model(k, table_small, budget=10 ** 9)
+    assert s.mode == "exhaustive"
+    assert (s.count_sum, s.count_sq_sum, s.count_min, s.count_max) == moments
+
+
+def test_exhaustive_period_beyond_memory_budget(table_small):
+    # p_10# = 6469693230 flags exceed the 2^31-byte sieve budget.
+    with pytest.raises(ResourceError):
+        shift_model(10, table_small, budget=10 ** 10)
 
 
 def test_pi_k_inside_sample_space(table_small, set200):

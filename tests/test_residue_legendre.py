@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sievelab import (
     DomainError,
@@ -23,10 +26,13 @@ from sievelab import (
     theoretical_first_positions,
     truncated_moebius_sum,
 )
+from sievelab.residue_legendre import _squarefree_products
 
 from _oracles import (
     count_squarefree_products,
+    dfs_moebius_sum,
     fraction_truncated_moebius,
+    mark_primality,
     subset_legendre_count,
     totient_of_primorial,
 )
@@ -176,6 +182,11 @@ def test_legendre_term_count(table_small, table):
 def test_term_count_guard(table_small):
     with pytest.raises(ResourceError):
         legendre_term_count(24, table_small, 10 ** 9, term_cap=10_000)
+    # The cap is inclusive: exactly term_cap terms are allowed.
+    n = legendre_term_count(10, table_small, 10 ** 4)
+    assert legendre_term_count(10, table_small, 10 ** 4, term_cap=n) == n
+    with pytest.raises(ResourceError):
+        legendre_term_count(10, table_small, 10 ** 4, term_cap=n - 1)
 
 
 def test_shift_periodicity(table_small):
@@ -228,3 +239,66 @@ def test_legendre_scan_columns(table, set200):
         ref = float(fraction_truncated_moebius(ps, bound))
         assert r.ratio_truncated == pytest.approx(ref * math.log(bound), rel=1e-12)
         assert r.ratio_full > r.ratio_truncated > 0
+
+
+def test_bound_one_has_no_terms(table_small):
+    # No d < 1 exists, so every truncated form is empty.
+    assert truncated_moebius_sum(3, table_small, bound=1) == 0.0
+    assert expected_legendre_truncated(10, 3, table_small, bound=1) == 0.0
+    assert legendre_term_count(3, table_small, 1) == 0
+    cc = count_coprime_legendre(Window(25, 48), 3, table_small, truncate_below=1)
+    assert (cc.count, cc.terms_evaluated) == (0, 0)
+
+
+def test_truncated_sum_term_cap(table_small):
+    # 2^25 squarefree divisors of p_25# lie below 2^200.
+    with pytest.raises(ResourceError):
+        truncated_moebius_sum(25, table_small, bound=2 ** 200)
+
+
+@pytest.mark.parametrize("k, limit", [(0, 5), (1, 1), (6, 29), (8, 1000),
+                                      (12, 10 ** 6), (12, 2 ** 63 - 1), (12, 2 ** 63)])
+def test_squarefree_products_in_depth_first_order(table_small, k, limit):
+    # Lexicographic order of prime-index tuples is the depth-first preorder.
+    ps = [int(p) for p in table_small.first(k)]
+    subsets = sorted(c for r in range(k + 1) for c in combinations(range(k), r)
+                     if math.prod(ps[i] for i in c) <= limit)
+    d, mu = _squarefree_products(ps, limit)
+    assert d.tolist() == [math.prod(ps[i] for i in c) for c in subsets]
+    assert mu.tolist() == [(-1) ** len(c) for c in subsets]
+    assert d.dtype == (object if limit >= 2 ** 63 else np.int64)
+    assert len(d) == count_squarefree_products(ps, limit + 1)
+
+
+@pytest.mark.parametrize("lo", [2 ** 63 - 500, 2 ** 64 + 1, 3 ** 70])
+def test_legendre_beyond_int64(table_small, lo):
+    for k in (1, 7, 12):
+        ps = [int(p) for p in table_small.first(k)]
+        w = Window(lo, lo + 2 * 3 * 5 * 7 * 11)
+        full = count_coprime_legendre(w, k, table_small)
+        assert full.count == subset_legendre_count(w.lo, w.hi, ps)
+        assert full.count == count_coprime_direct(w, k, table_small).count
+        assert full.terms_evaluated == 2 ** k
+        trunc = count_coprime_legendre(w, k, table_small, truncate_below=10 ** 6)
+        assert trunc.terms_evaluated == count_squarefree_products(ps, 10 ** 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 171), frac=st.floats(0, 1))
+@example(k=25, frac=1.0)
+@example(k=171, frac=1.0)
+@example(k=1, frac=0.0)
+def test_truncated_sum_equals_depth_first_reference(table, k, frac):
+    # Bounds up to p_{k+1}^2 <= 1021^2 < 2^20 are all enumerated; the sum
+    # must match the depth-first float sum bit for bit.
+    top = table.nth(k + 1) ** 2
+    bound = 2 + int(frac * (top - 2))
+    ps = [int(p) for p in table.first(k)]
+    assert truncated_moebius_sum(k, table, bound) == dfs_moebius_sum(ps, bound)[0]
+
+
+@pytest.mark.parametrize("limit", [4, 5, 49, 10_007, 65_536])
+def test_moebius_context_primes(table_small, limit):
+    base = table_small.primes[: table_small.count_upto(math.isqrt(limit))]
+    ctx = MoebiusContext(limit, table_small)
+    assert ctx.primes.tolist() == np.flatnonzero(mark_primality(0, limit, base)).tolist()
