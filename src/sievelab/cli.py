@@ -4,7 +4,10 @@ Each subcommand writes frozen-schema CSV files (header row, LF endings,
 UTF-8, reals at 15 significant digits) plus a JSON run manifest carrying
 the command line, seed, and a sha256 checksum per output. Outputs are
 byte-identical for identical (command, seed, version) regardless of
-thread count. Progress goes to stderr; stdout stays quiet.
+thread count, and are renamed into place from a temp file. The interval
+commands run one scan from the first k missing in ``--checkpoint``,
+appending each sieve chunk to it as it arrives. Progress goes to stderr,
+one line per chunk; stdout stays quiet.
 
 Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error.
 """
@@ -25,8 +28,6 @@ from . import __version__, randmodel, residue_legendre, stats_lab
 from .errors import DomainError, ResourceError
 from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, compute_interval_records
 from .sieve_core import build_prime_table
-
-_CHECKPOINT_BLOCK = 500  # intervals per checkpoint flush
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,10 +72,21 @@ def _fmt(v) -> str:
     return f"{float(v):.15g}"
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _sha256(path: Path) -> str:
@@ -94,7 +106,7 @@ def _write_manifest(out_dir: Path, command: str, argv: list, outputs: list,
     if extras:
         manifest.update(extras)
     path = out_dir / f"{command}.manifest.json"
-    path.write_bytes((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    _write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return path
 
 
@@ -168,23 +180,23 @@ def _checkpoint_append(path: Path, k_from: int, block: dict) -> None:
 
 
 def _interval_set(args):
-    """The interval set for k = 1..args.kmax, resumed from and saved to
-    ``--checkpoint`` in blocks of _CHECKPOINT_BLOCK intervals."""
+    """The interval set for k = 1..args.kmax, resumed from ``--checkpoint``
+    and appended to it one sieve chunk at a time."""
     table = _table_for(args.kmax + 1)
     ck = Path(args.checkpoint) if args.checkpoint else None
     blocks = [_checkpoint_load(ck)] if ck else []
     k_next = len(blocks[0]["pi_k"]) + 1 if ck else 1
     if k_next > 1:
         _progress(f"checkpoint: {k_next - 1} records loaded from {ck}")
-    while k_next <= args.kmax:
-        k_hi = min(k_next + _CHECKPOINT_BLOCK - 1, args.kmax)
-        block = compute_interval_records(k_next, k_hi, table, threads=args.threads,
-                                         chunk_entries=args.segment_size)
+
+    def save(k_lo, block):
         if ck:
-            _checkpoint_append(ck, k_next, block)
-        blocks.append(block)
-        _progress(f"intervals k={k_next}..{k_hi} done")
-        k_next = k_hi + 1
+            _checkpoint_append(ck, k_lo, block)
+        _progress(f"intervals k={k_lo}..{k_lo + len(block['pi_k']) - 1} done")
+
+    if k_next <= args.kmax:
+        blocks.append(compute_interval_records(k_next, args.kmax, table, threads=args.threads,
+                                               chunk_entries=args.segment_size, progress=save))
     return IntervalSet({name: np.concatenate([b[name] for b in blocks])[: args.kmax]
                         for name in IntervalSet.COLUMNS}), table
 

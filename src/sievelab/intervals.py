@@ -14,6 +14,10 @@ no s_k (s_1 starts at 4), so interval counts need no correction.
 Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers; its flag array takes half as many bytes.
 
+A scan is one loop over its chunks, whose counts come from ``map`` or
+one fork pool's ``imap`` (each task carries its primes) in k order; each
+chunk's columns go to the caller's ``progress`` hook as they arrive.
+
 All per-interval quantities (pi_k, li_k, the PNT estimate) are computed
 independently per k; neither chunk boundaries nor worker count can
 change a single row, which is what makes parallel scans and
@@ -23,6 +27,7 @@ read-only numpy columns.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import multiprocessing as mp
@@ -134,74 +139,20 @@ def _chunk_bounds(k_from: int, k_to: int, table: PrimeTable, chunk_entries: int)
     return chunks
 
 
-_POOL_PRIMES: Optional[np.ndarray] = None
+def _chunk_counts(task) -> np.ndarray:
+    """pi_j for each interval of one chunk; ``task`` is (k_lo, p_1..p_{k_hi+1})."""
+    k_lo, ps = task
+    sq = ps[k_lo - 1 :] ** 2
+    first, flags = _odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)
+    bounds = _odd_index(sq, first).tolist()
+    return np.array([np.count_nonzero(flags[a:b]) for a, b in zip(bounds, bounds[1:])],
+                    dtype=np.int64)
 
 
-def _pool_init(primes: np.ndarray) -> None:
-    global _POOL_PRIMES
-    _POOL_PRIMES = primes
-
-
-def _chunk_pi_counts_impl(k_lo: int, k_hi: int, primes: np.ndarray) -> np.ndarray:
-    ps = primes
-    sq = ps[k_lo - 1 : k_hi + 1].astype(np.int64) ** 2
-    lo = int(sq[0])
-    hi = int(sq[-1]) - 1
-    root = math.isqrt(hi)
-    base = ps[: int(np.searchsorted(ps, root, side="right"))]
-    first, flags = _odd_primality(lo, hi, base)
-    bounds = _odd_index(sq, first)
-    counts = np.empty(len(sq) - 1, dtype=np.int64)
-    for i in range(len(counts)):
-        counts[i] = np.count_nonzero(flags[bounds[i] : bounds[i + 1]])
-    return counts
-
-
-def _chunk_pi_counts(args) -> np.ndarray:
-    k_lo, k_hi = args
-    return _chunk_pi_counts_impl(k_lo, k_hi, _POOL_PRIMES)
-
-
-def compute_interval_records(
-    k_from: int,
-    k_to: int,
-    table: PrimeTable,
-    threads: int = 1,
-    chunk_entries: int = DEFAULT_CHUNK_ENTRIES,
-    progress: Optional[Callable[[int, int], None]] = None,
-) -> dict:
-    """The ``IntervalSet.COLUMNS`` for k in [k_from, k_to], sieved chunk by chunk.
-
-    threads > 1 distributes whole chunks over a fork pool; counts are
-    assembled in k order and are bit-identical for any thread count.
-    ``progress(k_done, k_to)`` is called once per chunk.
-    """
-    if k_from < 1 or k_to < k_from:
-        raise DomainError(f"bad interval range [{k_from}, {k_to}]")
-    if k_to + 1 > len(table):
-        raise DomainError(f"table holds {len(table)} primes, need {k_to + 1}")
-    if chunk_entries < 2:
-        raise ResourceError("chunk_entries too small to hold an interval")
-    chunks = _chunk_bounds(k_from, k_to, table, chunk_entries)
-
-    if threads and threads > 1 and len(chunks) > 1:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=threads, initializer=_pool_init,
-                      initargs=(table.primes,)) as pool:
-            counts_per_chunk = []
-            for i, counts in enumerate(pool.imap(_chunk_pi_counts, chunks)):
-                counts_per_chunk.append(counts)
-                if progress:
-                    progress(chunks[i][1], k_to)
-    else:
-        counts_per_chunk = []
-        for i, (k_lo, k_hi) in enumerate(chunks):
-            counts_per_chunk.append(_chunk_pi_counts_impl(k_lo, k_hi, table.primes))
-            if progress:
-                progress(k_hi, k_to)
-
-    p_k = table.primes[k_from - 1 : k_to]
-    p_next = table.primes[k_from : k_to + 1]
+def _block(k_lo: int, pi_k: np.ndarray, table: PrimeTable) -> dict:
+    """The ``IntervalSet.COLUMNS`` for k = k_lo, ..., k_lo + len(pi_k) - 1."""
+    p_k = table.primes[k_lo - 1 : k_lo - 1 + len(pi_k)]
+    p_next = table.primes[k_lo : k_lo + len(pi_k)]
     length = p_next * p_next - p_k * p_k
     # li_between per k and math.log on Python ints: np.log can differ from
     # math.log in the last bit, which would change CSV bytes.
@@ -211,10 +162,45 @@ def compute_interval_records(
         "p_next": p_next,
         "gap": p_next - p_k,
         "length": length,
-        "pi_k": np.concatenate(counts_per_chunk),
+        "pi_k": pi_k,
         "li_k": np.array([analytic.li_between(p * p, q * q) for p, q in zip(ps, pns)]),
         "pnt_estimate": np.array([l / math.log(q * q) for l, q in zip(length.tolist(), pns)]),
     }
+
+
+def compute_interval_records(
+    k_from: int,
+    k_to: int,
+    table: PrimeTable,
+    threads: int = 1,
+    chunk_entries: int = DEFAULT_CHUNK_ENTRIES,
+    progress: Optional[Callable[[int, dict], None]] = None,
+) -> dict:
+    """The ``IntervalSet.COLUMNS`` for k in [k_from, k_to], sieved chunk by chunk.
+
+    threads > 1 streams the chunks through one fork pool of at most one
+    worker per chunk; blocks arrive in k order and are bit-identical for
+    any thread count. ``progress(k_lo, block)`` is called once per chunk,
+    in k order, with that chunk's columns starting at k_lo.
+    """
+    if k_from < 1 or k_to < k_from:
+        raise DomainError(f"bad interval range [{k_from}, {k_to}]")
+    if k_to + 1 > len(table):
+        raise DomainError(f"table holds {len(table)} primes, need {k_to + 1}")
+    if chunk_entries < 2:
+        raise ResourceError("chunk_entries too small to hold an interval")
+    chunks = _chunk_bounds(k_from, k_to, table, chunk_entries)
+    tasks = [(k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks]
+    workers = min(threads or 1, len(chunks))
+    blocks = []
+    pool = mp.get_context("fork").Pool(workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        counts = (pool.imap if pool else map)(_chunk_counts, tasks)
+        for (k_lo, _), pi_k in zip(chunks, counts):
+            blocks.append(_block(k_lo, pi_k, table))
+            if progress:
+                progress(k_lo, blocks[-1])
+    return {name: np.concatenate([b[name] for b in blocks]) for name in IntervalSet.COLUMNS}
 
 
 def build_intervals(
@@ -222,7 +208,7 @@ def build_intervals(
     table: PrimeTable,
     threads: int = 1,
     chunk_entries: int = DEFAULT_CHUNK_ENTRIES,
-    progress: Optional[Callable[[int, int], None]] = None,
+    progress: Optional[Callable[[int, dict], None]] = None,
 ) -> IntervalSet:
     """The interval decomposition for k = 1..k_max."""
     if k_max < 1:

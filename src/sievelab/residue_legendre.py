@@ -5,7 +5,7 @@ product R_k(n) are periodic with period p_k#, so a window of length l
 has only p_k# distinct coprimality patterns. Counting survivors in a
 window A = [lo, hi] can be done three ways, all exposed here:
 
-* direct:    strike multiples of each p in P_k, count what is left;
+* direct:    ``sieve_window`` strikes multiples of each p in P_k; count the rest;
 * legendre:  inclusion-exclusion over squarefree divisors d of p_k#,
              sum of mu(d) * (floor(hi/d) - floor((lo-1)/d)), which is
              exact for any window (the interval form resolves the
@@ -46,7 +46,7 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import _INT64_MAX, PrimeTable, _odd_primality
+from .sieve_core import _INT64_MAX, PrimeTable, _odd_primality, sieve_window
 
 # Abort inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_TERM_CAP = 5_000_000
@@ -133,7 +133,7 @@ def big_r(k: int, n: int, table: PrimeTable) -> int:
 
 def count_coprime_direct(window: Window, k: int, table: PrimeTable,
                          memory_budget: int = 1 << 31) -> CoprimeCount:
-    """S(A, p_k#) by striking multiples; works for arbitrarily shifted windows.
+    """S(A, p_k#) by ``sieve_window``'s striking; works for arbitrarily shifted windows.
 
     Only offsets modulo each prime touch the flag array, so the window
     start may be an arbitrary-precision integer.
@@ -141,13 +141,12 @@ def count_coprime_direct(window: Window, k: int, table: PrimeTable,
     length = window.length
     if length > memory_budget:
         raise ResourceError(f"window length {length} exceeds budget {memory_budget}")
-    flags = np.ones(length, dtype=bool)
-    lo = window.lo
-    for p in table.first(k):
-        p = int(p)
-        flags[(-lo) % p :: p] = False
-    return CoprimeCount(window=window, k=k, count=int(np.count_nonzero(flags)),
-                        method="direct", terms_evaluated=0)
+    count = int(window.lo == 1)  # 1 is coprime to every prime; sieve_window starts at 2
+    lo, primes = window.lo + count, table.first(k)
+    if lo <= window.hi:
+        count += (sieve_window(lo, window.hi, primes, memory_budget).count() if len(primes)
+                  else window.hi - lo + 1)
+    return CoprimeCount(window=window, k=k, count=count, method="direct", terms_evaluated=0)
 
 
 def count_coprime_legendre(window: Window, k: int, table: PrimeTable,

@@ -5,10 +5,10 @@ Two marking disciplines live here and must not be confused:
 * coprimality marking: every multiple of every sieve prime inside the
   window is struck, so survivors are exactly the integers coprime to the
   product of the sieve primes. ``sieve_window`` does this for one window
-  with one flag per integer, and gives the exhaustive ``shift_model`` its
-  one-period pattern; the batched generator ``_coprime_counts`` is the
-  one counting path for shifted windows, used by the sampled
-  ``shift_model``;
+  with one flag per integer, for ``count_coprime_direct`` and for the
+  exhaustive ``shift_model``'s one-period pattern; the batched generator
+  ``_coprime_counts`` is the one counting path for shifted windows, used
+  by the sampled ``shift_model``;
 * primality marking (``_odd_primality``): survivors are exactly the odd
   primes of the window. Every primality count in the package goes
   through this one kernel: ``count_primes_upto``, the interval scan and

@@ -1,3 +1,5 @@
+import multiprocessing.context
+
 import pytest
 
 from sievelab import build_intervals, build_prime_table
@@ -22,3 +24,17 @@ def set200(table):
 @pytest.fixture(scope="session")
 def set1000(table):
     return build_intervals(1000, table)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker counts of the multiprocessing pools created during the test."""
+    sizes = []
+    real_pool = multiprocessing.context.BaseContext.Pool
+
+    def recording_pool(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return real_pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", recording_pool)
+    return sizes

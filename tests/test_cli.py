@@ -1,9 +1,13 @@
 import hashlib
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from sievelab import cli
 from sievelab.cli import main
+from sievelab.intervals import _chunk_bounds
 
 
 def run(args):
@@ -249,6 +253,22 @@ def test_bias_command(tmp_path):
     assert float(first[2]) < 0
 
 
+def test_failed_rename_keeps_previous_output(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    assert run(["intervals", "--kmax", 30, "--out", out]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    capsys.readouterr()
+    assert run(["intervals", "--kmax", 40, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert "i/o error: rename failed" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no temp file left
+
+
 def test_env_override(tmp_path, monkeypatch):
     out = tmp_path / "o"
     monkeypatch.setenv("SIEVELAB_SEED", "77")
@@ -302,3 +322,77 @@ def test_interval_outputs_bytes_pinned(tmp_path, resume_from):
     assert run(["corr", "--kmax", 300, "--out", tmp_path / "corr"] + scan) == 0
     digests["corr.csv"] = sha(tmp_path / "corr" / "corr.csv")
     assert digests == PINNED_KMAX_300
+
+
+def _interval_digests(tmp_path, ck, scan_flags=()):
+    """PINNED_KMAX_300's keys, every command reading its intervals from ``ck``."""
+    out = tmp_path / "rerun"
+    assert run(["intervals", "--kmax", 300, "--out", out, "--checkpoint", ck, *scan_flags]) == 0
+    digests = {"checkpoint": sha(ck),
+               "intervals.csv": sha(out / "intervals.csv"),
+               "deviations.csv": sha(out / "deviations.csv")}
+    for command in ("bias", "conjecture"):
+        for flags in ([], ["--count-offset"]):
+            out = tmp_path / f"{command}{len(flags)}"
+            assert run([command, "--kmax", 300, "--out", out, "--checkpoint", ck] + flags) == 0
+            digests[" ".join([f"{command}.csv"] + flags)] = sha(out / f"{command}.csv")
+    assert run(["corr", "--kmax", 300, "--out", tmp_path / "corr", "--checkpoint", ck]) == 0
+    digests["corr.csv"] = sha(tmp_path / "corr" / "corr.csv")
+    return digests
+
+
+CHUNKED_SCAN = ["--threads", 2, "--segment-size", 65536]
+
+
+@pytest.mark.parametrize("kmax", [300, 700])
+def test_one_scan_one_pool(tmp_path, monkeypatch, pool_sizes, kmax):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 150, "--out", tmp_path / "part",
+                "--checkpoint", ck, *CHUNKED_SCAN]) == 0
+    pool_sizes.clear()
+    scans = []  # the chunk starts seen by each scan call
+    real_scan = cli.compute_interval_records
+
+    def recording_scan(*args, progress=None, **kwargs):
+        chunks = []
+        scans.append(chunks)
+
+        def hook(k_lo, block):
+            chunks.append(k_lo)
+            if progress:
+                progress(k_lo, block)
+        return real_scan(*args, progress=hook, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_interval_records", recording_scan)
+    out = tmp_path / "o"
+    assert run(["intervals", "--kmax", kmax, "--out", out, "--checkpoint", ck, *CHUNKED_SCAN]) == 0
+    assert len(scans) == 1 and scans[0][0] == 151
+    assert len(pool_sizes) <= 1 and all(size <= len(scans[0]) for size in pool_sizes)
+    assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, kmax + 1))
+    if kmax == 300:
+        assert sha(ck) == PINNED_KMAX_300["checkpoint"]
+        assert sha(out / "intervals.csv") == PINNED_KMAX_300["intervals.csv"]
+
+
+def test_interrupted_scan_keeps_whole_chunks(tmp_path, monkeypatch, capsys):
+    ck = tmp_path / "scan.ckpt"
+    appended = []
+    real_append = cli._checkpoint_append
+
+    def failing_append(path, k_from, block):
+        if len(appended) == 2:
+            raise OSError("disk full")
+        appended.append(k_from)
+        real_append(path, k_from, block)
+
+    monkeypatch.setattr(cli, "_checkpoint_append", failing_append)
+    capsys.readouterr()
+    assert run(["intervals", "--kmax", 300, "--out", tmp_path / "o", "--checkpoint", ck,
+                *CHUNKED_SCAN]) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    chunks = _chunk_bounds(1, 300, cli._table_for(301), 65536)
+    assert appended == [chunks[0][0], chunks[1][0]]
+    assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, chunks[1][1] + 1))
+    assert multiprocessing.active_children() == []
+    monkeypatch.undo()
+    assert _interval_digests(tmp_path, ck, CHUNKED_SCAN) == PINNED_KMAX_300

@@ -136,6 +136,25 @@ def test_chunking_and_threads_invisible(table_small):
     tiny_chunks = _columns(build_intervals(80, table_small, chunk_entries=4096))
     threaded = _columns(build_intervals(80, table_small, threads=2))
     assert base == tiny_chunks == threaded
+    # The blocks handed to progress, one per chunk in k order, are the result.
+    for threads in (1, 2):
+        blocks = []
+        whole = compute_interval_records(1, 80, table_small, threads=threads, chunk_entries=4096,
+                                         progress=lambda k_lo, block: blocks.append((k_lo, block)))
+        assert len(blocks) > 1
+        assert [k_lo for k_lo, _ in blocks] == [1] + [k_lo + len(b["pi_k"])
+                                                     for k_lo, b in blocks[:-1]]
+        assert _columns({name: np.concatenate([b[name] for _, b in blocks])
+                         for name in IntervalSet.COLUMNS}) == _columns(whole) == base
+
+
+def test_pool_never_exceeds_chunk_count(table_small, pool_sizes):
+    # k = 10, 11, 12 at 512 integers a chunk: one chunk each.
+    threaded = compute_interval_records(10, 12, table_small, threads=8, chunk_entries=512)
+    assert pool_sizes == [3]
+    assert _columns(threaded) == _columns(compute_interval_records(10, 12, table_small))
+    compute_interval_records(10, 12, table_small, threads=8)  # one chunk: no pool
+    assert pool_sizes == [3]
 
 
 def test_partial_range_matches_full(table_small):

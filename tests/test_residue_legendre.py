@@ -85,6 +85,13 @@ def test_count_coprime_direct(table_small):
     shifted = count_coprime_direct(shifted_window(3, 0 + 30 - 30, table_small), 3, table_small)
     assert base.count == shifted.count == 6
     assert base.method == "direct" and base.terms_evaluated == 0
+    # lo = 1 (coprime to every prime, below sieve_window's domain) and k = 0.
+    for k in range(5):
+        ps = table_small.first(k).tolist()
+        for lo in (1, 2, 3):
+            for hi in range(lo, 40):
+                expected = sum(all(n % p for p in ps) for n in range(lo, hi + 1))
+                assert count_coprime_direct(Window(lo, hi), k, table_small).count == expected
 
 
 def test_count_coprime_direct_huge_shift(table_small):
