@@ -4,13 +4,15 @@ The sample space for the count in a window of length l_k is the set of
 shifted-window values S(s_k^j, p_k#), 0 <= j < p_k#, of which the true
 pi_k is the j = 0 element. Exhaustive mode walks the entire period with
 a sliding window (one cumulative sum over the coprimality flags of one
-period, struck by ``sieve_window`` under its memory budget), keeping
-every moment in exact integer arithmetic. Sampled mode
-draws shifts with a derived per-sample seed, so results are independent
-of evaluation order and worker count; the drawn windows are counted in
-fixed batches by the coprime counter of ``sieve_core``, and the count
-sum, sum of squares, minimum, maximum and histogram are accumulated
-exactly batch by batch, so memory does not grow with the draw count.
+period, struck by ``sieve_window``), keeping every moment in exact
+integer arithmetic; a period whose arrays would exceed the 2^31-byte
+memory budget raises ResourceError before anything is allocated.
+Sampled mode draws shifts with a derived per-sample seed, so results
+are independent of evaluation order and worker count; the drawn windows
+are counted in fixed batches by the coprime counter of ``sieve_core``,
+and the count sum, sum of squares, minimum, maximum and histogram are
+accumulated exactly batch by batch, so memory does not grow with the
+draw count.
 
 Rescaling the raw (coprimality) model by e^gamma / 2 moves its mean to
 the density-of-primes scale l_k / log p_{k+1}^2, where it is compared
@@ -27,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from . import analytic
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .intervals import IntervalSet
-from .sieve_core import PrimeTable, _coprime_counts, sieve_window
+from .sieve_core import DEFAULT_MEMORY_BUDGET, PrimeTable, _coprime_counts, sieve_window
 from .residue_legendre import primorial
 from .stats_lab import ScanSeries
 
@@ -37,6 +39,9 @@ from .stats_lab import ScanSeries
 # a default call is exhaustive only for k <= 6 (p_7# = 510510) and never
 # draws more than 10^5 windows.
 DEFAULT_BUDGET = 100_000
+
+# Bytes the exhaustive branch holds per slot of period + window length.
+_EXHAUSTIVE_BYTES_PER_SLOT = 10
 
 
 @dataclass(frozen=True)
@@ -81,10 +86,12 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
 
     Exhaustive mode slides the window across one full period; its mean
     is l_k * phi(p_k#) / p_k# with zero numerical error beyond the final
-    float division. Sampled mode draws ``budget`` shifts; each draw's
-    shift is derived from (seed, k, draw index), so the result does not
-    depend on evaluation order. Draws are counted in fixed batches in one
-    reused buffer, and only exact moments and the histogram are kept.
+    float division; it raises ResourceError when its arrays, about 10
+    bytes per slot of period + l_k, would exceed 2^31 bytes (from k = 9).
+    Sampled mode draws ``budget`` shifts; each draw's shift is derived
+    from (seed, k, draw index), so the result does not depend on
+    evaluation order. Draws are counted in fixed batches in one reused
+    buffer, and only exact moments and the histogram are kept.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -97,6 +104,11 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
     length = p_next * p_next - lo0
 
     if period <= budget:
+        # Flags, their tiled copy, the int32 prefix and the int32 counts.
+        footprint = _EXHAUSTIVE_BYTES_PER_SLOT * (period + length)
+        if footprint > DEFAULT_MEMORY_BUDGET:
+            raise ResourceError(f"exhaustive period p_{k}# = {period} needs about {footprint} "
+                                f"bytes, beyond the {DEFAULT_MEMORY_BUDGET}-byte budget")
         # Coprimality flags of one period; residue i is coprime iff period + i is.
         flags = sieve_window(period, 2 * period - 1, ps).flags
         r0 = lo0 % period

@@ -27,11 +27,27 @@ with B <= p_{k+1}^2 has at most one prime factor above p_k, so
 
 with M(y) = sum_{m <= y} mu(m)/m over all integers. The same
 decomposition counts the admissible divisors via the squarefree
-counting function. For small k, and for bounds up to 2^20, the
-admissible divisors are enumerated outright by one array builder,
-_squarefree_products: every squarefree product d <= limit of the
-ascending primes, with mu(d), d = 1 first and the rest in depth-first
-order with the smallest prime first. The full count, the truncated sum
+counting function Q: the count is Q(B-1) - sum_q Q((B-1)//q).
+
+Both prime sums read their summand only at the lattice points
+t = (B-1)//q < p_{k+1} (Deleglise & Rivat's grouping for the Mobius
+summation, Exp. Math. 5, 1996). MoebiusContext finds, for each t, how
+many primes q >= p_{k+1} share it: pi((B-1)//t) - pi((B-1)//(t+1)),
+from binary searches on its prime list, so a bound costs O(p_{k+1})
+searches instead of a floor division per prime. The term count is then
+one exact integer dot product over t. The truncated sum keeps its terms
+per prime: M(t) is repeated count_t times, divided by each q and the
+array summed with numpy's pairwise sum, exactly the float operations of
+the per-prime form. Summing M(t) * (S((B-1)/t) - S((B-1)/(t+1))) per t,
+with S(v) = sum_{p <= v} 1/p, would reorder the additions and move the
+last bits of ratio_truncated. The full-range mu array behind M(B-1) is
+sieved in blocks, so only its int8 values span the range.
+
+For small k, and for bounds up to 2^20, the admissible divisors are
+enumerated outright by one array builder, _squarefree_products: every
+squarefree product d <= limit of the ascending primes, with mu(d),
+d = 1 first and the rest in depth-first order with the smallest prime
+first. The full count, the truncated sum
 and the term count all read its arrays; the truncated sum adds mu(d)/d
 in that order, one term at a time.
 """
@@ -54,6 +70,9 @@ DEFAULT_TERM_CAP = 5_000_000
 # Truncated sums enumerate their divisors up to this many primes (and for
 # bounds up to 2^20); beyond it they use the MoebiusContext decomposition.
 _ENUMERATE_K_LIMIT = 25
+
+# Integers per block of _mobius_array's sieve (a 2 MiB int32 smooth-part array).
+_MOBIUS_BLOCK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -210,28 +229,37 @@ def _squarefree_products(ps, limit: int,
 def _mobius_array(limit: int, base_primes: Iterable[int]) -> np.ndarray:
     """mu(n) for 0 <= n <= limit (int8); needs base primes to sqrt(limit).
 
-    The tracked smooth parts divide their index, so int32 suffices up to
-    the context's 2^31 limit.
+    Sieved in blocks of _MOBIUS_BLOCK integers, so only the int8 result
+    spans the whole range. The tracked smooth parts divide their index,
+    so int32 suffices up to the context's 2^31 limit.
     """
+    ps = [int(p) for p in base_primes if int(p) * int(p) <= limit]
     mu = np.ones(limit + 1, dtype=np.int8)
+    for lo in range(0, limit + 1, _MOBIUS_BLOCK):
+        hi = min(lo + _MOBIUS_BLOCK, limit + 1)  # exclusive
+        block = mu[lo:hi]
+        smooth_part = np.ones(hi - lo, dtype=np.int32)
+        for p in ps:
+            # Multiples of p, then of its powers, from the first one >= max(lo, 1).
+            start = _first_multiple(p, lo)
+            block[start::p] *= -1
+            smooth_part[start::p] *= p
+            sq = p * p
+            block[_first_multiple(sq, lo) :: sq] = 0
+            pe = sq
+            while pe < hi:
+                smooth_part[_first_multiple(pe, lo) :: pe] *= p
+                pe *= p
+        # A cofactor above sqrt(limit) is a single extra prime factor.
+        leftover = smooth_part < np.arange(lo, hi, dtype=np.int32)
+        np.negative(block, where=leftover, out=block)
     mu[0] = 0
-    smooth_part = np.ones(limit + 1, dtype=np.int32)
-    for p in base_primes:
-        p = int(p)
-        if p * p > limit:
-            break
-        mu[p::p] *= -1
-        smooth_part[p::p] *= p
-        sq = p * p
-        mu[sq::sq] = 0
-        pe = sq
-        while pe <= limit:
-            smooth_part[pe::pe] *= p
-            pe *= p
-    # A cofactor above sqrt(limit) is a single extra prime factor.
-    leftover = smooth_part < np.arange(limit + 1, dtype=np.int32)
-    np.negative(mu, where=leftover, out=mu)
     return mu
+
+
+def _first_multiple(m: int, lo: int) -> int:
+    """Offset from lo of the first positive multiple of m at or after lo."""
+    return max(m, lo + (-lo) % m) - lo
 
 
 class MoebiusContext:
@@ -254,6 +282,7 @@ class MoebiusContext:
         # Primes up to limit, for the single-large-factor correction.
         first, odd = _odd_primality(0, limit, base)
         self.primes = np.concatenate(([2], first + 2 * np.flatnonzero(odd)))
+        self._primes_f = self.primes.astype(np.float64)
         # Small prefix tables cover every reduced argument (B-1)//q < p_{k+1}.
         small_cap = root + 1
         mu_small = _mobius_array(small_cap, base)
@@ -264,6 +293,7 @@ class MoebiusContext:
         self._mu_small = mu_small
         self._m_full_cache: dict[int, float] = {}
         self._full_mu: Optional[np.ndarray] = None
+        self._last_lattice: tuple = (None, None)
 
     def _ensure_full_m(self, ys: list) -> None:
         missing = sorted(y for y in set(ys) if y not in self._m_full_cache)
@@ -300,38 +330,50 @@ class MoebiusContext:
         """Batch-compute M at several points with a single pass."""
         self._ensure_full_m([y for y in ys if y <= self.limit])
 
+    def _lattice(self, k: int, bound: int,
+                 table: PrimeTable) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+        """(y, t, count, i0, i1): the primes q in [p_{k+1}, y = bound - 1] grouped by y//q.
+
+        t runs y//p_{k+1}, ..., 1 (the order of ascending q), count[j] is
+        the number of those q with y//q = t[j], i.e. pi(y//t) - pi(y//(t+1))
+        clipped at p_{k+1}, and self.primes[i0:i1] lists the q. It costs
+        O(p_{k+1}) binary searches, not one division per prime. The last
+        lattice is kept, so truncated_sum and term_count share one per k.
+        """
+        if self._last_lattice[0] != (k, bound):
+            p_next = table.nth(k + 1)
+            if bound > p_next * p_next:
+                raise DomainError("decomposition needs bound <= p_{k+1}^2")
+            y = bound - 1
+            if y > self.limit:
+                raise DomainError(f"bound {bound} beyond context limit {self.limit}")
+            i0 = int(np.searchsorted(self.primes, p_next))
+            ts = np.arange(y // p_next, 0, -1, dtype=np.int64)
+            ends = np.searchsorted(self.primes, y // ts, side="right")
+            counts = np.diff(ends, prepend=i0)
+            self._last_lattice = ((k, bound), (y, ts, counts, i0, i0 + int(counts.sum())))
+        return self._last_lattice[1]
+
     def truncated_sum(self, k: int, bound: int, table: PrimeTable) -> float:
         """sum of mu(d)/d over squarefree P_k-smooth d < bound.
 
         Requires bound <= p_{k+1}^2 so no admissible d carries two prime
-        factors above p_k.
+        factors above p_k. The correction adds M(y//q)/q prime by prime,
+        in ascending q: M is read once per lattice point and repeated.
         """
-        p_next = table.nth(k + 1)
-        if bound > p_next * p_next:
-            raise DomainError("decomposition needs bound <= p_{k+1}^2")
-        y = bound - 1
-        i0 = int(np.searchsorted(self.primes, p_next))
-        i1 = int(np.searchsorted(self.primes, y, side="right"))
-        qs = self.primes[i0:i1]
-        ts = y // qs
-        corr = float(np.sum(self._m_small[ts] / qs))
-        return self.m_full(y) + corr
+        y, ts, counts, i0, i1 = self._lattice(k, bound, table)
+        terms = np.repeat(self._m_small[ts], counts)
+        terms /= self._primes_f[i0:i1]
+        return self.m_full(y) + float(np.sum(terms))
 
     def term_count(self, k: int, bound: int, table: PrimeTable) -> int:
         """Number of squarefree P_k-smooth d < bound (counting d = 1)."""
-        p_next = table.nth(k + 1)
-        if bound > p_next * p_next:
-            raise DomainError("decomposition needs bound <= p_{k+1}^2")
-        y = bound - 1
+        y, ts, counts, _, _ = self._lattice(k, bound, table)
         root = math.isqrt(y)
         ds = np.arange(1, root + 1, dtype=np.int64)
         mu = self._mu_small[1 : root + 1].astype(np.int64)
         sq_total = int(np.sum(mu * (y // (ds * ds))))
-        i0 = int(np.searchsorted(self.primes, p_next))
-        i1 = int(np.searchsorted(self.primes, y, side="right"))
-        qs = self.primes[i0:i1]
-        ts = y // qs
-        return sq_total - int(np.sum(self._sq_small[ts]))
+        return sq_total - int(np.dot(self._sq_small[ts], counts))
 
 
 def truncated_moebius_sum(k: int, table: PrimeTable, bound: Optional[int] = None,
@@ -400,16 +442,15 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable,
                   interval_set=None) -> list[LegendreScanRow]:
     """Full vs truncated vs exact ratios, one row per k in [k_from, k_to].
 
-    pi_k comes from interval_set when it covers the range, otherwise
-    each interval is sieved on the spot.
+    pi_k comes from interval_set when it covers k, otherwise from the
+    scan's MoebiusContext, which holds every prime up to p_{k_to+1}^2.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
     limit = table.nth(k_to + 1) ** 2 - 1
-    context = MoebiusContext(limit, table) if k_to > _ENUMERATE_K_LIMIT else None
-    if context is not None:
-        context.preload([table.nth(k + 1) ** 2 - 1 for k in range(k_from, k_to + 1)
-                         if k > _ENUMERATE_K_LIMIT])
+    context = MoebiusContext(limit, table)
+    context.preload([table.nth(k + 1) ** 2 - 1 for k in range(k_from, k_to + 1)
+                     if k > _ENUMERATE_K_LIMIT])
     products = analytic.mertens_products(k_to, table)
     rows = []
     for k in range(k_from, k_to + 1):
@@ -421,8 +462,8 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable,
         if interval_set is not None and interval_set.k_max >= k:
             pi_k = int(interval_set.pi_k[k - 1])
         else:
-            pi_k = int(np.count_nonzero(
-                _odd_primality(p * p, p_next * p_next - 1, table.first(k))[1]))
+            pi_k = int(np.searchsorted(context.primes, p_next * p_next)
+                       - np.searchsorted(context.primes, p * p))
         rows.append(LegendreScanRow(
             k=k,
             length=length,

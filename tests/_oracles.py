@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's code paths: trial
 division instead of sieving, subset enumeration instead of pruned
 depth-first search, Fraction arithmetic instead of floats, mpmath
-instead of the package integrator. The one exception is
-dfs_moebius_sum, the package's former depth-first float sum, kept as
-the bit-exact reference for its divisor enumerator.
+instead of the package integrator. The exceptions are the package's
+former float and array code, kept verbatim as bit-exact references:
+dfs_moebius_sum for its divisor enumerator, and mobius_array,
+context_truncated_sum and context_term_count for MoebiusContext's
+blocked mu sieve and its lattice-grouped prime sums.
 """
 
 import math
@@ -176,3 +178,57 @@ def bisect_root(f, a: float, b: float, iters: int = 200) -> float:
         else:
             b = m
     return 0.5 * (a + b)
+
+
+def mobius_array(limit: int, base_primes) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit (int8); needs base primes to sqrt(limit).
+
+    The tracked smooth parts divide their index, so int32 suffices up to
+    the context's 2^31 limit.
+    """
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    smooth_part = np.ones(limit + 1, dtype=np.int32)
+    for p in base_primes:
+        p = int(p)
+        if p * p > limit:
+            break
+        mu[p::p] *= -1
+        smooth_part[p::p] *= p
+        sq = p * p
+        mu[sq::sq] = 0
+        pe = sq
+        while pe <= limit:
+            smooth_part[pe::pe] *= p
+            pe *= p
+    # A cofactor above sqrt(limit) is a single extra prime factor.
+    leftover = smooth_part < np.arange(limit + 1, dtype=np.int32)
+    np.negative(mu, where=leftover, out=mu)
+    return mu
+
+
+def context_truncated_sum(ctx, k: int, bound: int, table) -> float:
+    """MoebiusContext.truncated_sum with one floor division per prime q."""
+    p_next = table.nth(k + 1)
+    y = bound - 1
+    i0 = int(np.searchsorted(ctx.primes, p_next))
+    i1 = int(np.searchsorted(ctx.primes, y, side="right"))
+    qs = ctx.primes[i0:i1]
+    ts = y // qs
+    corr = float(np.sum(ctx._m_small[ts] / qs))
+    return ctx.m_full(y) + corr
+
+
+def context_term_count(ctx, k: int, bound: int, table) -> int:
+    """MoebiusContext.term_count with one floor division per prime q."""
+    p_next = table.nth(k + 1)
+    y = bound - 1
+    root = math.isqrt(y)
+    ds = np.arange(1, root + 1, dtype=np.int64)
+    mu = ctx._mu_small[1 : root + 1].astype(np.int64)
+    sq_total = int(np.sum(mu * (y // (ds * ds))))
+    i0 = int(np.searchsorted(ctx.primes, p_next))
+    i1 = int(np.searchsorted(ctx.primes, y, side="right"))
+    qs = ctx.primes[i0:i1]
+    ts = y // qs
+    return sq_total - int(np.sum(ctx._sq_small[ts]))

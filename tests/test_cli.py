@@ -221,6 +221,9 @@ def test_enumeration_outputs_bytes_pinned(tmp_path, argv, digests):
 def test_randmodel_period_beyond_memory_budget_exits_3(tmp_path, capsys):
     assert run(["randmodel", "--k", 10, "--budget", 10 ** 10, "--out", tmp_path / "o"]) == 3
     assert "Traceback" not in capsys.readouterr().err
+    # p_9# passes the sieve's flag guard but not the exhaustive branch's footprint.
+    assert run(["randmodel", "--k", 9, "--budget", 10 ** 9, "--out", tmp_path / "o9"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_corr_command(tmp_path):

@@ -55,9 +55,17 @@ def test_exhaustive_moments_pinned(table_small, k, moments):
 
 
 def test_exhaustive_period_beyond_memory_budget(table_small):
-    # p_10# = 6469693230 flags exceed the 2^31-byte sieve budget.
-    with pytest.raises(ResourceError):
-        shift_model(10, table_small, budget=10 ** 10)
+    # p_10# = 6469693230 flags exceed the 2^31-byte sieve budget; p_9# =
+    # 223092870 flags fit it, but the branch's ~10 bytes per slot do not.
+    # Either raises before any period-sized array exists.
+    for k, budget in ((10, 10 ** 10), (9, 10 ** 9)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                shift_model(k, table_small, budget=budget)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 def test_pi_k_inside_sample_space(table_small, set200):

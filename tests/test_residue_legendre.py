@@ -26,13 +26,16 @@ from sievelab import (
     theoretical_first_positions,
     truncated_moebius_sum,
 )
-from sievelab.residue_legendre import _squarefree_products
+from sievelab.residue_legendre import _MOBIUS_BLOCK, _mobius_array, _squarefree_products
 
 from _oracles import (
+    context_term_count,
+    context_truncated_sum,
     count_squarefree_products,
     dfs_moebius_sum,
     fraction_truncated_moebius,
     mark_primality,
+    mobius_array,
     subset_legendre_count,
     totient_of_primorial,
 )
@@ -309,3 +312,59 @@ def test_moebius_context_primes(table_small, limit):
     base = table_small.primes[: table_small.count_upto(math.isqrt(limit))]
     ctx = MoebiusContext(limit, table_small)
     assert ctx.primes.tolist() == np.flatnonzero(mark_primality(0, limit, base)).tolist()
+
+
+@pytest.fixture(scope="module")
+def ctx300(table):
+    return MoebiusContext(table.nth(301) ** 2 - 1, table)
+
+
+def _assert_matches_per_prime_reference(ctx, k, bound, table):
+    # The lattice grouping must reproduce the per-prime float sum bit for bit.
+    assert ctx.truncated_sum(k, bound, table) == context_truncated_sum(ctx, k, bound, table)
+    assert ctx.term_count(k, bound, table) == context_term_count(ctx, k, bound, table)
+
+
+def test_context_sums_match_per_prime_reference(table, ctx300):
+    ks = range(26, 301)
+    ctx300.preload([table.nth(k + 1) ** 2 - 1 for k in ks])
+    for k in ks:
+        _assert_matches_per_prime_reference(ctx300, k, table.nth(k + 1) ** 2, table)
+    with pytest.raises(DomainError):
+        ctx300.term_count(400, table.nth(401) ** 2, table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(26, 300), frac=st.floats(0, 1))
+@example(k=26, frac=0.0)
+@example(k=300, frac=1.0)
+def test_context_sums_match_per_prime_reference_at_any_bound(table, ctx300, k, frac):
+    top = table.nth(k + 1) ** 2
+    _assert_matches_per_prime_reference(ctx300, k, 2 + int(frac * (top - 2)), table)
+
+
+@pytest.mark.parametrize("limit", [4, _MOBIUS_BLOCK - 1, _MOBIUS_BLOCK, _MOBIUS_BLOCK + 1,
+                                   3 * _MOBIUS_BLOCK + 7])
+def test_blocked_mobius_array_matches_reference(table, limit):
+    base = table.primes[: table.count_upto(math.isqrt(limit))]
+    got = _mobius_array(limit, base)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, mobius_array(limit, base))
+
+
+@pytest.mark.parametrize("k_to", [25, 200])
+def test_legendre_scan_pi_k_from_context(table, set200, k_to):
+    # Without an interval set, pi_k is counted from the context's primes.
+    assert legendre_scan(1, k_to, table) == legendre_scan(1, k_to, table, interval_set=set200)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 12),
+       lo=st.one_of(st.integers(1, 10 ** 7), st.integers(2 ** 63 - 10 ** 4, 2 ** 64 + 10 ** 4),
+                    st.integers(2 ** 64, 3 ** 70)),
+       length=st.integers(1, 3000))
+@example(k=12, lo=2 ** 63 - 1, length=2)
+def test_direct_count_equals_legendre_count(table_small, k, lo, length):
+    w = Window(lo, lo + length - 1)
+    assert (count_coprime_direct(w, k, table_small).count
+            == count_coprime_legendre(w, k, table_small).count)
