@@ -9,6 +9,15 @@ commands run one scan from the first k missing in ``--checkpoint``,
 appending each sieve chunk to it as it arrives. Progress goes to stderr,
 one line per chunk; stdout stays quiet.
 
+The manifest's ``run`` block says where the run's time and memory went:
+wall and CPU seconds per stage (``scan``, the interval scan with its
+checkpoint load, and ``command``, everything up to the manifest), the
+integers the scan sieved, its worker count, the k it resumed from (null
+when no checkpoint record was loaded), peak RSS of the process and of
+its largest waited-for child, and the Python, numpy and sievelab
+versions. It is the only part of a manifest that varies between runs;
+no CSV byte and no ``outputs`` digest depends on it.
+
 Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error.
 """
 
@@ -19,14 +28,16 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, randmodel, residue_legendre, stats_lab
 from .errors import DomainError, ResourceError
-from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, compute_interval_records
+from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, _pool_size, compute_interval_records
 from .sieve_core import build_prime_table
 
 
@@ -93,15 +104,53 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, argv: list, outputs: list,
-                    seed=None, k_max=None, extras=None) -> Path:
+def _clock() -> tuple:
+    """(wall seconds, CPU seconds of this process and its waited-for children)."""
+    own, kids = (resource.getrusage(who) for who in (resource.RUSAGE_SELF,
+                                                     resource.RUSAGE_CHILDREN))
+    return time.perf_counter(), own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+
+
+class _RunLog:
+    """One command's telemetry, reported as the manifest's ``run`` block."""
+
+    def __init__(self):
+        self.stages = {}
+        self.sieve_entries = 0
+        self.workers = 0
+        self.resumed_from_k = None
+        self._start = _clock()
+
+    def record(self, stage: str, start: tuple) -> None:
+        """Time ``stage`` from ``start``, a ``_clock()`` reading, to now."""
+        wall, cpu = (b - a for a, b in zip(start, _clock()))
+        self.stages[stage] = {"wall_s": round(wall, 6), "cpu_s": round(cpu, 6)}
+
+    def block(self) -> dict:
+        self.record("command", self._start)
+        own, kids = (resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        return {
+            "stages": self.stages,
+            "sieve_entries": self.sieve_entries,
+            "workers": self.workers,
+            "resumed_from_k": self.resumed_from_k,
+            "peak_rss_mb": {"self": round(own, 1), "children": round(kids, 1)},
+            "versions": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                         "sievelab": __version__},
+        }
+
+
+def _write_manifest(out_dir: Path, command: str, args, argv: list, outputs: list,
+                    k_max=None, extras=None) -> Path:
     manifest = {
         "command": command,
         "command_line": " ".join(["sievelab"] + list(argv)),
-        "seed": seed,
+        "seed": args.seed,
         "k_max": k_max,
         "version": __version__,
         "outputs": {p.name: _sha256(p) for p in outputs},
+        "run": args.run.block(),
     }
     if extras:
         manifest.update(extras)
@@ -183,13 +232,18 @@ def _interval_set(args):
     """The interval set for k = 1..args.kmax, resumed from ``--checkpoint``
     and appended to it one sieve chunk at a time."""
     table = _table_for(args.kmax + 1)
+    run, start = args.run, _clock()
     ck = Path(args.checkpoint) if args.checkpoint else None
     blocks = [_checkpoint_load(ck)] if ck else []
     k_next = len(blocks[0]["pi_k"]) + 1 if ck else 1
     if k_next > 1:
+        run.resumed_from_k = k_next
         _progress(f"checkpoint: {k_next - 1} records loaded from {ck}")
+    chunks = 0
 
     def save(k_lo, block):
+        nonlocal chunks
+        chunks += 1
         if ck:
             _checkpoint_append(ck, k_lo, block)
         _progress(f"intervals k={k_lo}..{k_lo + len(block['pi_k']) - 1} done")
@@ -197,6 +251,9 @@ def _interval_set(args):
     if k_next <= args.kmax:
         blocks.append(compute_interval_records(k_next, args.kmax, table, threads=args.threads,
                                                chunk_entries=args.segment_size, progress=save))
+        run.sieve_entries = table.nth(args.kmax + 1) ** 2 - table.nth(k_next) ** 2
+        run.workers = _pool_size(args.threads, chunks)
+    run.record("scan", start)
     return IntervalSet({name: np.concatenate([b[name] for b in blocks])[: args.kmax]
                         for name in IntervalSet.COLUMNS}), table
 
@@ -217,7 +274,7 @@ def _cmd_intervals(args, argv) -> int:
     _write_csv(f2, ["k", "x", "pi_k", "li_k", "diff"],
                zip(ks, (s.p_next * s.p_next).tolist(), s.pi_k.tolist(), s.li_k.tolist(),
                    (s.pi_k - s.li_k).tolist()))
-    _write_manifest(out, "intervals", argv, [f1, f2], seed=args.seed, k_max=args.kmax)
+    _write_manifest(out, "intervals", args, argv, [f1, f2], k_max=args.kmax)
     return 0
 
 
@@ -240,7 +297,7 @@ def _cmd_maier(args, argv) -> int:
     f2 = out / "maier_summary.csv"
     _write_csv(f2, ["k", "phi_start", "phi_end", "whole_interval_ratio",
                     "up_deviation", "down_deviation", "delta"], summary_rows)
-    _write_manifest(out, "maier", argv, [f1, f2], seed=args.seed, k_max=max(k_list),
+    _write_manifest(out, "maier", args, argv, [f1, f2], k_max=max(k_list),
                     extras={"lambda": args.lam, "delta_band": args.delta_band,
                             "delta_lambda": stats_lab.extract_delta(scans)})
     return 0
@@ -256,7 +313,7 @@ def _cmd_legendre(args, argv) -> int:
                [(r.k, r.ratio_full, r.ratio_truncated, r.pi_ratio) for r in rows])
     f2 = out / "legendre_terms.csv"
     _write_csv(f2, ["k", "terms", "l_k"], [(r.k, r.terms, r.length) for r in rows])
-    _write_manifest(out, "legendre", argv, [f1, f2], seed=args.seed, k_max=args.kmax)
+    _write_manifest(out, "legendre", args, argv, [f1, f2], k_max=args.kmax)
     return 0
 
 
@@ -275,7 +332,7 @@ def _cmd_randmodel(args, argv) -> int:
     f2 = out / "randmodel_hist.csv"
     hist_rows = [(v, int(c)) for v, c in enumerate(summary.histogram) if c > 0]
     _write_csv(f2, ["value", "count"], hist_rows)
-    _write_manifest(out, "randmodel", argv, [f1, f2], seed=args.seed, k_max=args.k,
+    _write_manifest(out, "randmodel", args, argv, [f1, f2], k_max=args.k,
                     extras={"mode": summary.mode, "budget": args.budget})
     return 0
 
@@ -296,7 +353,7 @@ def _cmd_bias(args, argv) -> int:
     f1 = out / "bias.csv"
     _write_csv(f1, ["k", "x", "a", "b", "c", "a_norm", "b_norm", "c_norm"], rows)
     fit = meta["fit"]
-    _write_manifest(out, "bias", argv, [f1], seed=args.seed, k_max=args.kmax,
+    _write_manifest(out, "bias", args, argv, [f1], k_max=args.kmax,
                     extras={"count_offset": bool(args.count_offset),
                             "fit_mean": fit.mean, "fit_stdev": fit.stdev})
     return 0
@@ -310,7 +367,7 @@ def _cmd_corr(args, argv) -> int:
     series = stats_lab.lag_correlation(deviations, args.max_lag, block=args.block or 0)
     f1 = out / "corr.csv"
     _write_csv(f1, ["lag_or_block", "value"], [(int(x), v) for x, v in series.points])
-    _write_manifest(out, "corr", argv, [f1], seed=args.seed, k_max=args.kmax,
+    _write_manifest(out, "corr", args, argv, [f1], k_max=args.kmax,
                     extras={"max_lag": args.max_lag, "block": args.block or 0})
     return 0
 
@@ -331,7 +388,7 @@ def _cmd_conjecture(args, argv) -> int:
         rows.append((meta["k"][i], x, d_off, meta["sqrt_li"][i]))
     f1 = out / "conjecture.csv"
     _write_csv(f1, ["k", "x", "pi_minus_li", "sqrt_li"], rows)
-    _write_manifest(out, "conjecture", argv, [f1], seed=args.seed, k_max=args.kmax,
+    _write_manifest(out, "conjecture", args, argv, [f1], k_max=args.kmax,
                     extras={"count_offset": bool(args.count_offset),
                             "violations": violations})
     return 0
@@ -348,7 +405,7 @@ def _add_common(sp, kmax=True):
     sp.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int))
     sp.add_argument("--segment-size", type=int,
                     default=_env_default("SEGMENT_SIZE", DEFAULT_CHUNK_ENTRIES, int),
-                    help="sieve chunk span in integers (flags take half as many bytes)")
+                    help="sieve chunk span in integers: the unit of work of one worker")
     if kmax:
         sp.add_argument("--kmax", type=_positive_int, required=True,
                         help="largest interval index k")
@@ -425,6 +482,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args.run = _RunLog()
         return args.func(args, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -3,16 +3,19 @@
 Every integer in s_k is either divisible by one of the first k primes or
 prime, so sieving s_k with exactly P_k determines its primes. The scan
 here works in chunks of consecutive intervals: one span per chunk,
-marked once by the odds-only presieved primality kernel of
-``sieve_core``, with per-interval counts taken between the odd indices
-of the square boundaries. Marking a chunk with primes beyond p_k only
-ever hits already-composite entries inside s_k, so the chunk result
-equals the defining per-interval sieve while costing one pass per prime
-per chunk. The kernel holds no flag for the even prime 2, which lies in
-no s_k (s_1 starts at 4), so interval counts need no correction.
+streamed through the odds-only presieved primality kernel of
+``sieve_core`` one cache-sized block at a time. The primes below each
+square's odd index accumulate block by block, and each interval's count
+is the difference at its two squares, so no worker holds more than one
+block of flags. Marking a chunk with primes beyond p_k only ever hits
+already-composite entries inside s_k, so the chunk result equals the
+defining per-interval sieve while costing one pass per prime per chunk.
+The kernel holds no flag for the even prime 2, which lies in no s_k
+(s_1 starts at 4), so interval counts need no correction.
 
 Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
-span of integers; its flag array takes half as many bytes.
+span of integers: the unit of work handed to one worker and of one
+checkpoint append. It does not set the memory a worker uses.
 
 A scan is one loop over its chunks, whose counts come from ``map`` or
 one fork pool's ``imap`` (each task carries its primes) in k order; each
@@ -38,9 +41,9 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _odd_index, _odd_primality
+from .sieve_core import PrimeTable, _odd_blocks, _odd_index, _odd_primality
 
-# Target chunk span in integers; one bool flag per odd integer.
+# Target chunk span in integers: the task granularity of a scan.
 DEFAULT_CHUNK_ENTRIES = 1 << 25
 
 
@@ -140,13 +143,25 @@ def _chunk_bounds(k_from: int, k_to: int, table: PrimeTable, chunk_entries: int)
 
 
 def _chunk_counts(task) -> np.ndarray:
-    """pi_j for each interval of one chunk; ``task`` is (k_lo, p_1..p_{k_hi+1})."""
+    """pi_j for each interval of one chunk; ``task`` is (k_lo, p_1..p_{k_hi+1}).
+
+    The chunk's flags stream through one reused block: the primes below
+    each square's odd index accumulate block by block, and pi_j is the
+    difference at consecutive squares.
+    """
     k_lo, ps = task
     sq = ps[k_lo - 1 :] ** 2
-    first, flags = _odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)
-    bounds = _odd_index(sq, first).tolist()
-    return np.array([np.count_nonzero(flags[a:b]) for a, b in zip(bounds, bounds[1:])],
-                    dtype=np.int64)
+    lo = int(sq[0])
+    bounds = _odd_index(sq, lo | 1).tolist()
+    below = [0] * len(bounds)  # primes in the slots before bounds[j]
+    total, j = 0, 1
+    for a, block in _odd_blocks(lo, int(sq[-1]) - 1, ps):
+        b, pos = a + len(block), a
+        while j < len(bounds) and bounds[j] <= b:
+            total += int(np.count_nonzero(block[pos - a : bounds[j] - a]))
+            below[j], pos, j = total, bounds[j], j + 1
+        total += int(np.count_nonzero(block[pos - a :]))
+    return np.diff(np.array(below, dtype=np.int64))
 
 
 def _block(k_lo: int, pi_k: np.ndarray, table: PrimeTable) -> dict:
@@ -166,6 +181,11 @@ def _block(k_lo: int, pi_k: np.ndarray, table: PrimeTable) -> dict:
         "li_k": np.array([analytic.li_between(p * p, q * q) for p, q in zip(ps, pns)]),
         "pnt_estimate": np.array([l / math.log(q * q) for l, q in zip(length.tolist(), pns)]),
     }
+
+
+def _pool_size(threads: int, chunks: int) -> int:
+    """Processes that sieve a scan of ``chunks`` chunks: one per chunk at most."""
+    return max(1, min(threads, chunks))
 
 
 def compute_interval_records(
@@ -191,7 +211,7 @@ def compute_interval_records(
         raise ResourceError("chunk_entries too small to hold an interval")
     chunks = _chunk_bounds(k_from, k_to, table, chunk_entries)
     tasks = [(k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks]
-    workers = min(threads or 1, len(chunks))
+    workers = _pool_size(threads, len(chunks))
     blocks = []
     pool = mp.get_context("fork").Pool(workers) if workers > 1 else None
     with pool or contextlib.nullcontext():

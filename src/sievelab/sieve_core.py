@@ -9,12 +9,13 @@ Two marking disciplines live here and must not be confused:
   exhaustive ``shift_model``'s one-period pattern; the batched generator
   ``_coprime_counts`` is the one counting path for shifted windows, used
   by the sampled ``shift_model``;
-* primality marking (``_odd_primality``): survivors are exactly the odd
+* primality marking (``_odd_blocks``): survivors are exactly the odd
   primes of the window. Every primality count in the package goes
-  through this one kernel: ``count_primes_upto``, the interval scan and
-  ``partial_counts``/``gap_series`` in ``intervals``, ``maier_scan`` in
-  ``stats_lab``, the per-k fallback of ``legendre_scan`` and the prime
-  list of ``MoebiusContext``.
+  through this one kernel: the interval scan consumes its blocks as they
+  are struck, and ``_odd_primality`` writes them into one array for
+  ``count_primes_upto``, ``partial_counts``/``gap_series`` in
+  ``intervals``, ``maier_scan`` in ``stats_lab`` and the prime list of
+  ``MoebiusContext``.
 
 Both kernels keep one flag per odd integer, so a window spans twice as
 many integers as it has flags, and both start each window as a rotated
@@ -23,9 +24,16 @@ copy of one precomputed presieve pattern in which the odd multiples of
 255255 odd slots). For coprimality that pattern is exactly the marking
 by those primes (sieve sets missing some of them use the pattern of the
 ones present); for primality the six primes are restored where they
-fall inside the window. The primality kernel then lets each base prime
-p >= 19 strike its odd multiples from ``max(p*p, first odd multiple >=
-lo)`` with stride p, one cache-sized block of the window at a time. The
+fall inside the window. The primality kernel streams the window as
+cache-sized blocks of ``_BLOCK_SLOTS`` flags: each block is filled,
+fixed up and struck while it is cache-resident, then handed to the
+caller, so a window of any length costs one block of memory unless the
+caller asks for the whole array. Each base prime p >= 19 strikes its odd
+multiples from ``max(p*p, first odd multiple >= lo)`` with stride p, in
+two tiers: primes below ``_SCATTER_MIN`` with one strided slice per
+block, larger primes, which hit a block only a few times, all together
+with one scattered write per block (the bucket-sieve idea of
+T. Oliveira e Silva, S. Herzog and S. Pardi, Math. Comp. 83 (2014)). The
 coprime counter strikes a batch of windows at arbitrary-precision
 starts at once: the start residues come from an int64 product of the
 starts' 32-bit digits with a table of 2**(32*i) mod q, and each prime
@@ -166,6 +174,11 @@ _PRESIEVE_PERIOD = 3 * 5 * 7 * 11 * 13 * 17  # odd slots per pattern repeat
 # Odd slots struck together by all base primes: 1 MiB of flags, half a 2 MiB L2.
 _BLOCK_SLOTS = 1 << 20
 
+# Base primes from here on strike each block with one shared scatter. This
+# and _BLOCK_SLOTS come from a sweep of thresholds 2^11..2^16 against blocks
+# of 2^19..2^21 slots on 2^25-integer chunks at k = 5000, 10^4 and 3*10^4.
+_SCATTER_MIN = 1 << 13
+
 
 @functools.cache
 def _presieve_pattern(primes: tuple) -> np.ndarray:
@@ -208,43 +221,88 @@ def _odd_index(n, first):
     return (n - first + 1) // 2
 
 
+def _odd_blocks(lo: int, hi: int, base_primes, out=None):
+    """Primality flags of the odd integers in [lo, hi], one block at a time.
+
+    Yields ``(slot_offset, block)`` for consecutive blocks of at most
+    ``_BLOCK_SLOTS`` flags; ``block[i]`` stands for the integer
+    ``first + 2*(slot_offset + i)``, where ``first = lo | 1``, and is True
+    exactly on the odd primes. With ``out`` (a bool array of at least
+    ``(hi - first) // 2 + 1`` flags) every block is a view of ``out``, so
+    the whole window is left there; without it every block is the same
+    reused buffer, valid only until the next block is requested.
+    ``base_primes`` is ascending and must hold every prime up to sqrt(hi);
+    entries below 19 are ignored because the presieve pattern covers them.
+    Requires lo >= 0.
+
+    Each block, while cache-resident, is filled from the presieve
+    pattern, gets 1 and the presieve primes 3..17 fixed up where they fall
+    in it, and is struck by the base primes: below ``_SCATTER_MIN`` with
+    one strided slice each, above it with one fancy-indexed write for all
+    of them. That write's indices are one ``np.cumsum`` over the primes'
+    strides repeated once per multiple in the block, with each prime's
+    first step replaced by the jump to its first multiple there. A large
+    prime strikes a few times per block, so one call per prime per block
+    would cost more than its writes.
+    """
+    first = lo | 1
+    size = max(0, (hi - first) // 2 + 1)
+    buf = None if out is not None else np.empty(min(size, _BLOCK_SLOTS), dtype=bool)
+    pattern = _presieve_pattern(_PRESIEVE_PRIMES)
+    rotation = (first // 2) % _PRESIEVE_PERIOD
+    restore = [(q - first) // 2 for q in _PRESIEVE_PRIMES if lo <= q <= hi]
+    base = np.asarray(base_primes, dtype=np.int64)
+    i_lo = int(np.searchsorted(base, _PRESIEVE_PRIMES[-1], side="right"))
+    i_hi = int(np.searchsorted(base, math.isqrt(hi), side="right"))
+    primes = base[i_lo:i_hi]
+    # The slot of each prime's next strike, starting at its first odd
+    # multiple >= max(p*p, first).
+    start = np.maximum(primes * primes, (first + primes - 1) // primes * primes)
+    start += primes * (1 - (start & 1))
+    slot = (start - first) // 2
+    n_small = int(np.searchsorted(primes, _SCATTER_MIN))
+    small, nxt = primes[:n_small].tolist(), slot[:n_small].tolist()
+    big, big_nxt = primes[n_small:], slot[n_small:]
+    for a in range(0, size, _BLOCK_SLOTS):
+        b = min(a + _BLOCK_SLOTS, size)
+        block = out[a:b] if out is not None else buf[: b - a]
+        _fill_rotated(block, pattern, (rotation + a) % _PRESIEVE_PERIOD)
+        if a == 0 and first == 1:
+            block[0] = False  # 1 is not prime
+        for i in restore:
+            if a <= i < b:
+                block[i - a] = True
+        for j, p in enumerate(small):
+            i = nxt[j]
+            if i < b:
+                block[i - a :: p] = False
+                nxt[j] = i + (b - i + p - 1) // p * p
+        hit = np.flatnonzero(big_nxt < b)
+        if len(hit):
+            ps, starts = big[hit], big_nxt[hit] - a
+            counts = (b - a - starts + ps - 1) // ps
+            steps = np.repeat(ps, counts)
+            heads = np.cumsum(counts) - counts  # where each prime's run starts
+            steps[heads] = starts
+            steps[heads[1:]] -= starts[:-1] + (counts[:-1] - 1) * ps[:-1]
+            block[np.cumsum(steps, out=steps)] = False
+            big_nxt[hit] += counts * ps
+        yield a, block
+
+
 def _odd_primality(lo: int, hi: int, base_primes) -> tuple[int, np.ndarray]:
     """Flags of the odd integers in [lo, hi]: True exactly on the odd primes.
 
     Returns ``(first, flags)`` with ``flags[i]`` standing for the integer
     ``first + 2*i``, where ``first`` is the smallest odd integer >= lo.
     The prime 2 has no flag. ``base_primes`` is ascending and must hold
-    every prime up to sqrt(hi); entries below 19 are ignored because the
-    presieve pattern already covers them. Requires lo >= 0.
+    every prime up to sqrt(hi). Requires lo >= 0. The flags are the
+    blocks of ``_odd_blocks`` written into one array.
     """
     first = lo | 1
-    size = max(0, (hi - first) // 2 + 1)
-    flags = np.empty(size, dtype=bool)
-    _fill_rotated(flags, _presieve_pattern(_PRESIEVE_PRIMES), (first // 2) % _PRESIEVE_PERIOD)
-    if first == 1 and size:
-        flags[0] = False  # 1 is not prime
-    for q in _PRESIEVE_PRIMES:
-        if lo <= q <= hi:
-            flags[(q - first) // 2] = True
-    # Strike block by block so each block stays cache-resident while every
-    # base prime passes over it; nxt[j] is the next odd slot primes[j] strikes.
-    base = np.asarray(base_primes)
-    primes = base[int(np.searchsorted(base, _PRESIEVE_PRIMES[-1], side="right")):
-                  int(np.searchsorted(base, math.isqrt(hi), side="right"))].tolist()
-    nxt = []
-    for p in primes:
-        start = max(p * p, (first + p - 1) // p * p)
-        if not start & 1:
-            start += p  # first odd multiple
-        nxt.append((start - first) // 2)
-    for a in range(0, size, _BLOCK_SLOTS):
-        b = min(a + _BLOCK_SLOTS, size)
-        block = flags[a:b]
-        for j, p in enumerate(primes):
-            i = nxt[j]
-            if i < b:
-                block[i - a :: p] = False
-                nxt[j] = i + (b - i + p - 1) // p * p
+    flags = np.empty(max(0, (hi - first) // 2 + 1), dtype=bool)
+    for _ in _odd_blocks(lo, hi, base_primes, out=flags):
+        pass
     return first, flags
 
 

@@ -59,6 +59,39 @@ def mark_primality(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     return flags
 
 
+def lucy_pi(n: int) -> int:
+    """pi(n) by the Lucy-Hedgehog recursion, O(n^(3/4)) numpy operations.
+
+    S(v) counts 1 < m <= v surviving the primes below p; it starts at
+    v - 1 and, for each prime p <= sqrt(n), drops by S(v // p) - S(p - 1)
+    at every lattice point v = n // i with v >= p^2 (Lucy_Hedgehog's
+    Project Euler #10 post; Deleglise & Rivat, Math. Comp. 65 (1996)).
+    ``small[v]`` holds S(v) for v <= sqrt(n) and ``large[i]`` holds
+    S(n // i). Every update of one p reads values from before that p, so
+    each runs as one fancy-indexed numpy expression. No sieve is involved.
+    """
+    if n < 2:
+        return 0
+    r = math.isqrt(n)
+    small = np.arange(-1, r, dtype=np.int64)  # small[v] = v - 1
+    i = np.arange(r + 1, dtype=np.int64)
+    i[0] = 1
+    large = n // i - 1
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        sp = small[p - 1]
+        top = min(r, n // (p * p))  # large[i] with n // i >= p^2
+        inner = min(top, r // p)  # n // (i p) = large[i p] while i p <= r
+        drop = np.empty(top, dtype=np.int64)
+        drop[:inner] = large[p : inner * p + 1 : p]
+        drop[inner:] = small[n // (np.arange(inner + 1, top + 1, dtype=np.int64) * p)]
+        large[1 : top + 1] -= drop - sp
+        if p * p <= r:
+            small[p * p :] -= small[np.arange(p * p, r + 1, dtype=np.int64) // p] - sp
+    return int(large[1])
+
+
 def window_count(lo, length: int, primes) -> int:
     """Coprime survivors in [lo, lo + length); lo may be arbitrary precision.
 

@@ -18,6 +18,8 @@ import sympy
 import sievelab as sl
 from sievelab.cli import main as cli_main
 
+from _oracles import lucy_pi
+
 ACCEPT_KMAX = 10_000
 _cache = {}
 
@@ -180,6 +182,14 @@ def test_rows_above_k1000_match_sympy_primepi(set10k):
     for k in (2000, 5000, ACCEPT_KMAX):
         x = set10k.record(k).p_next ** 2 - 1
         assert int(set10k.pi_cum[k - 1]) == sympy.primepi(x), k
+
+
+def test_rows_match_lucy_hedgehog_every_1000th_k(set10k):
+    # An oracle with no sieve in it: the Lucy-Hedgehog recursion in _oracles.
+    for k in range(1000, ACCEPT_KMAX + 1, 1000):
+        x = set10k.record(k).p_next ** 2 - 1
+        assert int(set10k.pi_cum[k - 1]) == lucy_pi(x), k
+    assert lucy_pi(set10k.record(ACCEPT_KMAX).p_next ** 2) == 497138058
 
 
 def test_criterion_09_variance_bound(table):

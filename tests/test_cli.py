@@ -399,3 +399,52 @@ def test_interrupted_scan_keeps_whole_chunks(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
     monkeypatch.undo()
     assert _interval_digests(tmp_path, ck, CHUNKED_SCAN) == PINNED_KMAX_300
+
+
+_RUN_KEYS = {"stages", "sieve_entries", "workers", "resumed_from_k", "peak_rss_mb", "versions"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["intervals", "--kmax", 20], ["bias", "--kmax", 20], ["corr", "--kmax", 20, "--max-lag", 5],
+    ["conjecture", "--kmax", 20], ["legendre", "--kmax", 20], ["randmodel", "--k", 5],
+    ["maier", "--k", 30],
+], ids=lambda argv: argv[0])
+def test_every_manifest_has_a_run_block(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == 0
+    block = json.loads((out / f"{argv[0]}.manifest.json").read_text())["run"]
+    assert block.keys() == _RUN_KEYS
+    assert block["versions"]["sievelab"] == "0.1.0"
+    assert {"python", "numpy"} <= block["versions"].keys()
+    assert block["peak_rss_mb"]["self"] > 0 and block["peak_rss_mb"]["children"] >= 0
+    assert block["stages"]["command"]["wall_s"] > 0
+    assert block["resumed_from_k"] is None
+    scans = argv[0] in ("intervals", "bias", "corr", "conjecture")
+    assert ("scan" in block["stages"]) == scans
+    # The scan sieves [p_1^2, p_21^2) = [4, 73^2) with one worker.
+    assert (block["sieve_entries"], block["workers"]) == ((73 ** 2 - 4, 1) if scans else (0, 0))
+
+
+def test_resumed_run_reports_its_resume_k(tmp_path):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part", "--checkpoint", ck]) == 0
+    resumed, direct = tmp_path / "resumed", tmp_path / "direct"
+    assert run(["intervals", "--kmax", 60, "--out", resumed, "--checkpoint", ck,
+                "--threads", 2, "--segment-size", 8192]) == 0
+    assert run(["intervals", "--kmax", 60, "--out", direct]) == 0
+    manifests = [json.loads((out / "intervals.manifest.json").read_text())
+                 for out in (resumed, direct)]
+    # p_31 = 127 and p_61 = 283: the resumed scan sieves [127^2, 283^2).
+    assert manifests[0]["run"]["resumed_from_k"] == 31
+    assert manifests[0]["run"]["sieve_entries"] == 283 ** 2 - 127 ** 2
+    assert manifests[0]["run"]["workers"] == 2
+    assert manifests[1]["run"]["resumed_from_k"] is None
+    assert manifests[0]["outputs"] == manifests[1]["outputs"] == {
+        name: sha(resumed / name) for name in ("intervals.csv", "deviations.csv")}
+    for name in ("intervals.csv", "deviations.csv"):
+        assert sha(resumed / name) == sha(direct / name)
+    # A run the checkpoint already covers sieves nothing.
+    again = tmp_path / "again"
+    assert run(["intervals", "--kmax", 60, "--out", again, "--checkpoint", ck]) == 0
+    block = json.loads((again / "intervals.manifest.json").read_text())["run"]
+    assert (block["resumed_from_k"], block["sieve_entries"], block["workers"]) == (61, 0, 0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from sievelab import (
     li,
     partial_counts,
 )
-from sievelab.intervals import IntervalSet, compute_interval_records
+from sievelab import sieve_core
+from sievelab.intervals import (DEFAULT_CHUNK_ENTRIES, IntervalSet, _chunk_bounds, _chunk_counts,
+                                compute_interval_records)
+from sievelab.sieve_core import _odd_index, _odd_primality
 
-from _oracles import li_between_oracle
+from _oracles import li_between_oracle, mark_primality
 
 
 def _columns(source):
@@ -181,3 +185,55 @@ def test_chunk_entries_do_not_change_records(table_small, chunk_entries, k_from,
     reference = _columns(compute_interval_records(k_from, k_to, table_small))
     assert _columns(compute_interval_records(k_from, k_to, table_small,
                                              chunk_entries=chunk_entries)) == reference
+
+
+def _oracle_counts(k_lo, ps):
+    """pi_j per interval of a chunk task, from the plain full-width sieve."""
+    sq = [int(p) ** 2 for p in ps[k_lo - 1 :]]
+    flags = mark_primality(sq[0], sq[-1] - 1, ps)
+    return [int(np.count_nonzero(flags[a - sq[0] : b - sq[0]])) for a, b in zip(sq, sq[1:])]
+
+
+def test_chunk_counts_across_block_seams(table_small, monkeypatch):
+    # Small blocks and a low scatter threshold, so that interval bounds, block
+    # edges and scatter strikes meet in every combination.
+    monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 37)
+    for k_lo, k_hi in ((1, 12), (1, 40), (9, 30), (200, 203)):
+        ps = table_small.primes[: k_hi + 1]
+        sq = ps[k_lo - 1 :] ** 2
+        bounds = _odd_index(sq, int(sq[0]) | 1).tolist()
+        expected = _oracle_counts(k_lo, ps)
+        # Block sizes that put the first, second and last bounds on a block
+        # edge, that miss them by one slot, and that never meet one.
+        for slots in {3, 64, bounds[1], bounds[1] - 1, bounds[1] + 1, bounds[2],
+                      bounds[-1], bounds[-1] - 1, bounds[-1] // 3, bounds[-1] + 5}:
+            monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", max(slots, 1))
+            assert _chunk_counts((k_lo, ps)).tolist() == expected, (k_lo, k_hi, slots)
+
+
+def test_chunk_counts_match_whole_flags_at_default_blocks(table):
+    # One default chunk near k = 5000: the streamed counts equal the counts
+    # read off the whole flag array of _odd_primality (the out= path).
+    (k_lo, k_hi) = _chunk_bounds(5000, 5100, table, DEFAULT_CHUNK_ENTRIES)[0]
+    ps = table.primes[: k_hi + 1]
+    sq = ps[k_lo - 1 :] ** 2
+    first, flags = _odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)
+    bounds = _odd_index(sq, first).tolist()
+    whole = [int(np.count_nonzero(flags[a:b])) for a, b in zip(bounds, bounds[1:])]
+    assert _chunk_counts((k_lo, ps)).tolist() == whole
+
+
+def test_chunk_counts_hold_no_chunk_sized_array(table):
+    # A default chunk near k = 5000 spans about 2^25 integers; its flags
+    # alone would take 16 MiB. The streamed chunk keeps one block.
+    (k_lo, k_hi) = _chunk_bounds(5000, 5100, table, DEFAULT_CHUNK_ENTRIES)[0]
+    assert table.nth(k_hi + 1) ** 2 - table.nth(k_lo) ** 2 > DEFAULT_CHUNK_ENTRIES * 0.9
+    task = (k_lo, table.primes[: k_hi + 1])
+    _chunk_counts(task)  # build the presieve pattern outside the trace
+    tracemalloc.start()
+    try:
+        _chunk_counts(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak

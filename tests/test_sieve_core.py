@@ -14,10 +14,11 @@ from sievelab import (
     sieve_window,
 )
 
+from sievelab import sieve_core
 from sievelab.sieve_core import (_BLOCK_SLOTS, _COPRIME_BATCH, _INT64_MAX, _chunk_digits,
-                                 _coprime_counts, _odd_primality, _strike_offsets)
+                                 _coprime_counts, _odd_blocks, _odd_primality, _strike_offsets)
 
-from _oracles import coprime_survivors, mark_primality, trial_primes, window_count
+from _oracles import coprime_survivors, lucy_pi, mark_primality, trial_primes, window_count
 
 # Base primes up to 4000 cover every window below 1.6e7.
 _BASE = build_prime_table(4000).primes
@@ -102,6 +103,11 @@ def test_count_primes_upto_examples(table_small):
     assert count_primes_upto(2, table_small) == 1
 
 
+def test_lucy_pi_oracle_matches_sympy():
+    for x in [*range(0, 120), 9_999, 10_000, 99_991, 1_000_000, 25_326_001]:
+        assert lucy_pi(x) == sympy.primepi(x), x
+
+
 def test_count_primes_upto_segmented_matches_sympy():
     t = build_prime_table(1100)  # forces segmentation beyond the table bound
     for x in (10_000, 99_991, 1_000_000):
@@ -175,6 +181,76 @@ def test_odd_primality_matches_reference(lo, length):
     assert flags.dtype == bool and len(flags) == max(0, (hi - first) // 2 + 1)
     assert np.array_equal(_integer_flags(lo, hi, first, flags),
                           mark_primality(lo, hi, _BASE))
+
+
+def _streamed(lo, hi, base):
+    """The reused-buffer stream of ``_odd_blocks``, each block copied, and its buffers."""
+    offsets, blocks, buffers = [], [], set()
+    for a, block in _odd_blocks(lo, hi, base):
+        offsets.append(a)
+        blocks.append(block.copy())
+        buffers.add(block.__array_interface__["data"][0])
+    return offsets, blocks, buffers
+
+
+def _check_block_paths(lo, hi, base=_BASE):
+    """Both paths of ``_odd_blocks`` against the plain sieve and each other."""
+    first = lo | 1
+    size = max(0, (hi - first) // 2 + 1)
+    out = np.ones(size, dtype=bool)
+    out_offsets = []
+    for a, block in _odd_blocks(lo, hi, base, out=out):
+        assert np.shares_memory(block, out)
+        out_offsets.append(a)
+    offsets, blocks, buffers = _streamed(lo, hi, base)
+    step = sieve_core._BLOCK_SLOTS
+    assert offsets == out_offsets == list(range(0, size, step))
+    assert [len(b) for b in blocks] == [min(step, size - a) for a in offsets]
+    assert len(buffers) <= 1  # one buffer of at most one block, reused
+    streamed = np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
+    assert np.array_equal(streamed, out)
+    assert np.array_equal(_odd_primality(lo, hi, base)[1], out)
+    assert np.array_equal(_integer_flags(lo, hi, first, out), mark_primality(lo, hi, base))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # Primes 19..31 strike with slices, 37 and up with the scatter. At 64
+    # slots a block, every prime from 67 on skips some blocks and strikes others.
+    monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", 64)
+    monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 37)
+
+
+def test_odd_blocks_seams_at_window_starts(small_blocks):
+    # Starts at 0, 1 and at every presieve prime, each window many blocks long.
+    for lo in (0, 1, 2, 3, 5, 7, 11, 13, 17, 18, 19):
+        for length in (1, 2, 127, 128, 129, 130, 5000):
+            _check_block_paths(lo, lo + length - 1)
+
+
+def test_odd_blocks_scatter_primes_skip_blocks(small_blocks):
+    # Near 1.5e7 the scatter tier holds the primes 37..3877; each strikes
+    # about one block in p / 64.
+    for lo in (15_000_000, 15_000_001, 2 * _PERIOD - 1):
+        for length in (64 * 2 * 9, 64 * 2 * 9 + 1, 40_000):
+            _check_block_paths(lo, lo + length - 1)
+    # Windows below 41^2 whose only scatter prime, 37, strikes every block.
+    for lo in (1368, 1369):
+        _check_block_paths(lo, 1679, _BASE[:12])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    lo=st.one_of(st.integers(0, 40), st.integers(0, 15_000_000)),
+    length=st.one_of(st.integers(1, 300), st.integers(1, 20_000)),
+    block_slots=st.sampled_from([1, 2, 3, 64, 97, 4096]),
+    scatter_min=st.sampled_from([0, 19, 20, 37, 1000, 1 << 13]),
+)
+def test_odd_blocks_any_geometry(lo, length, block_slots, scatter_min):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve_core, "_BLOCK_SLOTS", block_slots)
+        mp.setattr(sieve_core, "_SCATTER_MIN", scatter_min)
+        _check_block_paths(lo, lo + length - 1)
 
 
 _SMALL = build_prime_table(2000).primes
