@@ -3,15 +3,15 @@
 Every integer in s_k is either divisible by one of the first k primes or
 prime, so sieving s_k with exactly P_k determines its primes. The scan
 here works in chunks of consecutive intervals: one span per chunk,
-streamed through the odds-only presieved primality kernel of
-``sieve_core`` one cache-sized block at a time. The primes below each
-square's odd index accumulate block by block, and each interval's count
-is the difference at its two squares, so no worker holds more than one
-block of flags. Marking a chunk with primes beyond p_k only ever hits
-already-composite entries inside s_k, so the chunk result equals the
-defining per-interval sieve while costing one pass per prime per chunk.
-The kernel holds no flag for the even prime 2, which lies in no s_k
-(s_1 starts at 4), so interval counts need no correction.
+counted by ``sieve_core._primes_below``, which streams the span's mod-30
+wheel rows one cache-sized block at a time and sums the primes below
+every square of the chunk. Each interval's count is the difference at
+its two squares, so no worker holds more than one block of flags.
+Marking a chunk with primes beyond p_k only ever hits already-composite
+entries inside s_k, so the chunk result equals the defining per-interval
+sieve while costing one pass per prime per residue row per chunk. The
+primes 2 and 3 lie in no s_k (s_1 starts at 4); 5, which has no wheel
+row, lies in s_1, where the counter adds it.
 
 Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers: the unit of work handed to one worker and of one
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _odd_blocks, _odd_index, _odd_primality
+from .sieve_core import PrimeTable, _odd_primality, _primes_below
 
 # Target chunk span in integers: the task granularity of a scan.
 DEFAULT_CHUNK_ENTRIES = 1 << 25
@@ -145,23 +145,12 @@ def _chunk_bounds(k_from: int, k_to: int, table: PrimeTable, chunk_entries: int)
 def _chunk_counts(task) -> np.ndarray:
     """pi_j for each interval of one chunk; ``task`` is (k_lo, p_1..p_{k_hi+1}).
 
-    The chunk's flags stream through one reused block: the primes below
-    each square's odd index accumulate block by block, and pi_j is the
-    difference at consecutive squares.
+    pi_j is the difference of the primes below consecutive squares, which
+    the wheel counter sums block by block.
     """
     k_lo, ps = task
     sq = ps[k_lo - 1 :] ** 2
-    lo = int(sq[0])
-    bounds = _odd_index(sq, lo | 1).tolist()
-    below = [0] * len(bounds)  # primes in the slots before bounds[j]
-    total, j = 0, 1
-    for a, block in _odd_blocks(lo, int(sq[-1]) - 1, ps):
-        b, pos = a + len(block), a
-        while j < len(bounds) and bounds[j] <= b:
-            total += int(np.count_nonzero(block[pos - a : bounds[j] - a]))
-            below[j], pos, j = total, bounds[j], j + 1
-        total += int(np.count_nonzero(block[pos - a :]))
-    return np.diff(np.array(below, dtype=np.int64))
+    return np.diff(_primes_below(int(sq[0]), sq, ps))
 
 
 def _block(k_lo: int, pi_k: np.ndarray, table: PrimeTable) -> dict:

@@ -9,38 +9,48 @@ Two marking disciplines live here and must not be confused:
   exhaustive ``shift_model``'s one-period pattern; the batched generator
   ``_coprime_counts`` is the one counting path for shifted windows, used
   by the sampled ``shift_model``;
-* primality marking (``_odd_blocks``): survivors are exactly the odd
-  primes of the window. Every primality count in the package goes
-  through this one kernel: the interval scan consumes its blocks as they
-  are struck, and ``_odd_primality`` writes them into one array for
-  ``count_primes_upto``, ``partial_counts``/``gap_series`` in
-  ``intervals``, ``maier_scan`` in ``stats_lab`` and the prime list of
-  ``MoebiusContext``.
+* primality marking (``_wheel_rows``): survivors are exactly the primes
+  of the window. Every primality count in the package goes through this
+  one kernel: ``_primes_below`` sums its rows into the primes below a
+  list of bounds, for the interval scan in ``intervals`` and
+  ``maier_scan`` in ``stats_lab``, and ``_odd_primality`` writes them
+  into one array of odd flags for ``count_primes_upto``,
+  ``partial_counts``/``gap_series`` in ``intervals`` and the prime list
+  of ``MoebiusContext``.
 
-Both kernels keep one flag per odd integer, so a window spans twice as
-many integers as it has flags, and both start each window as a rotated
-copy of one precomputed presieve pattern in which the odd multiples of
-3, 5, 7, 11, 13 and 17 are already struck (period 3*5*7*11*13*17 =
-255255 odd slots). For coprimality that pattern is exactly the marking
-by those primes (sieve sets missing some of them use the pattern of the
-ones present); for primality the six primes are restored where they
-fall inside the window. The primality kernel streams the window as
-cache-sized blocks of ``_BLOCK_SLOTS`` flags: each block is filled,
-fixed up and struck while it is cache-resident, then handed to the
-caller, so a window of any length costs one block of memory unless the
-caller asks for the whole array. Each base prime p >= 19 strikes its odd
-multiples from ``max(p*p, first odd multiple >= lo)`` with stride p, in
-two tiers: primes below ``_SCATTER_MIN`` with one strided slice per
-block, larger primes, which hit a block only a few times, all together
-with one scattered write per block (the bucket-sieve idea of
-T. Oliveira e Silva, S. Herzog and S. Pardi, Math. Comp. 83 (2014)). The
-coprime counter strikes a batch of windows at arbitrary-precision
-starts at once: the start residues come from an int64 product of the
-starts' 32-bit digits with a table of 2**(32*i) mod q, and each prime
-strikes every window of the batch with one strided write. The prime 2
-has no flag: ``count_primes_upto`` adds it explicitly, no interval s_k
-contains it since s_1 starts at 4, and the coprime counter requires it
-among the sieve primes, so even integers never survive.
+The primality kernel is a mod-30 wheel. It keeps only the integers
+coprime to 30, in eight residue rows, one per r in {1, 7, 11, 13, 17, 19,
+23, 29}: slot m of row r stands for 30*m + r, so 30 integers cost 8
+flags. Each row is streamed as cache-sized blocks of ``_BLOCK_SLOTS``
+slots: each block is filled, fixed up and struck while it is
+cache-resident, then handed to the caller, so a window of any length
+costs one block of memory unless the caller asks for the odd view. A
+block starts as a rotated copy of its residue's presieve pattern, in
+which the multiples of 7, 11, 13 and 17 are struck (period 7*11*13*17 =
+17017 rows); the fix-ups then strike 1, restore 7..29 in row 0 and
+clear the integers below the window start. Each base prime p >= 19
+strikes residue r at p*j for the j = r * p^-1 (mod 30), a stride of p
+rows from its first such multiple at or after max(p*p, 30*m_lo), with
+p^-1 mod 30 read from an 8-entry table. The strikes come in two tiers:
+primes below ``_SCATTER_MIN`` with one strided slice per block, larger
+primes, which hit a block only a few times, all together with one
+scattered write per block (the bucket-sieve idea of T. Oliveira e Silva,
+S. Herzog and S. Pardi, Math. Comp. 83 (2014); the wheel layout is
+primesieve's). The primes 2, 3 and 5 have no row: ``_primes_below`` adds
+them where they fall below a bound, ``_odd_primality`` sets 3 and 5 in
+its odd view and ``count_primes_upto`` adds 2, which no interval s_k
+contains since s_1 starts at 4.
+
+The coprime counter keeps one flag per odd integer. It starts each
+window as a rotated copy of an odd presieve pattern in which the odd
+multiples of 3, 5, 7, 11, 13 and 17 are struck (period 3*5*7*11*13*17 =
+255255 odd slots), which is exactly the marking by those primes (sieve
+sets missing some of them use the pattern of the ones present). It
+strikes a batch of windows at arbitrary-precision starts at once: the
+start residues come from an int64 product of the starts' 32-bit digits
+with a table of 2**(32*i) mod q, and each prime strikes every window of
+the batch with one strided write. It requires 2 among the sieve primes,
+so even integers never survive.
 
 On a window ``[p_k^2, p_{k+1}^2 - 1]`` sieved by the first k primes the
 two disciplines coincide, which is the property everything downstream
@@ -167,17 +177,36 @@ def sieve_window(lo: int, hi: int, sieve_primes, memory_budget: int = DEFAULT_ME
     return SieveWindow(lo=lo, hi=hi, flags=flags)
 
 
-# Odd primes struck by the presieve pattern; base primes below 19 are skipped.
+# Odd primes struck by the coprime counter's presieve pattern.
 _PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
-_PRESIEVE_PERIOD = 3 * 5 * 7 * 11 * 13 * 17  # odd slots per pattern repeat
 
-# Odd slots struck together by all base primes: 1 MiB of flags, half a 2 MiB L2.
-_BLOCK_SLOTS = 1 << 20
+# The mod-30 wheel: residue row r holds the integers 30*m + r, one flag per
+# row slot m, for the eight residues coprime to 30.
+_WHEEL = 30
+_RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
 
-# Base primes from here on strike each block with one shared scatter. This
-# and _BLOCK_SLOTS come from a sweep of thresholds 2^11..2^16 against blocks
-# of 2^19..2^21 slots on 2^25-integer chunks at k = 5000, 10^4 and 3*10^4.
+# u -> u^-1 mod 30 for every residue u; other entries are never read.
+_INVERSE = np.zeros(_WHEEL, dtype=np.int64)
+_INVERSE[list(_RESIDUES)] = (1, 13, 11, 7, 23, 19, 17, 29)
+
+# Primes struck by the wheel rows' presieve patterns; base primes up to the
+# last of them are skipped.
+_WHEEL_PRESIEVE = (7, 11, 13, 17)
+
+# Row slots of one residue struck together: a 2^25-integer chunk (1.1M rows)
+# is one block.
+_BLOCK_SLOTS = 1 << 21
+
+# Base primes from here on strike each block with one shared scatter. This,
+# _BLOCK_SLOTS and _WHEEL_PRESIEVE come from a sweep of thresholds 2^11..2^15,
+# blocks of 2^19..2^21 rows and presieves through 17 or 19 on 2^25-integer
+# chunks at k = 5000, 10^4 and 3*10^4; adding 19 (323323-row patterns) gave
+# no gain above the noise.
 _SCATTER_MIN = 1 << 13
+
+# A block cut by fewer bounds than one per this many slots is counted
+# segment by segment; denser cuts are looked up among its primes' positions.
+_SPARSE_CUTS = 1 << 10
 
 
 @functools.cache
@@ -185,11 +214,25 @@ def _presieve_pattern(primes: tuple) -> np.ndarray:
     """Flags for the odd integers 1, 3, 5, ...: False on the odd multiples of ``primes``.
 
     The period is ``prod(primes)`` odd slots. Built on first use, so
-    processes that never sieve skip it.
+    processes that never count coprime windows skip it.
     """
     pattern = np.ones(math.prod(primes), dtype=bool)
     for q in primes:
         pattern[(q - 1) // 2 :: q] = False  # slot j holds 2j + 1
+    pattern.setflags(write=False)
+    return pattern
+
+
+@functools.cache
+def _wheel_pattern(r: int) -> np.ndarray:
+    """Flags for the integers r, 30 + r, 60 + r, ...: False on the multiples of ``_WHEEL_PRESIEVE``.
+
+    The period is ``prod(_WHEEL_PRESIEVE)`` row slots. Built on first use,
+    one residue at a time, so processes that never sieve skip it.
+    """
+    pattern = np.ones(math.prod(_WHEEL_PRESIEVE), dtype=bool)
+    for q in _WHEEL_PRESIEVE:
+        pattern[-r * pow(_WHEEL, -1, q) % q :: q] = False  # 30*m + r = 0 (mod q)
     pattern.setflags(write=False)
     return pattern
 
@@ -212,82 +255,110 @@ def _fill_rotated(dst: np.ndarray, pattern: np.ndarray, offset: int) -> None:
         filled += step
 
 
-def _odd_index(n, first):
-    """Number of odd integers in [first, n) for odd first and n >= first - 1.
+def _wheel_rows(lo: int, end: int, base_primes):
+    """Primality flags of the integers in [lo, end) coprime to 30, one row block at a time.
 
-    Works elementwise on integer arrays; it is the flag index of n when n
-    is odd and of n + 1 when n is even.
+    Yields ``(r, a, block)`` for each residue r of ``_RESIDUES`` in turn
+    and, within it, for consecutive blocks of at most ``_BLOCK_SLOTS``
+    row slots: ``block[i]`` is the flag of ``30*(lo // 30 + a + i) + r``.
+    It is True exactly on the primes of [lo, end); flags below lo are
+    False and flags from ``end`` on are unspecified. Every block is the
+    same reused buffer, valid only until the next block is requested.
+    ``base_primes`` is ascending and must hold every prime up to
+    sqrt(end - 1); entries up to 17 are ignored because the presieve
+    covers them. Requires lo >= 0.
+
+    Each block, while cache-resident, is filled from its residue's
+    presieve pattern, gets 1 struck and 7..29 restored if it holds row 0
+    and the integers below lo cleared, and is struck by the base primes:
+    below ``_SCATTER_MIN`` with one strided slice each, above it with one
+    fancy-indexed write for all of them. Prime p strikes residue r at
+    p*j for every j = r * p^-1 (mod 30), a stride of p rows, starting from
+    the least such j >= max(p, ceil(30*m_lo / p)). The scatter's indices
+    are one ``np.cumsum`` over the primes' strides repeated once per
+    multiple in the block, with each prime's first step replaced by the
+    jump to its first multiple there: a large prime strikes a few times
+    per block, so one call per prime per block would cost more than its
+    writes.
     """
-    return (n - first + 1) // 2
-
-
-def _odd_blocks(lo: int, hi: int, base_primes, out=None):
-    """Primality flags of the odd integers in [lo, hi], one block at a time.
-
-    Yields ``(slot_offset, block)`` for consecutive blocks of at most
-    ``_BLOCK_SLOTS`` flags; ``block[i]`` stands for the integer
-    ``first + 2*(slot_offset + i)``, where ``first = lo | 1``, and is True
-    exactly on the odd primes. With ``out`` (a bool array of at least
-    ``(hi - first) // 2 + 1`` flags) every block is a view of ``out``, so
-    the whole window is left there; without it every block is the same
-    reused buffer, valid only until the next block is requested.
-    ``base_primes`` is ascending and must hold every prime up to sqrt(hi);
-    entries below 19 are ignored because the presieve pattern covers them.
-    Requires lo >= 0.
-
-    Each block, while cache-resident, is filled from the presieve
-    pattern, gets 1 and the presieve primes 3..17 fixed up where they fall
-    in it, and is struck by the base primes: below ``_SCATTER_MIN`` with
-    one strided slice each, above it with one fancy-indexed write for all
-    of them. That write's indices are one ``np.cumsum`` over the primes'
-    strides repeated once per multiple in the block, with each prime's
-    first step replaced by the jump to its first multiple there. A large
-    prime strikes a few times per block, so one call per prime per block
-    would cost more than its writes.
-    """
-    first = lo | 1
-    size = max(0, (hi - first) // 2 + 1)
-    buf = None if out is not None else np.empty(min(size, _BLOCK_SLOTS), dtype=bool)
-    pattern = _presieve_pattern(_PRESIEVE_PRIMES)
-    rotation = (first // 2) % _PRESIEVE_PERIOD
-    restore = [(q - first) // 2 for q in _PRESIEVE_PRIMES if lo <= q <= hi]
+    m_lo = lo // _WHEEL
+    rows = (end + _WHEEL - 1) // _WHEEL - m_lo
+    if rows <= 0:
+        return
+    buf = np.empty(min(rows, _BLOCK_SLOTS), dtype=bool)
     base = np.asarray(base_primes, dtype=np.int64)
-    i_lo = int(np.searchsorted(base, _PRESIEVE_PRIMES[-1], side="right"))
-    i_hi = int(np.searchsorted(base, math.isqrt(hi), side="right"))
+    i_lo = int(np.searchsorted(base, _WHEEL_PRESIEVE[-1], side="right"))
+    i_hi = int(np.searchsorted(base, math.isqrt(end - 1), side="right"))
     primes = base[i_lo:i_hi]
-    # The slot of each prime's next strike, starting at its first odd
-    # multiple >= max(p*p, first).
-    start = np.maximum(primes * primes, (first + primes - 1) // primes * primes)
-    start += primes * (1 - (start & 1))
-    slot = (start - first) // 2
     n_small = int(np.searchsorted(primes, _SCATTER_MIN))
-    small, nxt = primes[:n_small].tolist(), slot[:n_small].tolist()
-    big, big_nxt = primes[n_small:], slot[n_small:]
-    for a in range(0, size, _BLOCK_SLOTS):
-        b = min(a + _BLOCK_SLOTS, size)
-        block = out[a:b] if out is not None else buf[: b - a]
-        _fill_rotated(block, pattern, (rotation + a) % _PRESIEVE_PERIOD)
-        if a == 0 and first == 1:
-            block[0] = False  # 1 is not prime
-        for i in restore:
-            if a <= i < b:
-                block[i - a] = True
-        for j, p in enumerate(small):
-            i = nxt[j]
-            if i < b:
-                block[i - a :: p] = False
-                nxt[j] = i + (b - i + p - 1) // p * p
-        hit = np.flatnonzero(big_nxt < b)
-        if len(hit):
-            ps, starts = big[hit], big_nxt[hit] - a
-            counts = (b - a - starts + ps - 1) // ps
-            steps = np.repeat(ps, counts)
-            heads = np.cumsum(counts) - counts  # where each prime's run starts
-            steps[heads] = starts
-            steps[heads[1:]] -= starts[:-1] + (counts[:-1] - 1) * ps[:-1]
-            block[np.cumsum(steps, out=steps)] = False
-            big_nxt[hit] += counts * ps
-        yield a, block
+    j_min = np.maximum(primes, (_WHEEL * m_lo + primes - 1) // primes)
+    inverse = _INVERSE[primes % _WHEEL]
+    for r in _RESIDUES:
+        pattern = _wheel_pattern(r)
+        j = j_min + (r * inverse - j_min) % _WHEEL
+        row = primes * j // _WHEEL - m_lo  # row of each prime's next strike
+        small, nxt = primes[:n_small].tolist(), row[:n_small].tolist()
+        big, big_nxt = primes[n_small:], row[n_small:]
+        for a in range(0, rows, _BLOCK_SLOTS):
+            b = min(a + _BLOCK_SLOTS, rows)
+            block = buf[: b - a]
+            _fill_rotated(block, pattern, (m_lo + a) % len(pattern))
+            if a == 0:
+                if m_lo == 0:
+                    block[0] = r != 1  # 7..29 are prime, 1 is not
+                if _WHEEL * m_lo + r < lo:
+                    block[0] = False
+            for i, p in enumerate(small):
+                s = nxt[i]
+                if s < b:
+                    block[s - a :: p] = False
+                    nxt[i] = s + (b - s + p - 1) // p * p
+            hit = np.flatnonzero(big_nxt < b)
+            if len(hit):
+                ps, starts = big[hit], big_nxt[hit] - a
+                counts = (b - a - starts + ps - 1) // ps
+                steps = np.repeat(ps, counts)
+                heads = np.cumsum(counts) - counts  # where each prime's run starts
+                steps[heads] = starts
+                steps[heads[1:]] -= starts[:-1] + (counts[:-1] - 1) * ps[:-1]
+                block[np.cumsum(steps, out=steps)] = False
+                big_nxt[hit] += counts * ps
+            yield r, a, block
+
+
+def _prefix_counts(block: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """``count_nonzero(block[:c])`` for every c of the ascending int64 ``cuts``.
+
+    Each c lies in [0, len(block)]. A few cuts split the block into
+    segments counted one by one; many are looked up among the positions
+    of the True flags.
+    """
+    if len(cuts) * _SPARSE_CUTS >= len(block):
+        return np.searchsorted(np.flatnonzero(block), cuts)
+    inner = np.unique(cuts[cuts > 0])
+    below = np.cumsum([np.count_nonzero(part) for part in np.split(block, inner)])
+    return np.concatenate(([0], below))[np.searchsorted(inner, cuts, side="right")]
+
+
+def _primes_below(lo: int, bounds, base_primes) -> np.ndarray:
+    """The number of primes in [lo, b) for every b of the ascending ``bounds``.
+
+    Returns an int64 array. Every bound is >= lo >= 0, and
+    ``base_primes`` is ascending and must hold every prime up to
+    sqrt(max(bounds) - 1). The counts are summed over the rows of
+    ``_wheel_rows`` block by block, so no array spans the window; the
+    primes 2, 3 and 5, which have no row, are added where they fall.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    below = np.zeros(len(bounds), dtype=np.int64)
+    for q in (2, 3, 5):
+        below += (lo <= q) & (q < bounds)
+    m_lo = lo // _WHEEL
+    for r, a, block in _wheel_rows(lo, int(bounds[-1]), base_primes):
+        # Row slot i of the block counts below b when 30*(m_lo + a + i) + r < b.
+        cuts = np.clip((bounds - r + _WHEEL - 1) // _WHEEL - m_lo - a, 0, len(block))
+        below += _prefix_counts(block, cuts)
+    return below
 
 
 def _odd_primality(lo: int, hi: int, base_primes) -> tuple[int, np.ndarray]:
@@ -296,14 +367,20 @@ def _odd_primality(lo: int, hi: int, base_primes) -> tuple[int, np.ndarray]:
     Returns ``(first, flags)`` with ``flags[i]`` standing for the integer
     ``first + 2*i``, where ``first`` is the smallest odd integer >= lo.
     The prime 2 has no flag. ``base_primes`` is ascending and must hold
-    every prime up to sqrt(hi). Requires lo >= 0. The flags are the
-    blocks of ``_odd_blocks`` written into one array.
+    every prime up to sqrt(hi). Requires lo >= 0. The rows of
+    ``_wheel_rows`` are written into their columns of a ``(rows, 15)``
+    view of one odd-flag array, whose other columns hold the multiples
+    of 3 or 5 and stay False except for 3 and 5 themselves.
     """
     first = lo | 1
-    flags = np.empty(max(0, (hi - first) // 2 + 1), dtype=bool)
-    for _ in _odd_blocks(lo, hi, base_primes, out=flags):
-        pass
-    return first, flags
+    m_lo = lo // _WHEEL
+    odd = np.zeros((max(0, hi // _WHEEL + 1 - m_lo), _WHEEL // 2), dtype=bool)
+    if m_lo == 0 and len(odd):
+        odd[0, 1:3] = True  # 3 and 5
+    for r, a, block in _wheel_rows(lo, hi + 1, base_primes):
+        odd[a : a + len(block), r // 2] = block  # column i holds 30*m + 2i + 1
+    start = (first - _WHEEL * m_lo) // 2
+    return first, odd.reshape(-1)[start : start + max(0, (hi - first) // 2 + 1)]
 
 
 # Starts are split into little-endian digits of this many bits.
@@ -435,8 +512,8 @@ def count_primes_upto(x: int, table: PrimeTable, segment_size: int = DEFAULT_SEG
     Requires x <= table.bound**2 so that the base primes cover sqrt(x).
     ``segment_size`` is a span of integers; its flags take half as many
     bytes. Segments are independent; the count is identical for any
-    segmentation. The odd-only kernel has no flag for 2, so it is added
-    here.
+    segmentation. The odd view of the wheel has no flag for 2, so it is
+    added here.
     """
     if x < 2:
         raise DomainError(f"pi(x) needs x >= 2, got {x}")

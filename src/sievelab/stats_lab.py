@@ -17,7 +17,7 @@ import numpy as np
 from . import analytic
 from .errors import DomainError
 from .intervals import IntervalSet
-from .sieve_core import PrimeTable, _odd_index, _odd_primality
+from .sieve_core import PrimeTable, _primes_below
 
 
 @dataclass
@@ -76,8 +76,8 @@ class MaierScan:
 def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierScan:
     """Scan s_k with windows of length (log x)^lam.
 
-    Counts come from a single primality sieve of s_k; the scan step only
-    subsamples x (default ceil(Phi(p_k^2)/100)). x ranges over
+    Counts come from one pass of the wheel counter over s_k; the scan
+    step only subsamples x (default ceil(Phi(p_k^2)/100)). x ranges over
     [p_k^2, p_{k+1}^2 - Phi(x)), which leaves the last stretch of the
     interval unscanned by construction.
     """
@@ -88,19 +88,21 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
         raise DomainError(f"window (log x)^{lam} does not fit inside s_{k}")
     if step <= 0:
         step = math.ceil(phi_lo / 100.0)
-    first, flags = _odd_primality(lo, hi, table.first(k))
-    prefix = np.concatenate([[0], np.cumsum(flags)])  # primes in [lo, first + 2i)
-
     xs = np.arange(lo, hi + 1, step, dtype=np.int64)
     logs = np.log(xs.astype(np.float64))
     upper = np.floor(xs + logs ** lam).astype(np.int64)
     keep = upper <= hi
     xs, logs, upper = xs[keep], logs[keep], upper[keep]
-    # primes in (x, x + phi] = primes in [lo, upper + 1) - primes in [lo, x + 1)
-    counts = prefix[_odd_index(upper + 1, first)] - prefix[_odd_index(xs + 1, first)]
+    # primes in (x, x + phi] = primes in [lo, upper + 1) - primes in [lo, x + 1),
+    # counted in one pass over s_k along with pi_k = primes in [lo, hi + 1).
+    # Each window end is overwritten by the primes below it.
+    below = np.concatenate((xs + 1, upper + 1, [hi + 1]))
+    order = np.argsort(below, kind="stable")
+    below[order] = _primes_below(lo, below[order], table.first(k))
+    counts = below[len(xs) : 2 * len(xs)] - below[: len(xs)]
     ratios = counts / logs ** (lam - 1.0)
 
-    pi_k = int(prefix[-1])
+    pi_k = int(below[-1])
     series = ScanSeries(
         label=f"maier_k{k}",
         points=[(float(x), float(r)) for x, r in zip(xs, ratios)],

@@ -5,11 +5,13 @@ division instead of sieving, subset enumeration instead of pruned
 depth-first search, Fraction arithmetic instead of floats, mpmath
 instead of the package integrator. The exceptions are the package's
 former float and array code, kept verbatim as bit-exact references:
-dfs_moebius_sum for its divisor enumerator, and mobius_array,
+dfs_moebius_sum for its divisor enumerator, mobius_array,
 context_truncated_sum and context_term_count for MoebiusContext's
-blocked mu sieve and its lattice-grouped prime sums.
+blocked mu sieve and its lattice-grouped prime sums, and odd_primality
+for the odds-only primality kernel the mod-30 wheel replaced.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -265,3 +267,148 @@ def context_term_count(ctx, k: int, bound: int, table) -> int:
     qs = ctx.primes[i0:i1]
     ts = y // qs
     return sq_total - int(np.sum(ctx._sq_small[ts]))
+
+
+# The package's former odds-only primality kernel, kept verbatim (with its
+# constants and helpers) as a second reference for the wheel kernel:
+# odd_primality(lo, hi, base_primes) -> (first, flags).
+# Odd primes struck by the presieve pattern; base primes below 19 are skipped.
+_PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
+_PRESIEVE_PERIOD = 3 * 5 * 7 * 11 * 13 * 17  # odd slots per pattern repeat
+
+# Odd slots struck together by all base primes: 1 MiB of flags, half a 2 MiB L2.
+_BLOCK_SLOTS = 1 << 20
+
+# Base primes from here on strike each block with one shared scatter. This
+# and _BLOCK_SLOTS come from a sweep of thresholds 2^11..2^16 against blocks
+# of 2^19..2^21 slots on 2^25-integer chunks at k = 5000, 10^4 and 3*10^4.
+_SCATTER_MIN = 1 << 13
+
+
+@functools.cache
+def _presieve_pattern(primes: tuple) -> np.ndarray:
+    """Flags for the odd integers 1, 3, 5, ...: False on the odd multiples of ``primes``.
+
+    The period is ``prod(primes)`` odd slots. Built on first use, so
+    processes that never sieve skip it.
+    """
+    pattern = np.ones(math.prod(primes), dtype=bool)
+    for q in primes:
+        pattern[(q - 1) // 2 :: q] = False  # slot j holds 2j + 1
+    pattern.setflags(write=False)
+    return pattern
+
+
+def _fill_rotated(dst: np.ndarray, pattern: np.ndarray, offset: int) -> None:
+    """Fill ``dst`` with ``pattern`` repeated from ``pattern[offset]`` on.
+
+    Copies one period, rotated, then doubles the filled prefix: it always
+    holds whole periods.
+    """
+    size = len(dst)
+    head = min(len(pattern) - offset, size)
+    dst[:head] = pattern[offset : offset + head]
+    tail = min(offset, size - head)
+    dst[head : head + tail] = pattern[:tail]
+    filled = head + tail
+    while filled < size:
+        step = min(filled, size - filled)
+        dst[filled : filled + step] = dst[:step]
+        filled += step
+
+
+def _odd_index(n, first):
+    """Number of odd integers in [first, n) for odd first and n >= first - 1.
+
+    Works elementwise on integer arrays; it is the flag index of n when n
+    is odd and of n + 1 when n is even.
+    """
+    return (n - first + 1) // 2
+
+
+def _odd_blocks(lo: int, hi: int, base_primes, out=None):
+    """Primality flags of the odd integers in [lo, hi], one block at a time.
+
+    Yields ``(slot_offset, block)`` for consecutive blocks of at most
+    ``_BLOCK_SLOTS`` flags; ``block[i]`` stands for the integer
+    ``first + 2*(slot_offset + i)``, where ``first = lo | 1``, and is True
+    exactly on the odd primes. With ``out`` (a bool array of at least
+    ``(hi - first) // 2 + 1`` flags) every block is a view of ``out``, so
+    the whole window is left there; without it every block is the same
+    reused buffer, valid only until the next block is requested.
+    ``base_primes`` is ascending and must hold every prime up to sqrt(hi);
+    entries below 19 are ignored because the presieve pattern covers them.
+    Requires lo >= 0.
+
+    Each block, while cache-resident, is filled from the presieve
+    pattern, gets 1 and the presieve primes 3..17 fixed up where they fall
+    in it, and is struck by the base primes: below ``_SCATTER_MIN`` with
+    one strided slice each, above it with one fancy-indexed write for all
+    of them. That write's indices are one ``np.cumsum`` over the primes'
+    strides repeated once per multiple in the block, with each prime's
+    first step replaced by the jump to its first multiple there. A large
+    prime strikes a few times per block, so one call per prime per block
+    would cost more than its writes.
+    """
+    first = lo | 1
+    size = max(0, (hi - first) // 2 + 1)
+    buf = None if out is not None else np.empty(min(size, _BLOCK_SLOTS), dtype=bool)
+    pattern = _presieve_pattern(_PRESIEVE_PRIMES)
+    rotation = (first // 2) % _PRESIEVE_PERIOD
+    restore = [(q - first) // 2 for q in _PRESIEVE_PRIMES if lo <= q <= hi]
+    base = np.asarray(base_primes, dtype=np.int64)
+    i_lo = int(np.searchsorted(base, _PRESIEVE_PRIMES[-1], side="right"))
+    i_hi = int(np.searchsorted(base, math.isqrt(hi), side="right"))
+    primes = base[i_lo:i_hi]
+    # The slot of each prime's next strike, starting at its first odd
+    # multiple >= max(p*p, first).
+    start = np.maximum(primes * primes, (first + primes - 1) // primes * primes)
+    start += primes * (1 - (start & 1))
+    slot = (start - first) // 2
+    n_small = int(np.searchsorted(primes, _SCATTER_MIN))
+    small, nxt = primes[:n_small].tolist(), slot[:n_small].tolist()
+    big, big_nxt = primes[n_small:], slot[n_small:]
+    for a in range(0, size, _BLOCK_SLOTS):
+        b = min(a + _BLOCK_SLOTS, size)
+        block = out[a:b] if out is not None else buf[: b - a]
+        _fill_rotated(block, pattern, (rotation + a) % _PRESIEVE_PERIOD)
+        if a == 0 and first == 1:
+            block[0] = False  # 1 is not prime
+        for i in restore:
+            if a <= i < b:
+                block[i - a] = True
+        for j, p in enumerate(small):
+            i = nxt[j]
+            if i < b:
+                block[i - a :: p] = False
+                nxt[j] = i + (b - i + p - 1) // p * p
+        hit = np.flatnonzero(big_nxt < b)
+        if len(hit):
+            ps, starts = big[hit], big_nxt[hit] - a
+            counts = (b - a - starts + ps - 1) // ps
+            steps = np.repeat(ps, counts)
+            heads = np.cumsum(counts) - counts  # where each prime's run starts
+            steps[heads] = starts
+            steps[heads[1:]] -= starts[:-1] + (counts[:-1] - 1) * ps[:-1]
+            block[np.cumsum(steps, out=steps)] = False
+            big_nxt[hit] += counts * ps
+        yield a, block
+
+
+def _odd_primality(lo: int, hi: int, base_primes) -> tuple[int, np.ndarray]:
+    """Flags of the odd integers in [lo, hi]: True exactly on the odd primes.
+
+    Returns ``(first, flags)`` with ``flags[i]`` standing for the integer
+    ``first + 2*i``, where ``first`` is the smallest odd integer >= lo.
+    The prime 2 has no flag. ``base_primes`` is ascending and must hold
+    every prime up to sqrt(hi). Requires lo >= 0. The flags are the
+    blocks of ``_odd_blocks`` written into one array.
+    """
+    first = lo | 1
+    flags = np.empty(max(0, (hi - first) // 2 + 1), dtype=bool)
+    for _ in _odd_blocks(lo, hi, base_primes, out=flags):
+        pass
+    return first, flags
+
+
+odd_primality = _odd_primality

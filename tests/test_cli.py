@@ -150,6 +150,17 @@ def test_maier_command(tmp_path):
     assert run(["maier", "--k", "3", "--lambda", 3, "--out", tmp_path / "bad"]) == 2
 
 
+def test_maier_outputs_bytes_pinned(tmp_path):
+    # sha256 recorded from the single-sieve scan that built a prefix array
+    # over all of s_k, before the counts were streamed through the wheel.
+    out = tmp_path / "o"
+    assert run(["maier", "--k", "500,750,10000", "--lambda", 3, "--out", out]) == 0
+    assert sha(out / "maier_scan.csv") == \
+        "316259273ddd2733a0f88597e9bd0c3cf93fd231b7e0dfe8e9785bde94b8fa21"
+    assert sha(out / "maier_summary.csv") == \
+        "22830e666514e4938206334870261930b524eeff38b627c9eb5c932a7f5b1f65"
+
+
 def test_maier_bad_k_token_is_usage_error(tmp_path, capsys):
     assert run(["maier", "--k", "5,x", "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err

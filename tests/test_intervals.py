@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -18,9 +19,9 @@ from sievelab import (
 from sievelab import sieve_core
 from sievelab.intervals import (DEFAULT_CHUNK_ENTRIES, IntervalSet, _chunk_bounds, _chunk_counts,
                                 compute_interval_records)
-from sievelab.sieve_core import _odd_index, _odd_primality
+from sievelab.sieve_core import _odd_primality
 
-from _oracles import li_between_oracle, mark_primality
+from _oracles import li_between_oracle, mark_primality, odd_primality
 
 
 def _columns(source):
@@ -196,40 +197,45 @@ def _oracle_counts(k_lo, ps):
 
 def test_chunk_counts_across_block_seams(table_small, monkeypatch):
     # Small blocks and a low scatter threshold, so that interval bounds, block
-    # edges and scatter strikes meet in every combination.
+    # edges and scatter strikes meet in every combination; the bounds are
+    # counted both segment by segment and by lookup.
     monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 37)
-    for k_lo, k_hi in ((1, 12), (1, 40), (9, 30), (200, 203)):
+    for (k_lo, k_hi), sparse_cuts in itertools.product(((1, 12), (1, 40), (9, 30), (200, 203)),
+                                                       (0, 1 << 10)):
+        monkeypatch.setattr(sieve_core, "_SPARSE_CUTS", sparse_cuts)
         ps = table_small.primes[: k_hi + 1]
         sq = ps[k_lo - 1 :] ** 2
-        bounds = _odd_index(sq, int(sq[0]) | 1).tolist()
+        rows = ((sq - 1) // 30 + 1 - int(sq[0]) // 30).tolist()  # row-1 slots below each square
         expected = _oracle_counts(k_lo, ps)
         # Block sizes that put the first, second and last bounds on a block
-        # edge, that miss them by one slot, and that never meet one.
-        for slots in {3, 64, bounds[1], bounds[1] - 1, bounds[1] + 1, bounds[2],
-                      bounds[-1], bounds[-1] - 1, bounds[-1] // 3, bounds[-1] + 5}:
+        # edge, that miss them by one row, and that never meet one.
+        for slots in {3, 64, rows[1], rows[1] - 1, rows[1] + 1, rows[2],
+                      rows[-1], rows[-1] - 1, rows[-1] // 3, rows[-1] + 5}:
             monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", max(slots, 1))
-            assert _chunk_counts((k_lo, ps)).tolist() == expected, (k_lo, k_hi, slots)
+            assert _chunk_counts((k_lo, ps)).tolist() == expected, (k_lo, k_hi, slots, sparse_cuts)
 
 
 def test_chunk_counts_match_whole_flags_at_default_blocks(table):
-    # One default chunk near k = 5000: the streamed counts equal the counts
-    # read off the whole flag array of _odd_primality (the out= path).
+    # One default chunk near k = 5000: the counts summed over the wheel rows
+    # equal the counts read off the odd view of the same rows, and off the
+    # former odds-only kernel.
     (k_lo, k_hi) = _chunk_bounds(5000, 5100, table, DEFAULT_CHUNK_ENTRIES)[0]
     ps = table.primes[: k_hi + 1]
     sq = ps[k_lo - 1 :] ** 2
     first, flags = _odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)
-    bounds = _odd_index(sq, first).tolist()
+    assert np.array_equal(flags, odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)[1])
+    bounds = ((sq - first + 1) // 2).tolist()  # odd slot of each square
     whole = [int(np.count_nonzero(flags[a:b])) for a, b in zip(bounds, bounds[1:])]
     assert _chunk_counts((k_lo, ps)).tolist() == whole
 
 
 def test_chunk_counts_hold_no_chunk_sized_array(table):
-    # A default chunk near k = 5000 spans about 2^25 integers; its flags
-    # alone would take 16 MiB. The streamed chunk keeps one block.
+    # A default chunk near k = 5000 spans about 2^25 integers; its odd
+    # flags alone would take 16 MiB. The wheel counter keeps one row block.
     (k_lo, k_hi) = _chunk_bounds(5000, 5100, table, DEFAULT_CHUNK_ENTRIES)[0]
     assert table.nth(k_hi + 1) ** 2 - table.nth(k_lo) ** 2 > DEFAULT_CHUNK_ENTRIES * 0.9
     task = (k_lo, table.primes[: k_hi + 1])
-    _chunk_counts(task)  # build the presieve pattern outside the trace
+    _chunk_counts(task)  # build the presieve patterns outside the trace
     tracemalloc.start()
     try:
         _chunk_counts(task)

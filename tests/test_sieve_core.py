@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,14 +18,17 @@ from sievelab import (
 )
 
 from sievelab import sieve_core
-from sievelab.sieve_core import (_BLOCK_SLOTS, _COPRIME_BATCH, _INT64_MAX, _chunk_digits,
-                                 _coprime_counts, _odd_blocks, _odd_primality, _strike_offsets)
+from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _RESIDUES, _chunk_digits,
+                                 _coprime_counts, _odd_primality, _prefix_counts, _primes_below,
+                                 _strike_offsets, _wheel_pattern, _wheel_rows)
 
-from _oracles import coprime_survivors, lucy_pi, mark_primality, trial_primes, window_count
+from _oracles import (coprime_survivors, lucy_pi, mark_primality, odd_primality, trial_primes,
+                      window_count)
 
 # Base primes up to 4000 cover every window below 1.6e7.
 _BASE = build_prime_table(4000).primes
 _PERIOD = 3 * 5 * 7 * 11 * 13 * 17
+_WHEEL_PERIOD = 7 * 11 * 13 * 17  # rows of the wheel presieve
 
 
 def test_build_prime_table_small():
@@ -164,7 +170,7 @@ def _integer_flags(lo, hi, first, odd_flags):
                  st.integers(0, 8_000_000)),
     length=st.one_of(st.just(1), st.integers(1, 64), st.integers(1, 5000),
                      st.integers(_PERIOD - 10, 3 * _PERIOD),
-                     st.integers(2 * _BLOCK_SLOTS - 10, 7 * _BLOCK_SLOTS)),
+                     st.integers(2_097_142, 7_340_032)),
 )
 @example(lo=2, length=1)
 @example(lo=3, length=1)
@@ -173,7 +179,8 @@ def _integer_flags(lo, hi, first, odd_flags):
 @example(lo=3, length=15)     # every presieve prime, odd lo
 @example(lo=17, length=1)
 @example(lo=2 * _PERIOD - 1, length=2 * _PERIOD + 7)  # pattern wrap-around
-@example(lo=1_000_001, length=6 * _BLOCK_SLOTS + 3)    # several strike blocks
+@example(lo=2 * _WHEEL_PERIOD - 1, length=2 * _WHEEL_PERIOD + 7)
+@example(lo=1_000_001, length=6_291_459)
 def test_odd_primality_matches_reference(lo, length):
     hi = lo + length - 1
     first, flags = _odd_primality(lo, hi, _BASE)
@@ -181,62 +188,103 @@ def test_odd_primality_matches_reference(lo, length):
     assert flags.dtype == bool and len(flags) == max(0, (hi - first) // 2 + 1)
     assert np.array_equal(_integer_flags(lo, hi, first, flags),
                           mark_primality(lo, hi, _BASE))
+    assert np.array_equal(flags, odd_primality(lo, hi, _BASE)[1])
 
 
-def _streamed(lo, hi, base):
-    """The reused-buffer stream of ``_odd_blocks``, each block copied, and its buffers."""
-    offsets, blocks, buffers = [], [], set()
-    for a, block in _odd_blocks(lo, hi, base):
-        offsets.append(a)
-        blocks.append(block.copy())
-        buffers.add(block.__array_interface__["data"][0])
-    return offsets, blocks, buffers
+def _edge_bounds(lo, hi):
+    """Bounds in [lo, hi + 1] on, and next to, the row start and every residue of block edges.
+
+    Takes the first two and the last three block edges, the last being the
+    end of the rows, so that the count of bounds does not grow with the
+    number of blocks.
+    """
+    m_lo = lo // 30
+    rows = hi // 30 + 1 - m_lo
+    starts = [*range(0, rows, sieve_core._BLOCK_SLOTS), rows]
+    edges = {lo, hi + 1}
+    for a in {*starts[:2], *starts[-3:]}:
+        for r in (0, *_RESIDUES):
+            n = 30 * (m_lo + a) + r
+            edges.update((n - 1, n, n + 1))
+    return sorted(min(max(n, lo), hi + 1) for n in edges)
 
 
-def _check_block_paths(lo, hi, base=_BASE):
-    """Both paths of ``_odd_blocks`` against the plain sieve and each other."""
-    first = lo | 1
-    size = max(0, (hi - first) // 2 + 1)
-    out = np.ones(size, dtype=bool)
-    out_offsets = []
-    for a, block in _odd_blocks(lo, hi, base, out=out):
-        assert np.shares_memory(block, out)
-        out_offsets.append(a)
-    offsets, blocks, buffers = _streamed(lo, hi, base)
+def _check_wheel_paths(lo, hi, base=_BASE):
+    """The wheel rows, ``_odd_primality`` and ``_primes_below`` against the plain sieve.
+
+    Checks the stream's geometry (every residue in turn, consecutive blocks
+    of ``_BLOCK_SLOTS`` rows, one reused buffer), that its rows hold exactly
+    the primes of [lo, hi] coprime to 30 and no flag below lo, the odd view
+    against both references, and the counts below bounds on block and row
+    edges.
+    """
     step = sieve_core._BLOCK_SLOTS
-    assert offsets == out_offsets == list(range(0, size, step))
-    assert [len(b) for b in blocks] == [min(step, size - a) for a in offsets]
+    m_lo = lo // 30
+    rows = hi // 30 + 1 - m_lo
+    reference = mark_primality(lo, hi, base)
+    seen, buffers = [], set()
+    for r, a, block in _wheel_rows(lo, hi + 1, base):
+        seen.append((r, a, len(block)))
+        buffers.add(block.__array_interface__["data"][0])
+        n = 30 * (m_lo + a + np.arange(len(block))) + r
+        inside = (n >= lo) & (n <= hi)
+        assert not block[n < lo].any(), (r, a)
+        assert np.array_equal(block[inside], reference[n[inside] - lo])
+    assert seen == [(r, a, min(step, rows - a)) for r in _RESIDUES for a in range(0, rows, step)]
     assert len(buffers) <= 1  # one buffer of at most one block, reused
-    streamed = np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
-    assert np.array_equal(streamed, out)
-    assert np.array_equal(_odd_primality(lo, hi, base)[1], out)
-    assert np.array_equal(_integer_flags(lo, hi, first, out), mark_primality(lo, hi, base))
+    first, flags = _odd_primality(lo, hi, base)
+    assert np.array_equal(_integer_flags(lo, hi, first, flags), reference)
+    assert np.array_equal(flags, odd_primality(lo, hi, base)[1])
+    prefix = np.concatenate(([0], np.cumsum(reference)))
+    bounds = _edge_bounds(lo, hi)
+    # Every bound counted segment by segment, then by lookup (the default
+    # for these short blocks), there also below every integer of a short window.
+    for sparse_cuts in (0, sieve_core._SPARSE_CUTS):
+        if sparse_cuts and hi - lo < 2000:
+            bounds = sorted({*bounds, *range(lo, hi + 2)})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve_core, "_SPARSE_CUTS", sparse_cuts)
+            got = _primes_below(lo, bounds, base)
+        assert got.dtype == np.int64
+        assert got.tolist() == prefix[np.array(bounds) - lo].tolist(), (lo, hi, sparse_cuts)
 
 
 @pytest.fixture
 def small_blocks(monkeypatch):
     # Primes 19..31 strike with slices, 37 and up with the scatter. At 64
-    # slots a block, every prime from 67 on skips some blocks and strikes others.
+    # rows a block, every prime from 67 on skips some blocks and strikes others.
     monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", 64)
     monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 37)
 
 
-def test_odd_blocks_seams_at_window_starts(small_blocks):
-    # Starts at 0, 1 and at every presieve prime, each window many blocks long.
-    for lo in (0, 1, 2, 3, 5, 7, 11, 13, 17, 18, 19):
-        for length in (1, 2, 127, 128, 129, 130, 5000):
-            _check_block_paths(lo, lo + length - 1)
+def test_wheel_rows_seams_at_window_starts(small_blocks):
+    # Starts at every residue mod 30, at every presieve prime and next to
+    # them, each window up to many blocks long.
+    for lo in (*range(0, 31), 37, 41, 47, 49, 59, 60, 61):
+        for length in (1, 2, 29, 30, 31, 1919, 1920, 1921, 1950, 5000):
+            _check_wheel_paths(lo, lo + length - 1)
 
 
-def test_odd_blocks_scatter_primes_skip_blocks(small_blocks):
+def test_wheel_rows_scatter_primes_skip_blocks(small_blocks):
     # Near 1.5e7 the scatter tier holds the primes 37..3877; each strikes
-    # about one block in p / 64.
-    for lo in (15_000_000, 15_000_001, 2 * _PERIOD - 1):
-        for length in (64 * 2 * 9, 64 * 2 * 9 + 1, 40_000):
-            _check_block_paths(lo, lo + length - 1)
-    # Windows below 41^2 whose only scatter prime, 37, strikes every block.
-    for lo in (1368, 1369):
-        _check_block_paths(lo, 1679, _BASE[:12])
+    # one block in p / 64 of each residue.
+    for lo in (15_000_000, 15_000_001, 15_000_029, 2 * _WHEEL_PERIOD - 1):
+        for length in (30 * 64 * 9, 30 * 64 * 9 + 1, 40_000):
+            _check_wheel_paths(lo, lo + length - 1)
+    # Windows below 41^2 whose only scatter prime, 37, strikes some blocks
+    # (its multiples 37*37, 37*41 and 37*43, each in another row) and skips others.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve_core, "_BLOCK_SLOTS", 4)
+        for lo in (0, 1368, 1369, 1370):
+            _check_wheel_paths(lo, 1680, _BASE[:12])
+
+
+def test_wheel_rows_scatter_runs_of_many_strikes(monkeypatch):
+    # Every base prime in the scatter tier, most striking a block several times.
+    monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", 512)
+    monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 0)
+    for lo in (0, 361, 9_999_991):
+        _check_wheel_paths(lo, lo + 60_000)
 
 
 @settings(max_examples=120, deadline=None)
@@ -246,11 +294,45 @@ def test_odd_blocks_scatter_primes_skip_blocks(small_blocks):
     block_slots=st.sampled_from([1, 2, 3, 64, 97, 4096]),
     scatter_min=st.sampled_from([0, 19, 20, 37, 1000, 1 << 13]),
 )
-def test_odd_blocks_any_geometry(lo, length, block_slots, scatter_min):
+def test_wheel_rows_any_geometry(lo, length, block_slots, scatter_min):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sieve_core, "_BLOCK_SLOTS", block_slots)
         mp.setattr(sieve_core, "_SCATTER_MIN", scatter_min)
-        _check_block_paths(lo, lo + length - 1)
+        _check_wheel_paths(lo, lo + length - 1)
+
+
+def test_wheel_inverse_and_patterns():
+    for r in _RESIDUES:
+        assert r * _INVERSE[r] % 30 == 1
+        n = 30 * np.arange(_WHEEL_PERIOD) + r
+        assert np.array_equal(_wheel_pattern(r), np.all(n[:, None] % (7, 11, 13, 17) != 0, axis=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flags=st.lists(st.booleans(), min_size=1, max_size=300),
+    picks=st.lists(st.integers(0, 300), max_size=40),
+    sparse_cuts=st.sampled_from([0, 1, 1 << 10]),
+)
+def test_prefix_counts_match_cumsum(flags, picks, sparse_cuts):
+    block = np.array(flags)
+    cuts = np.array(sorted(min(c, len(block)) for c in picks), dtype=np.int64)
+    prefix = np.concatenate(([0], np.cumsum(block)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve_core, "_SPARSE_CUTS", sparse_cuts)
+        assert _prefix_counts(block, cuts).tolist() == prefix[cuts].tolist()
+
+
+def test_wheel_patterns_are_built_lazily():
+    # Importing the CLI and building a prime table must not pay for them.
+    code = ("import sievelab.cli; from sievelab import sieve_core; "
+            "sieve_core.build_prime_table(60000); "
+            "print(sieve_core._wheel_pattern.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(sieve_core.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "0"
 
 
 _SMALL = build_prime_table(2000).primes
