@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import DomainError, ResourceError
 from .sieve_core import (
-    DEFAULT_SEGMENT,
     PrimeTable,
     SieveWindow,
     build_prime_table,

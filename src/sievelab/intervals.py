@@ -11,7 +11,10 @@ Marking a chunk with primes beyond p_k only ever hits already-composite
 entries inside s_k, so the chunk result equals the defining per-interval
 sieve while costing one pass per prime per residue row per chunk. The
 primes 2 and 3 lie in no s_k (s_1 starts at 4); 5, which has no wheel
-row, lies in s_1, where the counter adds it.
+row, lies in s_1, where the counter adds it. ``partial_counts`` asks the
+same counter for one bound, and ``gap_series`` reads the primes of s_k
+from ``sieve_core._prime_list``, which merges the same rows into one
+sorted array.
 
 Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers: the unit of work handed to one worker and of one
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _odd_primality, _primes_below
+from .sieve_core import PrimeTable, _prime_list, _primes_below
 
 # Target chunk span in integers: the task granularity of a scan.
 DEFAULT_CHUNK_ENTRIES = 1 << 25
@@ -235,16 +238,13 @@ def partial_counts(x: int, interval_set: IntervalSet, table: PrimeTable) -> tupl
     lo = interval_set.record(k).p_k ** 2
     if x == lo:
         return 0, 0.0
-    _, flags = _odd_primality(lo, x, table.first(k))
-    return int(np.count_nonzero(flags)), analytic.li_between(lo, x)
+    return int(_primes_below(lo, [x + 1], table.first(k))[0]), analytic.li_between(lo, x)
 
 
 def gap_series(k: int, interval_set: IntervalSet, table: PrimeTable) -> GapSeries:
     """All consecutive prime gaps with both endpoints inside s_k."""
     rec = interval_set.record(k)
-    lo, hi = rec.p_k ** 2, rec.p_next ** 2 - 1
-    first, flags = _odd_primality(lo, hi, table.first(k))
-    primes = 2 * np.flatnonzero(flags).astype(np.int64) + first
+    primes = _prime_list(rec.p_k ** 2, rec.p_next ** 2, table.first(k))
     gaps = np.diff(primes)
     pairs = [(int(p), int(g)) for p, g in zip(primes[:-1], gaps)]
     mean_gap = float(np.mean(gaps)) if len(gaps) else float("nan")

@@ -33,7 +33,8 @@ Both prime sums read their summand only at the lattice points
 t = (B-1)//q < p_{k+1} (Deleglise & Rivat's grouping for the Mobius
 summation, Exp. Math. 5, 1996). MoebiusContext finds, for each t, how
 many primes q >= p_{k+1} share it: pi((B-1)//t) - pi((B-1)//(t+1)),
-from binary searches on its prime list, so a bound costs O(p_{k+1})
+from binary searches on its prime list (every prime up to its limit,
+from ``sieve_core._prime_list``), so a bound costs O(p_{k+1})
 searches instead of a floor division per prime. The term count is then
 one exact integer dot product over t. The truncated sum keeps its terms
 per prime: M(t) is repeated count_t times, divided by each q and the
@@ -43,13 +44,14 @@ with S(v) = sum_{p <= v} 1/p, would reorder the additions and move the
 last bits of ratio_truncated. The full-range mu array behind M(B-1) is
 sieved in blocks, so only its int8 values span the range.
 
-For small k, and for bounds up to 2^20, the admissible divisors are
-enumerated outright by one array builder, _squarefree_products: every
-squarefree product d <= limit of the ascending primes, with mu(d),
-d = 1 first and the rest in depth-first order with the smallest prime
-first. The full count, the truncated sum
-and the term count all read its arrays; the truncated sum adds mu(d)/d
-in that order, one term at a time.
+For small k the admissible divisors are enumerated outright by one
+array builder, _squarefree_products: every squarefree product
+d <= limit of the ascending primes, with mu(d), d = 1 first and the rest
+in depth-first order with the smallest prime first. The full count, the
+truncated sum and the term count all read its arrays; the truncated sum
+adds mu(d)/d in that order, one term at a time, and so keeps it for
+every bound up to 2^20, while the exact term count takes the context
+for any k beyond the enumeration's limit.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import _INT64_MAX, PrimeTable, _odd_primality, sieve_window
+from .sieve_core import _INT64_MAX, DEFAULT_MEMORY_BUDGET, PrimeTable, _prime_list, sieve_window
 
 # Abort inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_TERM_CAP = 5_000_000
@@ -151,7 +153,7 @@ def big_r(k: int, n: int, table: PrimeTable) -> int:
 
 
 def count_coprime_direct(window: Window, k: int, table: PrimeTable,
-                         memory_budget: int = 1 << 31) -> CoprimeCount:
+                         memory_budget: int = DEFAULT_MEMORY_BUDGET) -> CoprimeCount:
     """S(A, p_k#) by ``sieve_window``'s striking; works for arbitrarily shifted windows.
 
     Only offsets modulo each prime touch the flag array, so the window
@@ -269,8 +271,10 @@ class MoebiusContext:
     at most ``limit``.
     """
 
+    MIN_LIMIT = 4  # smallest limit a context is built for
+
     def __init__(self, limit: int, table: PrimeTable):
-        if limit < 4:
+        if limit < self.MIN_LIMIT:
             raise DomainError("moebius context limit too small")
         if limit >= 1 << 31:
             raise ResourceError(f"moebius context limit {limit} beyond int32 sieve range")
@@ -280,8 +284,7 @@ class MoebiusContext:
             raise DomainError("prime table too small for moebius context")
         base = table.primes[: table.count_upto(root)]
         # Primes up to limit, for the single-large-factor correction.
-        first, odd = _odd_primality(0, limit, base)
-        self.primes = np.concatenate(([2], first + 2 * np.flatnonzero(odd)))
+        self.primes = _prime_list(0, limit + 1, base)
         self._primes_f = self.primes.astype(np.float64)
         # Small prefix tables cover every reduced argument (B-1)//q < p_{k+1}.
         small_cap = root + 1
@@ -419,7 +422,10 @@ def legendre_term_count(k: int, table: PrimeTable, bound: Optional[int] = None,
     if bound <= 1:
         return 0
     p_next = table.nth(k + 1)
-    if k > 40 and bound <= p_next * p_next:
+    # Both paths count exactly, so beyond the enumeration's k limit the
+    # faster context serves every bound it can hold; the truncated sum
+    # also enumerates bounds up to 2^20, whose float order it must keep.
+    if k > _ENUMERATE_K_LIMIT and MoebiusContext.MIN_LIMIT < bound <= p_next * p_next:
         if context is None:
             context = MoebiusContext(bound - 1, table)
         return context.term_count(k, bound, table)
@@ -438,12 +444,11 @@ class LegendreScanRow:
     terms: int               # admissible divisors below p_{k+1}^2
 
 
-def legendre_scan(k_from: int, k_to: int, table: PrimeTable,
-                  interval_set=None) -> list[LegendreScanRow]:
+def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreScanRow]:
     """Full vs truncated vs exact ratios, one row per k in [k_from, k_to].
 
-    pi_k comes from interval_set when it covers k, otherwise from the
-    scan's MoebiusContext, which holds every prime up to p_{k_to+1}^2.
+    pi_k is counted on the prime list of the scan's MoebiusContext, which
+    holds every prime up to p_{k_to+1}^2.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
@@ -459,11 +464,8 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable,
         log_hi = math.log(p_next * p_next)
         base = length / log_hi
         tsum = truncated_moebius_sum(k, table, context=context)
-        if interval_set is not None and interval_set.k_max >= k:
-            pi_k = int(interval_set.pi_k[k - 1])
-        else:
-            pi_k = int(np.searchsorted(context.primes, p_next * p_next)
-                       - np.searchsorted(context.primes, p * p))
+        pi_k = int(np.searchsorted(context.primes, p_next * p_next)
+                   - np.searchsorted(context.primes, p * p))
         rows.append(LegendreScanRow(
             k=k,
             length=length,

@@ -10,25 +10,25 @@ Two marking disciplines live here and must not be confused:
   ``_coprime_counts`` is the one counting path for shifted windows, used
   by the sampled ``shift_model``;
 * primality marking (``_wheel_rows``): survivors are exactly the primes
-  of the window. Every primality count in the package goes through this
-  one kernel: ``_primes_below`` sums its rows into the primes below a
-  list of bounds, for the interval scan in ``intervals`` and
-  ``maier_scan`` in ``stats_lab``, and ``_odd_primality`` writes them
-  into one array of odd flags for ``count_primes_upto``,
-  ``partial_counts``/``gap_series`` in ``intervals`` and the prime list
-  of ``MoebiusContext``.
+  of the window. Every primality count and prime list in the package
+  comes from this one kernel through its two row consumers:
+  ``_primes_below`` sums the rows into the primes below a list of
+  bounds, for ``count_primes_upto``, the interval scan and
+  ``partial_counts`` in ``intervals`` and ``maier_scan`` in
+  ``stats_lab``; ``_prime_list`` turns them into one sorted array of
+  primes, for ``gap_series`` in ``intervals`` and ``MoebiusContext``.
 
 The primality kernel is a mod-30 wheel. It keeps only the integers
 coprime to 30, in eight residue rows, one per r in {1, 7, 11, 13, 17, 19,
 23, 29}: slot m of row r stands for 30*m + r, so 30 integers cost 8
 flags. Each row is streamed as cache-sized blocks of ``_BLOCK_SLOTS``
 slots: each block is filled, fixed up and struck while it is
-cache-resident, then handed to the caller, so a window of any length
-costs one block of memory unless the caller asks for the odd view. A
-block starts as a rotated copy of its residue's presieve pattern, in
-which the multiples of 7, 11, 13 and 17 are struck (period 7*11*13*17 =
-17017 rows); the fix-ups then strike 1, restore 7..29 in row 0 and
-clear the integers below the window start. Each base prime p >= 19
+cache-resident, then handed to the caller, so a count over a window of
+any length costs one block of memory and a prime list a few copies of
+its primes. A block starts as a rotated copy of its residue's presieve
+pattern, in which the multiples of 7, 11, 13 and 17 are struck (period
+7*11*13*17 = 17017 rows); the fix-ups then strike 1, restore 7..29 in
+row 0 and clear the integers below the window start. Each base prime p >= 19
 strikes residue r at p*j for the j = r * p^-1 (mod 30), a stride of p
 rows from its first such multiple at or after max(p*p, 30*m_lo), with
 p^-1 mod 30 read from an 8-entry table. The strikes come in two tiers:
@@ -36,10 +36,8 @@ primes below ``_SCATTER_MIN`` with one strided slice per block, larger
 primes, which hit a block only a few times, all together with one
 scattered write per block (the bucket-sieve idea of T. Oliveira e Silva,
 S. Herzog and S. Pardi, Math. Comp. 83 (2014); the wheel layout is
-primesieve's). The primes 2, 3 and 5 have no row: ``_primes_below`` adds
-them where they fall below a bound, ``_odd_primality`` sets 3 and 5 in
-its odd view and ``count_primes_upto`` adds 2, which no interval s_k
-contains since s_1 starts at 4.
+primesieve's). The primes 2, 3 and 5 have no row; the two row consumers,
+and nothing else, add them where they fall in the window.
 
 The coprime counter keeps one flag per odd integer. It starts each
 window as a rotated copy of an odd presieve pattern in which the odd
@@ -71,9 +69,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceError
-
-# Default segment span (integers) for segmented counting; flags cover its odd half.
-DEFAULT_SEGMENT = 1 << 20
 
 # Guard against accidentally allocating huge sieve arrays (bytes).
 DEFAULT_MEMORY_BUDGET = 1 << 31
@@ -184,6 +179,9 @@ _PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
 # row slot m, for the eight residues coprime to 30.
 _WHEEL = 30
 _RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
+
+# The primes with no row, added by each row consumer where they fall.
+_ROWLESS_PRIMES = (2, 3, 5)
 
 # u -> u^-1 mod 30 for every residue u; other entries are never read.
 _INVERSE = np.zeros(_WHEEL, dtype=np.int64)
@@ -351,7 +349,7 @@ def _primes_below(lo: int, bounds, base_primes) -> np.ndarray:
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     below = np.zeros(len(bounds), dtype=np.int64)
-    for q in (2, 3, 5):
+    for q in _ROWLESS_PRIMES:
         below += (lo <= q) & (q < bounds)
     m_lo = lo // _WHEEL
     for r, a, block in _wheel_rows(lo, int(bounds[-1]), base_primes):
@@ -361,26 +359,28 @@ def _primes_below(lo: int, bounds, base_primes) -> np.ndarray:
     return below
 
 
-def _odd_primality(lo: int, hi: int, base_primes) -> tuple[int, np.ndarray]:
-    """Flags of the odd integers in [lo, hi]: True exactly on the odd primes.
+def _prime_list(lo: int, end: int, base_primes) -> np.ndarray:
+    """The primes of [lo, end) as an ascending int64 array.
 
-    Returns ``(first, flags)`` with ``flags[i]`` standing for the integer
-    ``first + 2*i``, where ``first`` is the smallest odd integer >= lo.
-    The prime 2 has no flag. ``base_primes`` is ascending and must hold
-    every prime up to sqrt(hi). Requires lo >= 0. The rows of
-    ``_wheel_rows`` are written into their columns of a ``(rows, 15)``
-    view of one odd-flag array, whose other columns hold the multiples
-    of 3 or 5 and stay False except for 3 and 5 themselves.
+    ``base_primes`` is ascending and must hold every prime up to
+    sqrt(end - 1). Requires lo >= 0. Each row block of ``_wheel_rows``
+    gives the primes 30*(m_lo + a + i) + r at its True flags i below
+    ``end``; one sort merges the rows, and the primes 2, 3 and 5, which
+    have no row, are added where they fall.
     """
-    first = lo | 1
+    parts = [np.array([q for q in _ROWLESS_PRIMES if lo <= q < end], dtype=np.int64)]
     m_lo = lo // _WHEEL
-    odd = np.zeros((max(0, hi // _WHEEL + 1 - m_lo), _WHEEL // 2), dtype=bool)
-    if m_lo == 0 and len(odd):
-        odd[0, 1:3] = True  # 3 and 5
-    for r, a, block in _wheel_rows(lo, hi + 1, base_primes):
-        odd[a : a + len(block), r // 2] = block  # column i holds 30*m + 2i + 1
-    start = (first - _WHEEL * m_lo) // 2
-    return first, odd.reshape(-1)[start : start + max(0, (hi - first) // 2 + 1)]
+    for r, a, block in _wheel_rows(lo, end, base_primes):
+        primes = np.flatnonzero(block[: (end - r + _WHEEL - 1) // _WHEEL - m_lo - a])
+        primes += m_lo + a
+        primes *= _WHEEL
+        primes += r
+        parts.append(primes)
+    # A sorted copy, not an in-place sort: freeing the concatenation raises
+    # glibc's mmap threshold to the list's size, so later temporaries up to
+    # that size (MoebiusContext's per-k truncated-sum terms) reuse heap pages
+    # instead of faulting in fresh ones.
+    return np.sort(np.concatenate(parts))
 
 
 # Starts are split into little-endian digits of this many bits.
@@ -506,14 +506,11 @@ def _coprime_counts(starts, length: int, primes):
         yield np.count_nonzero(flags[:, :m], axis=1).astype(np.int64)
 
 
-def count_primes_upto(x: int, table: PrimeTable, segment_size: int = DEFAULT_SEGMENT) -> int:
-    """Exact pi(x) by segmented sieving with base primes from the table.
+def count_primes_upto(x: int, table: PrimeTable) -> int:
+    """Exact pi(x), counted on the wheel rows with base primes from the table.
 
     Requires x <= table.bound**2 so that the base primes cover sqrt(x).
-    ``segment_size`` is a span of integers; its flags take half as many
-    bytes. Segments are independent; the count is identical for any
-    segmentation. The odd view of the wheel has no flag for 2, so it is
-    added here.
+    The rows are streamed one block at a time, so no array spans [0, x].
     """
     if x < 2:
         raise DomainError(f"pi(x) needs x >= 2, got {x}")
@@ -521,14 +518,5 @@ def count_primes_upto(x: int, table: PrimeTable, segment_size: int = DEFAULT_SEG
         return table.count_upto(x)
     if x > table.bound * table.bound:
         raise DomainError(f"x={x} exceeds table capacity bound^2 = {table.bound**2}")
-    if segment_size < 2:
-        raise DomainError("segment_size must be >= 2")
-    root = math.isqrt(x)
-    base = table.primes[: int(np.searchsorted(table.primes, root, side="right"))]
-    total = 1  # the prime 2
-    lo = 2
-    while lo <= x:
-        hi = min(lo + segment_size - 1, x)
-        total += int(np.count_nonzero(_odd_primality(lo, hi, base)[1]))
-        lo = hi + 1
-    return total
+    base = table.primes[: table.count_upto(math.isqrt(x))]
+    return int(_primes_below(0, [x + 1], base)[0])

@@ -79,13 +79,20 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
     Counts come from one pass of the wheel counter over s_k; the scan
     step only subsamples x (default ceil(Phi(p_k^2)/100)). x ranges over
     [p_k^2, p_{k+1}^2 - Phi(x)), which leaves the last stretch of the
-    interval unscanned by construction.
+    interval unscanned by construction. A non-finite lam, or a window
+    length Phi(p_k^2) that overflows, underflows to 0 or does not fit
+    inside s_k, raises DomainError.
     """
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     p, p_next = table.nth(k), table.nth(k + 1)
     lo, hi = p * p, p_next * p_next - 1
-    phi_lo = math.log(lo) ** lam
-    if phi_lo >= hi - lo + 1:
-        raise DomainError(f"window (log x)^{lam} does not fit inside s_{k}")
+    try:
+        phi_lo = math.log(lo) ** lam
+    except OverflowError:
+        phi_lo = math.inf
+    if not 0 < phi_lo < hi - lo + 1:
+        raise DomainError(f"window (log x)^{lam} = {phi_lo} does not fit inside s_{k}")
     if step <= 0:
         step = math.ceil(phi_lo / 100.0)
     xs = np.arange(lo, hi + 1, step, dtype=np.int64)

@@ -2,7 +2,7 @@ import multiprocessing.context
 
 import pytest
 
-from sievelab import build_intervals, build_prime_table
+from sievelab import build_intervals, build_prime_table, sieve_core
 
 
 @pytest.fixture(scope="session")
@@ -24,6 +24,14 @@ def set200(table):
 @pytest.fixture(scope="session")
 def set1000(table):
     return build_intervals(1000, table)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # Primes 19..31 strike with slices, 37 and up with the scatter. At 64
+    # rows a block, every prime from 67 on skips some blocks and strikes others.
+    monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", 64)
+    monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 37)
 
 
 @pytest.fixture

@@ -150,6 +150,14 @@ def test_maier_command(tmp_path):
     assert run(["maier", "--k", "3", "--lambda", 3, "--out", tmp_path / "bad"]) == 2
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1e308", "-1e308"])
+def test_maier_non_finite_window_is_domain_error(tmp_path, capsys, lam):
+    # nan and +-inf are not finite; (log x)^1e308 overflows, (log x)^-1e308 underflows to 0.
+    assert run(["maier", "--k", "50", f"--lambda={lam}", "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "domain error" in err and "Traceback" not in err
+
+
 def test_maier_outputs_bytes_pinned(tmp_path):
     # sha256 recorded from the single-sieve scan that built a prefix array
     # over all of s_k, before the counts were streamed through the wheel.

@@ -10,6 +10,7 @@ from sievelab import (
     DomainError,
     Window,
     build_intervals,
+    build_prime_table,
     count_coprime_direct,
     count_primes_upto,
     gap_series,
@@ -19,9 +20,9 @@ from sievelab import (
 from sievelab import sieve_core
 from sievelab.intervals import (DEFAULT_CHUNK_ENTRIES, IntervalSet, _chunk_bounds, _chunk_counts,
                                 compute_interval_records)
-from sievelab.sieve_core import _odd_primality
+from sievelab.sieve_core import _prime_list
 
-from _oracles import li_between_oracle, mark_primality, odd_primality
+from _oracles import li_between_oracle, mark_primality, odd_primality, trial_primes
 
 
 def _columns(source):
@@ -217,16 +218,38 @@ def test_chunk_counts_across_block_seams(table_small, monkeypatch):
 
 def test_chunk_counts_match_whole_flags_at_default_blocks(table):
     # One default chunk near k = 5000: the counts summed over the wheel rows
-    # equal the counts read off the odd view of the same rows, and off the
-    # former odds-only kernel.
+    # equal the counts read off the prime list of the same rows, which is
+    # the list of the former odds-only kernel.
     (k_lo, k_hi) = _chunk_bounds(5000, 5100, table, DEFAULT_CHUNK_ENTRIES)[0]
     ps = table.primes[: k_hi + 1]
     sq = ps[k_lo - 1 :] ** 2
-    first, flags = _odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)
-    assert np.array_equal(flags, odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)[1])
-    bounds = ((sq - first + 1) // 2).tolist()  # odd slot of each square
-    whole = [int(np.count_nonzero(flags[a:b])) for a, b in zip(bounds, bounds[1:])]
-    assert _chunk_counts((k_lo, ps)).tolist() == whole
+    primes = _prime_list(int(sq[0]), int(sq[-1]), ps)
+    first, flags = odd_primality(int(sq[0]), int(sq[-1]) - 1, ps)
+    assert np.array_equal(primes, first + 2 * np.flatnonzero(flags))
+    assert _chunk_counts((k_lo, ps)).tolist() == np.diff(np.searchsorted(primes, sq)).tolist()
+
+
+def test_prime_lists_and_counts_at_window_starts(table_small, set200, small_blocks):
+    # 64-row blocks of 1920 integers: windows from 0, 1, 2, 3, 5, 7 and next
+    # to multiples of 30 and of block edges, each over up to a few blocks,
+    # and the intervals s_1..s_40, whose squares are 4, 9, 25 or 30m + 1 or 19.
+    primes = np.array(trial_primes(40_000))
+    tiny = build_prime_table(200)  # counts above 200 come from the wheel rows
+    for lo in (0, 1, 2, 3, 5, 7, 29, 31, 59, 61, 1919, 1921, 3839, 3841, 30_029, 30_031):
+        for end in (lo, lo + 1, lo + 2, lo + 29, lo + 31, lo + 1920, lo + 5000):
+            expected = primes[(lo <= primes) & (primes < end)]
+            assert _prime_list(lo, end, table_small.primes).tolist() == expected.tolist()
+            for x in {lo, end} - {0, 1}:
+                assert count_primes_upto(x, tiny) == np.count_nonzero(primes <= x), x
+    for k in range(1, 41):
+        r = set200.record(k)
+        lo, end = r.p_k ** 2, r.p_next ** 2
+        inside = primes[(lo <= primes) & (primes < end)].tolist()
+        assert gap_series(k, set200, table_small).pairs == list(zip(inside, np.diff(inside)))
+        for x in {lo + 1, lo + 2, lo + 29, lo + 30, lo + 31, (lo + end) // 2, end - 2, end - 1}:
+            if x < end:
+                expected = np.count_nonzero((lo <= primes) & (primes <= x))
+                assert partial_counts(x, set200, table_small)[0] == expected, (k, x)
 
 
 def test_chunk_counts_hold_no_chunk_sized_array(table):

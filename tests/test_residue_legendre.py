@@ -189,6 +189,15 @@ def test_legendre_term_count(table_small, table):
     assert legendre_term_count(k, table, bound) == count_squarefree_products(ps, bound)
 
 
+@pytest.mark.parametrize("k", [26, 40, 41, 50])
+def test_term_count_small_bounds_beyond_enumeration_limit(table, k):
+    # Bounds 2..4 lie below the smallest MoebiusContext; from 5 on the
+    # context counts for every k beyond the enumeration limit.
+    ps = [int(p) for p in table.first(k)]
+    for bound in (2, 3, 4, 5, 6, 1000, table.nth(k + 1) ** 2):
+        assert legendre_term_count(k, table, bound) == count_squarefree_products(ps, bound)
+
+
 def test_term_count_guard(table_small):
     with pytest.raises(ResourceError):
         legendre_term_count(24, table_small, 10 ** 9, term_cap=10_000)
@@ -237,8 +246,8 @@ def test_first_appearance_within_theoretical(table):
         assert observed <= theoretical_first_positions(i, table)
 
 
-def test_legendre_scan_columns(table, set200):
-    rows = legendre_scan(1, 30, table, interval_set=set200)
+def test_legendre_scan_columns(table):
+    rows = legendre_scan(1, 30, table)
     by_k = {r.k: r for r in rows}
     assert by_k[3].pi_ratio == pytest.approx(6 / (24 / math.log(49)), rel=1e-13)
     for k in (5, 12, 25):
@@ -354,8 +363,10 @@ def test_blocked_mobius_array_matches_reference(table, limit):
 
 @pytest.mark.parametrize("k_to", [25, 200])
 def test_legendre_scan_pi_k_from_context(table, set200, k_to):
-    # Without an interval set, pi_k is counted from the context's primes.
-    assert legendre_scan(1, k_to, table) == legendre_scan(1, k_to, table, interval_set=set200)
+    # pi_k, counted on the context's primes, is the interval scan's count.
+    for r in legendre_scan(1, k_to, table):
+        log_hi = math.log(table.nth(r.k + 1) ** 2)
+        assert round(r.pi_ratio * r.length / log_hi) == set200.pi_k[r.k - 1], r.k
 
 
 @settings(max_examples=80, deadline=None)

@@ -19,7 +19,7 @@ from sievelab import (
 
 from sievelab import sieve_core
 from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _RESIDUES, _chunk_digits,
-                                 _coprime_counts, _odd_primality, _prefix_counts, _primes_below,
+                                 _coprime_counts, _prefix_counts, _prime_list, _primes_below,
                                  _strike_offsets, _wheel_pattern, _wheel_rows)
 
 from _oracles import (coprime_survivors, lucy_pi, mark_primality, odd_primality, trial_primes,
@@ -120,14 +120,6 @@ def test_count_primes_upto_segmented_matches_sympy():
         assert count_primes_upto(x, t) == sympy.primepi(x)
 
 
-def test_count_primes_segmenting_invisible():
-    t = build_prime_table(1100)
-    x = 500_000
-    reference = count_primes_upto(x, t)
-    for seg in (997, 4096, 1 << 20):
-        assert count_primes_upto(x, t, segment_size=seg) == reference
-
-
 def test_count_primes_self_consistency(table_small):
     for k in (1, 2, 10, 100, len(table_small)):
         assert count_primes_upto(table_small.nth(k), table_small) == k
@@ -155,13 +147,20 @@ def test_prime_table_is_read_only(table_small):
         table_small.primes[0] = 9
 
 
-def _integer_flags(lo, hi, first, odd_flags):
-    """Map odd-slot flags back to one flag per integer of [lo, hi], adding 2."""
-    out = np.zeros(hi - lo + 1, dtype=bool)
-    out[first - lo :: 2] = odd_flags
-    if lo <= 2 <= hi:
-        out[2 - lo] = True
-    return out
+def _reference_primes(lo, hi, base):
+    """The primes of [lo, hi] from the plain sieve and from the former odds-only kernel."""
+    plain = np.flatnonzero(mark_primality(lo, hi, base)) + lo
+    first, flags = odd_primality(lo, hi, base)
+    odd = first + 2 * np.flatnonzero(flags)
+    return plain, np.concatenate(([2], odd)) if lo <= 2 <= hi else odd
+
+
+def _check_prime_list(lo, hi, base=_BASE):
+    """``_prime_list`` of [lo, hi + 1) against both references."""
+    got = _prime_list(lo, hi + 1, base)
+    assert got.dtype == np.int64
+    for reference in _reference_primes(lo, hi, base):
+        assert np.array_equal(got, reference), (lo, hi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -181,14 +180,8 @@ def _integer_flags(lo, hi, first, odd_flags):
 @example(lo=2 * _PERIOD - 1, length=2 * _PERIOD + 7)  # pattern wrap-around
 @example(lo=2 * _WHEEL_PERIOD - 1, length=2 * _WHEEL_PERIOD + 7)
 @example(lo=1_000_001, length=6_291_459)
-def test_odd_primality_matches_reference(lo, length):
-    hi = lo + length - 1
-    first, flags = _odd_primality(lo, hi, _BASE)
-    assert first == lo | 1
-    assert flags.dtype == bool and len(flags) == max(0, (hi - first) // 2 + 1)
-    assert np.array_equal(_integer_flags(lo, hi, first, flags),
-                          mark_primality(lo, hi, _BASE))
-    assert np.array_equal(flags, odd_primality(lo, hi, _BASE)[1])
+def test_prime_list_matches_reference(lo, length):
+    _check_prime_list(lo, lo + length - 1)
 
 
 def _edge_bounds(lo, hi):
@@ -210,13 +203,13 @@ def _edge_bounds(lo, hi):
 
 
 def _check_wheel_paths(lo, hi, base=_BASE):
-    """The wheel rows, ``_odd_primality`` and ``_primes_below`` against the plain sieve.
+    """The wheel rows and their two consumers against the plain sieve.
 
     Checks the stream's geometry (every residue in turn, consecutive blocks
     of ``_BLOCK_SLOTS`` rows, one reused buffer), that its rows hold exactly
-    the primes of [lo, hi] coprime to 30 and no flag below lo, the odd view
-    against both references, and the counts below bounds on block and row
-    edges.
+    the primes of [lo, hi] coprime to 30 and no flag below lo, the prime
+    list against both references, and the counts below bounds on block and
+    row edges.
     """
     step = sieve_core._BLOCK_SLOTS
     m_lo = lo // 30
@@ -232,9 +225,7 @@ def _check_wheel_paths(lo, hi, base=_BASE):
         assert np.array_equal(block[inside], reference[n[inside] - lo])
     assert seen == [(r, a, min(step, rows - a)) for r in _RESIDUES for a in range(0, rows, step)]
     assert len(buffers) <= 1  # one buffer of at most one block, reused
-    first, flags = _odd_primality(lo, hi, base)
-    assert np.array_equal(_integer_flags(lo, hi, first, flags), reference)
-    assert np.array_equal(flags, odd_primality(lo, hi, base)[1])
+    _check_prime_list(lo, hi, base)
     prefix = np.concatenate(([0], np.cumsum(reference)))
     bounds = _edge_bounds(lo, hi)
     # Every bound counted segment by segment, then by lookup (the default
@@ -247,14 +238,6 @@ def _check_wheel_paths(lo, hi, base=_BASE):
             got = _primes_below(lo, bounds, base)
         assert got.dtype == np.int64
         assert got.tolist() == prefix[np.array(bounds) - lo].tolist(), (lo, hi, sparse_cuts)
-
-
-@pytest.fixture
-def small_blocks(monkeypatch):
-    # Primes 19..31 strike with slices, 37 and up with the scatter. At 64
-    # rows a block, every prime from 67 on skips some blocks and strikes others.
-    monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", 64)
-    monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 37)
 
 
 def test_wheel_rows_seams_at_window_starts(small_blocks):
