@@ -16,6 +16,7 @@ import pytest
 import sympy
 
 import sievelab as sl
+from sievelab import cli
 from sievelab.cli import main as cli_main
 
 from _oracles import lucy_pi
@@ -190,6 +191,19 @@ def test_rows_match_lucy_hedgehog_every_1000th_k(set10k):
         x = set10k.record(k).p_next ** 2 - 1
         assert int(set10k.pi_cum[k - 1]) == lucy_pi(x), k
     assert lucy_pi(set10k.record(ACCEPT_KMAX).p_next ** 2) == 497138058
+
+
+def test_intervals_kmax_10k_bytes_pinned(table, set10k, tmp_path, monkeypatch):
+    # The sha256 of `intervals --kmax 10000`, rendered by the CLI from the
+    # fixture's columns so that the pin costs no second scan.
+    monkeypatch.setattr(cli, "_interval_set", lambda args: (set10k, table))
+    assert cli_main(["intervals", "--kmax", str(ACCEPT_KMAX), "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("intervals.csv", "deviations.csv")}
+    assert digests == {
+        "intervals.csv": "ee5b20b923e58f31c92ca8052c3a2630e86a1135d1cdc5d4b3bb4ef0528db239",
+        "deviations.csv": "8a9c851615a4a09536e0609de499d56c05024e351fd11e82a81eb997101bc291",
+    }
 
 
 def test_criterion_09_variance_bound(table):
