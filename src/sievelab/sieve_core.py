@@ -9,14 +9,20 @@ Two marking disciplines live here and must not be confused:
   exhaustive ``shift_model``'s one-period pattern; the batched generator
   ``_coprime_counts`` is the one counting path for shifted windows, used
   by the sampled ``shift_model``;
-* primality marking (``_wheel_rows``): survivors are exactly the primes
-  of the window. Every primality count and prime list in the package
-  comes from this one kernel through its two row consumers:
-  ``_primes_below`` sums the rows into the primes below a list of
-  bounds, for ``count_primes_upto``, the interval scan and
-  ``partial_counts`` in ``intervals`` and ``maier_scan`` in
-  ``stats_lab``; ``_prime_list`` turns them into one sorted array of
-  primes, for ``gap_series`` in ``intervals`` and ``MoebiusContext``.
+* primality marking (``_wheel_rows``): survivors are the integers of
+  the window that no prime up to 17 and no given base prime divides,
+  other than those primes themselves; given every prime up to the
+  square root of the window's end, exactly its primes. Every primality
+  count and prime list in the package comes from this one kernel.
+  ``_prime_list`` turns the rows into one sorted array of primes, for
+  ``gap_series`` in ``intervals`` and ``MoebiusContext``.
+  ``_primes_below`` sums them into the primes below a list of bounds:
+  struck with every base prime for ``partial_counts`` in ``intervals``
+  and ``maier_scan`` in ``stats_lab``, and only below the cube root of
+  the window's end for the interval scan and ``count_primes_upto``,
+  which subtract the semiprimes this leaves (below).
+  ``_semiprime_lookup`` packs the rows into the prime-count table that
+  the subtraction reads.
 
 The primality kernel is a mod-30 wheel. It keeps only the integers
 coprime to 30, in eight residue rows, one per r in {1, 7, 11, 13, 17, 19,
@@ -36,8 +42,24 @@ primes below ``_SCATTER_MIN`` with one strided slice per block, larger
 primes, which hit a block only a few times, all together with one
 scattered write per block (the bucket-sieve idea of T. Oliveira e Silva,
 S. Herzog and S. Pardi, Math. Comp. 83 (2014); the wheel layout is
-primesieve's). The primes 2, 3 and 5 have no row; the two row consumers,
-and nothing else, add them where they fall in the window.
+primesieve's). The primes 2, 3 and 5 have no row; ``_primes_below`` and
+``_prime_list``, and nothing else, add them where they fall in the window.
+
+A count need not strike with every base prime. Struck with only the
+primes below T = ceil(cbrt(end)), the least integer with T^3 > end - 1
+(never below 19, the first prime the presieve leaves), [lo, end) keeps
+its primes and the products q*m of two primes T <= q <= m: three
+factors of T or more exceed end - 1. This is the paper's picture turned
+around. Those semiprimes are counted, not struck: below a bound c they
+number the sum over the primes T <= q <= sqrt(c - 1) of the primes m in
+[max(q, ceil(lo / q)), (c - 1) // q], each count read off a prime-count
+table on the wheel rows up to (end - 1)^(2/3) with two gathers. This is
+the P2 term of the Meissel-Lehmer method (D. H. Lehmer, Illinois J.
+Math. 3 (1959); M. Deleglise and J. Rivat, Math. Comp. 65 (1996)). A
+2^25-integer scan chunk at k = 5000 then strikes with about 200 primes
+instead of 5000, and below k of about 6*10^4 no chunk reaches the
+scatter tier. A lone window much shorter than (end - 1)^(2/3) does not
+repay the table, so ``maier_scan`` and ``partial_counts`` strike fully.
 
 The coprime counter keeps one flag per odd integer. It starts each
 window as a rotated copy of an odd presieve pattern in which the odd
@@ -180,6 +202,12 @@ _PRESIEVE_PRIMES = (3, 5, 7, 11, 13, 17)
 _WHEEL = 30
 _RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
 
+# Bit i of a row mask stands for residue _RESIDUES[i]; _ROW_BITS_UPTO[c] holds
+# the bits of the residues <= c.
+_ROW_BIT = np.zeros(_WHEEL, dtype=np.uint8)
+_ROW_BIT[list(_RESIDUES)] = 1 << np.arange(len(_RESIDUES))
+_ROW_BITS_UPTO = np.bitwise_or.accumulate(_ROW_BIT)
+
 # The primes with no row, added by each row consumer where they fall.
 _ROWLESS_PRIMES = (2, 3, 5)
 
@@ -259,12 +287,14 @@ def _wheel_rows(lo: int, end: int, base_primes):
     Yields ``(r, a, block)`` for each residue r of ``_RESIDUES`` in turn
     and, within it, for consecutive blocks of at most ``_BLOCK_SLOTS``
     row slots: ``block[i]`` is the flag of ``30*(lo // 30 + a + i) + r``.
-    It is True exactly on the primes of [lo, end); flags below lo are
-    False and flags from ``end`` on are unspecified. Every block is the
-    same reused buffer, valid only until the next block is requested.
-    ``base_primes`` is ascending and must hold every prime up to
-    sqrt(end - 1); entries up to 17 are ignored because the presieve
-    covers them. Requires lo >= 0.
+    It is True exactly on the integers of [lo, end) that no prime up to
+    17 and no entry of ``base_primes`` up to sqrt(end - 1) divides, other
+    than those primes themselves: on the primes of [lo, end) when
+    ``base_primes`` holds every prime up to sqrt(end - 1). Flags below lo
+    are False and flags from ``end`` on are unspecified. Every block is
+    the same reused buffer, valid only until the next block is
+    requested. ``base_primes`` is ascending primes; entries up to 17 are
+    ignored because the presieve covers them. Requires lo >= 0.
 
     Each block, while cache-resident, is filled from its residue's
     presieve pattern, gets 1 struck and 7..29 restored if it holds row 0
@@ -338,7 +368,75 @@ def _prefix_counts(block: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], below))[np.searchsorted(inner, cuts, side="right")]
 
 
-def _primes_below(lo: int, bounds, base_primes) -> np.ndarray:
+def _icbrt(n: int) -> int:
+    """The largest t with t**3 <= n, for n >= 0."""
+    t = round(n ** (1 / 3))
+    t -= t ** 3 > n  # the float root may be one off either way
+    return t + ((t + 1) ** 3 <= n)
+
+
+def _strike_limit(end: int) -> int:
+    """T, the least integer with T**3 > end - 1 and never below 19.
+
+    Striking [lo, end) with the primes below T leaves the primes and the
+    products q*m of two primes T <= q <= m: three factors of T or more
+    exceed end - 1. The floor is the first base prime the presieve does
+    not cover.
+    """
+    return max(_icbrt(max(end - 1, 0)) + 1, _WHEEL_PRESIEVE[-1] + 2)
+
+
+def _semiprime_lookup(end: int, base_primes) -> tuple:
+    """pi on the wheel rows up to (end - 1) // icbrt(end - 1): a (prefix, mask) pair.
+
+    ``mask[m]`` has bit i set when 30*m + _RESIDUES[i] is prime (bits
+    above the limit are unspecified and never read), and ``prefix[m]``
+    (int32) counts the primes from 7 in the rows below m; ``_pi_from``
+    reads the count up to any n off them. Every window [lo, b) with
+    b <= end strikes below T = _strike_limit(b) and looks its semiprimes'
+    larger factors up here: they are at most (b - 1) // T < (b - 1)^(2/3)
+    <= (end - 1)^(2/3), so one table built for a scan's last bound covers
+    all of its chunks. ``base_primes`` must hold every prime up to
+    sqrt(end - 1). The table takes 5 bytes per 30 integers, an int32 list
+    of the same primes 7 to 8 bytes, and a count is two gathers instead
+    of a binary search.
+    """
+    n = max(end - 1, 1)
+    limit = n // _icbrt(n)
+    mask = np.zeros(limit // _WHEEL + 1, dtype=np.uint8)
+    for r, a, block in _wheel_rows(0, limit + 1, base_primes):
+        mask[a : a + len(block)] |= block.view(np.uint8) * _ROW_BIT[r]
+    ones = np.bitwise_count(mask)
+    prefix = np.cumsum(ones, dtype=np.int32)
+    prefix -= ones
+    return prefix, mask
+
+
+def _pi_from(lookup: tuple, n: np.ndarray) -> np.ndarray:
+    """The primes in [7, x] for every x of the int64 array ``n``, 0 <= x <= the lookup's limit."""
+    prefix, mask = lookup
+    row, col = np.divmod(n, _WHEEL)
+    return prefix[row] + np.bitwise_count(mask[row] & _ROW_BITS_UPTO[col])
+
+
+def _semiprimes_below(lo: int, bounds: np.ndarray, qs: np.ndarray, lookup: tuple) -> np.ndarray:
+    """#{q*m in [lo, c): q in ``qs``, m prime, q <= m} for every c of ``bounds``.
+
+    ``lookup`` is a ``_semiprime_lookup`` covering every m that can occur.
+    For each q the m run from max(q, ceil(lo / q)) to (c - 1) // q; a q
+    above sqrt(c - 1) has an empty run, whose difference of prime counts
+    is <= 0. One bound at a time, so the temporaries hold one entry per q.
+    """
+    below_first = _pi_from(lookup, np.maximum(qs, -(-lo // qs)) - 1)
+    counts = np.empty(len(bounds), dtype=np.int64)
+    for i, c in enumerate(bounds.tolist()):
+        run = _pi_from(lookup, (max(c, 1) - 1) // qs)
+        run -= below_first
+        counts[i] = run[run > 0].sum()
+    return counts
+
+
+def _primes_below(lo: int, bounds, base_primes, lookup=None) -> np.ndarray:
     """The number of primes in [lo, b) for every b of the ascending ``bounds``.
 
     Returns an int64 array. Every bound is >= lo >= 0, and
@@ -346,13 +444,27 @@ def _primes_below(lo: int, bounds, base_primes) -> np.ndarray:
     sqrt(max(bounds) - 1). The counts are summed over the rows of
     ``_wheel_rows`` block by block, so no array spans the window; the
     primes 2, 3 and 5, which have no row, are added where they fall.
+
+    Without ``lookup`` the rows are struck with every base prime. With
+    it, a ``_semiprime_lookup`` built for an end >= max(bounds), only the
+    base primes below T = ``_strike_limit(max(bounds))`` strike, and the
+    survivors q*m (T <= q <= m, both prime) below each bound are counted
+    by ``_semiprimes_below`` and subtracted (the module docstring has the
+    identity).
     """
     bounds = np.asarray(bounds, dtype=np.int64)
     below = np.zeros(len(bounds), dtype=np.int64)
     for q in _ROWLESS_PRIMES:
         below += (lo <= q) & (q < bounds)
+    end = int(bounds[-1])
+    strike = np.asarray(base_primes, dtype=np.int64)
+    if lookup is not None:
+        base = strike
+        strike = base[: np.searchsorted(base, _strike_limit(end))]
+        qs = base[len(strike) : np.searchsorted(base, math.isqrt(max(end - 1, 0)), side="right")]
+        below -= _semiprimes_below(lo, bounds, qs, lookup)
     m_lo = lo // _WHEEL
-    for r, a, block in _wheel_rows(lo, int(bounds[-1]), base_primes):
+    for r, a, block in _wheel_rows(lo, end, strike):
         # Row slot i of the block counts below b when 30*(m_lo + a + i) + r < b.
         cuts = np.clip((bounds - r + _WHEEL - 1) // _WHEEL - m_lo - a, 0, len(block))
         below += _prefix_counts(block, cuts)
@@ -510,7 +622,10 @@ def count_primes_upto(x: int, table: PrimeTable) -> int:
     """Exact pi(x), counted on the wheel rows with base primes from the table.
 
     Requires x <= table.bound**2 so that the base primes cover sqrt(x).
-    The rows are streamed one block at a time, so no array spans [0, x].
+    The rows are streamed one block at a time, so no array spans [0, x]:
+    they are struck below cbrt(x) and the semiprimes left are subtracted,
+    which takes a table of about x^(2/3) / 6 bytes and half the time of
+    the full strike from x = 10^6 on.
     """
     if x < 2:
         raise DomainError(f"pi(x) needs x >= 2, got {x}")
@@ -519,4 +634,4 @@ def count_primes_upto(x: int, table: PrimeTable) -> int:
     if x > table.bound * table.bound:
         raise DomainError(f"x={x} exceeds table capacity bound^2 = {table.bound**2}")
     base = table.primes[: table.count_upto(math.isqrt(x))]
-    return int(_primes_below(0, [x + 1], base)[0])
+    return int(_primes_below(0, [x + 1], base, _semiprime_lookup(x + 1, base))[0])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -17,10 +18,10 @@ from sievelab import (
     li,
     partial_counts,
 )
-from sievelab import sieve_core
+from sievelab import intervals, sieve_core
 from sievelab.intervals import (DEFAULT_CHUNK_ENTRIES, IntervalSet, _chunk_bounds, _chunk_counts,
                                 compute_interval_records)
-from sievelab.sieve_core import _prime_list
+from sievelab.sieve_core import _prime_list, _primes_below, _semiprime_lookup
 
 from _oracles import li_between_oracle, mark_primality, odd_primality, trial_primes
 
@@ -266,3 +267,36 @@ def test_chunk_counts_hold_no_chunk_sized_array(table):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20, peak
+
+
+@pytest.mark.parametrize("k", [5000, 30_000])
+def test_chunk_counts_match_full_strike_at_default_size(k):
+    # One default chunk: striking below the cube root of its end and
+    # subtracting the semiprimes gives the counts of the full strike.
+    table = build_prime_table(360_000)  # p_30001 = 350381
+    (k_lo, k_hi) = _chunk_bounds(k, k + 200, table, DEFAULT_CHUNK_ENTRIES)[0]
+    ps = table.primes[: k_hi + 1]
+    sq = ps[k_lo - 1 :] ** 2
+    assert sq[-1] - sq[0] > DEFAULT_CHUNK_ENTRIES * 0.9
+    assert _chunk_counts((k_lo, ps)).tolist() == np.diff(_primes_below(int(sq[0]), sq, ps)).tolist()
+
+
+def test_scan_builds_one_lookup_before_the_pool(table_small, monkeypatch):
+    # The parent builds the lookup once, for the scan's last bound; the
+    # workers read the copy they inherit and never build one.
+    parent = os.getpid()
+    ends = []
+
+    def lookup_in_parent(end, base_primes):
+        assert os.getpid() == parent, "a worker built its own lookup"
+        ends.append(end)
+        return _semiprime_lookup(end, base_primes)
+
+    monkeypatch.setattr(intervals, "_semiprime_lookup", lookup_in_parent)
+    reference = _columns(build_intervals(80, table_small))
+    for threads in (1, 2):
+        ends.clear()
+        assert _columns(build_intervals(80, table_small, threads=threads,
+                                        chunk_entries=4096)) == reference
+        assert ends == [table_small.nth(81) ** 2]
+        assert intervals._scan_lookup is None

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from sievelab import (
 
 from sievelab import sieve_core
 from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _RESIDUES, _chunk_digits,
-                                 _coprime_counts, _prefix_counts, _prime_list, _primes_below,
-                                 _strike_offsets, _wheel_pattern, _wheel_rows)
+                                 _coprime_counts, _icbrt, _pi_from, _prefix_counts, _prime_list,
+                                 _primes_below, _semiprime_lookup, _semiprimes_below,
+                                 _strike_limit, _strike_offsets, _wheel_pattern, _wheel_rows)
 
 from _oracles import (coprime_survivors, lucy_pi, mark_primality, odd_primality, trial_primes,
                       window_count)
@@ -316,6 +318,84 @@ def test_wheel_patterns_are_built_lazily():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_strike_limit_is_the_least_cube_above():
+    for t in (1, 2, 17, 18, 19, 20, 250, 10 ** 4, 10 ** 5, 2 ** 21):
+        assert [_icbrt(t ** 3 + d) for d in (-1, 0, 1)] == [t - 1, t, t]
+    assert _icbrt(0) == 0
+    # The least T with T^3 > end - 1, never below 19: the presieve covers 7..17.
+    assert [_strike_limit(end) for end in (0, 1, 2, 17 ** 3 + 1, 18 ** 3 + 1, 19 ** 3,
+                                          19 ** 3 + 1, 101 ** 3, 101 ** 3 + 1)] == \
+        [19, 19, 19, 19, 19, 19, 20, 101, 102]
+
+
+@st.composite
+def _cube_windows(draw):
+    """(lo, bounds, end, lookup_end, block_slots): bounds end next to a cube.
+
+    end - 1 sits within 2 of t^3, so T = _strike_limit(end) is t or t + 1;
+    t up to 17 gives T = 19. Windows start at 0, below T, or anywhere,
+    and the lookup's end is the window's, one more, or past the next cube.
+    Blocks of 64 rows only cut windows of up to 20 000 integers.
+    """
+    t = draw(st.one_of(st.integers(2, 19), st.integers(2, 120)))
+    end = max(t ** 3 + 1 + draw(st.integers(-2, 2)), 1)
+    lo = draw(st.one_of(st.just(0), st.integers(0, min(20, end)), st.integers(0, end),
+                        st.integers(max(end - 5000, 0), end)))
+    block_slots = draw(st.sampled_from([64, 1 << 21]))
+    if block_slots == 64:
+        lo = max(lo, end - 20_000)
+    bounds = sorted({lo, end, *draw(st.lists(st.integers(lo, end), max_size=12))})
+    lookup_end = draw(st.sampled_from([end, end + 1, (t + 1) ** 3 + 1, 2 * end]))
+    return lo, bounds, end, lookup_end, block_slots
+
+
+@settings(max_examples=120, deadline=None)
+@given(window=_cube_windows())
+def test_semiprime_subtraction_matches_plain_sieve(window):
+    lo, bounds, end, lookup_end, block_slots = window
+    prefix = np.concatenate(([0], np.cumsum(mark_primality(lo, end - 1, _BASE)))) \
+        if end > lo else np.zeros(1, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve_core, "_BLOCK_SLOTS", block_slots)
+        lookup = _semiprime_lookup(lookup_end, _BASE)
+        # The drawn bounds, then bounds on and next to the row-block edges.
+        for bs in (bounds, _edge_bounds(lo, end - 1) if end > lo else bounds):
+            got = _primes_below(lo, bs, _BASE, lookup)
+            assert got.tolist() == prefix[np.array(bs) - lo].tolist(), (lo, end, lookup_end)
+
+
+def test_semiprime_subtraction_at_block_seams(small_blocks):
+    # 64-row blocks, windows from 0 and from below T, bounds on every block edge.
+    for end in (18 ** 3 + 1, 19 ** 3 + 1, 40 ** 3, 40 ** 3 + 1, 40 ** 3 + 2, 123_457):
+        lookup = _semiprime_lookup(end, _BASE)
+        for lo in (0, 1, 7, 18, 19, 20, 361, end - 4000):
+            bounds = _edge_bounds(lo, end - 1)
+            prefix = np.concatenate(([0], np.cumsum(mark_primality(lo, end - 1, _BASE))))
+            assert _primes_below(lo, bounds, _BASE, lookup).tolist() == \
+                prefix[np.array(bounds) - lo].tolist(), (lo, end)
+
+
+def test_semiprime_lookup_layout_and_no_copy():
+    lookup = _semiprime_lookup(10 ** 11, build_prime_table(320_000).primes)
+    prefix, mask = lookup
+    assert prefix.dtype == np.int32 and mask.dtype == np.uint8
+    limit = (10 ** 11 - 1) // _icbrt(10 ** 11 - 1)
+    assert len(mask) == limit // 30 + 1
+    n = np.array([6, 7, 30, 31, 1000, limit], dtype=np.int64)
+    assert (_pi_from(lookup, n) + 3).tolist() == [3, 4, 10, 11, 168, lucy_pi(limit)]
+    # Counting a window's semiprimes reads the table where it lies: its
+    # temporaries hold a few entries per q, far less than the table.
+    qs = build_prime_table(320_000).primes[4000:]
+    bounds = np.arange(10 ** 11 - 1000, 10 ** 11 + 1, 100, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _semiprimes_below(10 ** 11 - 1000, bounds, qs, lookup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (prefix.nbytes + mask.nbytes) / 2, peak
 
 
 _SMALL = build_prime_table(2000).primes
