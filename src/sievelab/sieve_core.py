@@ -203,10 +203,11 @@ _WHEEL = 30
 _RESIDUES = (1, 7, 11, 13, 17, 19, 23, 29)
 
 # Bit i of a row mask stands for residue _RESIDUES[i]; _ROW_BITS_UPTO[c] holds
-# the bits of the residues <= c.
+# the bits of the residues <= c, and _ONES[b] counts the bits of b.
 _ROW_BIT = np.zeros(_WHEEL, dtype=np.uint8)
 _ROW_BIT[list(_RESIDUES)] = 1 << np.arange(len(_RESIDUES))
 _ROW_BITS_UPTO = np.bitwise_or.accumulate(_ROW_BIT)
+_ONES = np.array([b.bit_count() for b in range(256)], dtype=np.int32)
 
 # The primes with no row, added by each row consumer where they fall.
 _ROWLESS_PRIMES = (2, 3, 5)
@@ -376,13 +377,7 @@ def _icbrt(n: int) -> int:
 
 
 def _strike_limit(end: int) -> int:
-    """T, the least integer with T**3 > end - 1 and never below 19.
-
-    Striking [lo, end) with the primes below T leaves the primes and the
-    products q*m of two primes T <= q <= m: three factors of T or more
-    exceed end - 1. The floor is the first base prime the presieve does
-    not cover.
-    """
+    """T, the least integer with T**3 > end - 1, never below 19: the presieve covers 7..17."""
     return max(_icbrt(max(end - 1, 0)) + 1, _WHEEL_PRESIEVE[-1] + 2)
 
 
@@ -406,7 +401,7 @@ def _semiprime_lookup(end: int, base_primes) -> tuple:
     mask = np.zeros(limit // _WHEEL + 1, dtype=np.uint8)
     for r, a, block in _wheel_rows(0, limit + 1, base_primes):
         mask[a : a + len(block)] |= block.view(np.uint8) * _ROW_BIT[r]
-    ones = np.bitwise_count(mask)
+    ones = _ONES[mask]
     prefix = np.cumsum(ones, dtype=np.int32)
     prefix -= ones
     return prefix, mask
@@ -416,7 +411,7 @@ def _pi_from(lookup: tuple, n: np.ndarray) -> np.ndarray:
     """The primes in [7, x] for every x of the int64 array ``n``, 0 <= x <= the lookup's limit."""
     prefix, mask = lookup
     row, col = np.divmod(n, _WHEEL)
-    return prefix[row] + np.bitwise_count(mask[row] & _ROW_BITS_UPTO[col])
+    return prefix[row] + _ONES[mask[row] & _ROW_BITS_UPTO[col]]
 
 
 def _semiprimes_below(lo: int, bounds: np.ndarray, qs: np.ndarray, lookup: tuple) -> np.ndarray:
