@@ -230,7 +230,10 @@ def test_randmodel_sampled_bytes_pinned(tmp_path):
     (["randmodel", "--k", 7, "--budget", 1000000], {
         "randmodel.csv": "a8cdce45ecbec61bf1aa39cc0c8c00bed8dce188c93e8871f3da4b85c01ee39e",
         "randmodel_hist.csv": "1e2003a3ae4612fc3708760ccc8a89addd3b870322f7e4607afe19dde725f46c"}),
-], ids=["legendre-kmax200", "randmodel-k7-exhaustive"])
+    (["randmodel", "--k", 8, "--budget", 1000000000], {
+        "randmodel.csv": "c84697f7b61b0e0d695f319f950c63e9a5b48874826a6cc89e1fef0e1de60c6d",
+        "randmodel_hist.csv": "7f40150b77d21403ba20e1d23544a4cde1242fbdd771a17dc79e4c71828e2a84"}),
+], ids=["legendre-kmax200", "randmodel-k7-exhaustive", "randmodel-k8-exhaustive"])
 def test_enumeration_outputs_bytes_pinned(tmp_path, argv, digests):
     out = tmp_path / "o"
     assert run(argv + ["--out", out]) == 0
