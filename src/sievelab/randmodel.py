@@ -2,17 +2,16 @@
 
 The sample space for the count in a window of length l_k is the set of
 shifted-window values S(s_k^j, p_k#), 0 <= j < p_k#, of which the true
-pi_k is the j = 0 element. Exhaustive mode walks the entire period with
-a sliding window (one cumulative sum over the coprimality flags of one
-period, struck by ``sieve_window``), keeping every moment in exact
-integer arithmetic; a period whose arrays would exceed the 2^31-byte
-memory budget raises ResourceError before anything is allocated.
-Sampled mode draws shifts with a derived per-sample seed, so results
-are independent of evaluation order and worker count; the drawn windows
-are counted in fixed batches by the coprime counter of ``sieve_core``,
-and the count sum, sum of squares, minimum, maximum and histogram are
-accumulated exactly batch by batch, so memory does not grow with the
-draw count.
+pi_k is the j = 0 element. Exhaustive mode counts the window at every
+residue of one period, block by block, from the period's odd
+coprimality pattern (``sieve_core._period_counts``); a pattern beyond
+the 2^31-byte memory budget raises ResourceError before anything is
+allocated. Sampled mode draws shifts with a derived per-sample seed, so
+results are independent of evaluation order and worker count; the
+drawn windows are counted in fixed batches by the coprime counter of
+``sieve_core``. Both modes feed their counts into one histogram, off
+which the count sum, sum of squares, minimum and maximum are read in
+exact integer arithmetic, so memory does not grow with the draw count.
 
 Rescaling the raw (coprimality) model by e^gamma / 2 moves its mean to
 the density-of-primes scale l_k / log p_{k+1}^2, where it is compared
@@ -31,7 +30,7 @@ import numpy as np
 from . import analytic
 from .errors import DomainError, ResourceError
 from .intervals import IntervalSet
-from .sieve_core import DEFAULT_MEMORY_BUDGET, PrimeTable, _coprime_counts, sieve_window
+from .sieve_core import DEFAULT_MEMORY_BUDGET, PrimeTable, _coprime_counts, _period_counts
 from .residue_legendre import primorial
 from .stats_lab import ScanSeries
 
@@ -39,9 +38,6 @@ from .stats_lab import ScanSeries
 # a default call is exhaustive only for k <= 6 (p_7# = 510510) and never
 # draws more than 10^5 windows.
 DEFAULT_BUDGET = 100_000
-
-# Bytes the exhaustive branch holds per slot of period + window length.
-_EXHAUSTIVE_BYTES_PER_SLOT = 10
 
 
 @dataclass(frozen=True)
@@ -63,9 +59,13 @@ class ShiftModelSummary:
     histogram: np.ndarray     # bincount of the observed window counts
 
 
-def _summarize(k: int, mode: str, samples: int, counts_sum: int, counts_sq: int,
-               cmin: int, cmax: int, hist: np.ndarray, seed: Optional[int]) -> ShiftModelSummary:
-    n = samples
+def _summarize(k: int, mode: str, hist: np.ndarray, seed: Optional[int]) -> ShiftModelSummary:
+    """The summary of the window counts whose bincount is ``hist``, moments exact."""
+    values = np.flatnonzero(hist).tolist()
+    freqs = hist[values].tolist()
+    n = sum(freqs)
+    counts_sum = sum(v * f for v, f in zip(values, freqs))
+    counts_sq = sum(v * v * f for v, f in zip(values, freqs))
     mean = counts_sum / n
     if mode == "exhaustive":
         variance = (n * counts_sq - counts_sum * counts_sum) / (n * n)
@@ -76,7 +76,7 @@ def _summarize(k: int, mode: str, samples: int, counts_sum: int, counts_sq: int,
         k=k, mode=mode, samples=n, mean=mean, variance=variance,
         rescaled_mean=scale * mean, rescaled_variance=scale * scale * variance,
         seed=seed, count_sum=counts_sum, count_sq_sum=counts_sq,
-        count_min=cmin, count_max=cmax, histogram=hist,
+        count_min=values[0], count_max=values[-1], histogram=hist,
     )
 
 
@@ -84,14 +84,17 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
                 seed: int = 0) -> ShiftModelSummary:
     """Moments of {S(s_k^j, p_k#)}: exhaustive when p_k# <= budget, else sampled.
 
-    Exhaustive mode slides the window across one full period; its mean
-    is l_k * phi(p_k#) / p_k# with zero numerical error beyond the final
-    float division; it raises ResourceError when its arrays, about 10
-    bytes per slot of period + l_k, would exceed 2^31 bytes (from k = 9).
-    Sampled mode draws ``budget`` shifts; each draw's shift is derived
-    from (seed, k, draw index), so the result does not depend on
-    evaluation order. Draws are counted in fixed batches in one reused
-    buffer, and only exact moments and the histogram are kept.
+    Exhaustive mode counts the window at every residue of one period:
+    a window's count depends only on its start mod p_k#, and s_k^j runs
+    through every residue once. Its mean is l_k * phi(p_k#) / p_k# with
+    zero numerical error beyond the final float division. It holds the
+    period's odd coprimality pattern, p_k# / 2 bytes, and raises
+    ResourceError before allocating when that exceeds 2^31 bytes (from
+    k = 10). Sampled mode draws ``budget`` shifts; each draw's shift is
+    derived from (seed, k, draw index), so the result does not depend on
+    evaluation order, and draws are counted in fixed batches in one
+    reused buffer. Either mode keeps only the histogram of the counts,
+    off which every moment is read exactly.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -104,46 +107,19 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
     length = p_next * p_next - lo0
 
     if period <= budget:
-        # Flags, their tiled copy, the int32 prefix and the int32 counts.
-        footprint = _EXHAUSTIVE_BYTES_PER_SLOT * (period + length)
-        if footprint > DEFAULT_MEMORY_BUDGET:
-            raise ResourceError(f"exhaustive period p_{k}# = {period} needs about {footprint} "
-                                f"bytes, beyond the {DEFAULT_MEMORY_BUDGET}-byte budget")
-        # Coprimality flags of one period; residue i is coprime iff period + i is.
-        flags = sieve_window(period, 2 * period - 1, ps).flags
-        r0 = lo0 % period
-        reps = (r0 + period + length + period - 1) // period
-        ext = np.tile(flags, reps)[r0 : r0 + period + length]
-        # Window sums via one prefix pass; int32 is enough (sums < period).
-        prefix = np.empty(period + length + 1, dtype=np.int32)
-        prefix[0] = 0
-        np.cumsum(ext, dtype=np.int32, out=prefix[1:])
-        del ext, flags
-        counts = prefix[length : length + period] - prefix[0:period]
-        del prefix
-        csum = 0
-        csq = 0
-        for pos in range(0, period, 1 << 22):
-            block = counts[pos : pos + (1 << 22)].astype(np.int64)
-            csum += int(block.sum())
-            csq += int(np.dot(block, block))
-        hist = np.bincount(counts)
-        return _summarize(k, "exhaustive", period, csum, csq,
-                          int(counts.min()), int(counts.max()), hist, None)
-
-    # Draws go through the batched coprime counter; only the moments and
-    # the histogram are kept, so memory does not grow with the budget.
-    starts = (lo0 + random.Random(f"{seed}:{k}:{i}").randrange(period) for i in range(budget))
-    csum = csq = 0
+        if period // 2 > DEFAULT_MEMORY_BUDGET:
+            raise ResourceError(f"exhaustive period p_{k}# = {period} needs {period // 2} bytes, "
+                                f"beyond the {DEFAULT_MEMORY_BUDGET}-byte budget")
+        mode, blocks = "exhaustive", _period_counts(ps, length)
+    else:
+        starts = (lo0 + random.Random(f"{seed}:{k}:{i}").randrange(period) for i in range(budget))
+        mode, blocks = "sampled", _coprime_counts(starts, length, ps)
     hist = np.zeros(0, dtype=np.int64)
-    for counts in _coprime_counts(starts, length, ps):
-        csum += int(counts.sum())
-        csq += int(np.dot(counts, counts))
-        batch_hist = np.bincount(counts, minlength=len(hist))
-        batch_hist[: len(hist)] += hist
-        hist = batch_hist
-    return _summarize(k, "sampled", budget, csum, csq,
-                      int(np.flatnonzero(hist)[0]), len(hist) - 1, hist, seed)
+    for counts in blocks:
+        block_hist = np.bincount(counts, minlength=len(hist))
+        block_hist[: len(hist)] += hist
+        hist = block_hist
+    return _summarize(k, mode, hist, seed if mode == "sampled" else None)
 
 
 @dataclass(frozen=True)

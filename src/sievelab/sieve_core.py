@@ -5,17 +5,19 @@ Two marking disciplines live here and must not be confused:
 * coprimality marking: every multiple of every sieve prime inside the
   window is struck, so survivors are exactly the integers coprime to the
   product of the sieve primes. ``sieve_window`` does this for one window
-  with one flag per integer, for ``count_coprime_direct`` and for the
-  exhaustive ``shift_model``'s one-period pattern; the batched generator
-  ``_coprime_counts`` is the one counting path for shifted windows, used
-  by the sampled ``shift_model``;
+  with one flag per integer, for ``count_coprime_direct``; the batched
+  generator ``_coprime_counts`` is the one counting path for shifted
+  windows, used by the sampled ``shift_model``, and ``_period_counts``
+  counts every window of one period from the odd presieve pattern of
+  its primes, for the exhaustive one;
 * primality marking (``_wheel_rows``): survivors are the integers of
   the window that no prime up to 17 and no given base prime divides,
   other than those primes themselves; given every prime up to the
   square root of the window's end, exactly its primes. Every primality
   count and prime list in the package comes from this one kernel.
   ``_prime_list`` turns the rows into one sorted array of primes, for
-  ``gap_series`` in ``intervals`` and ``MoebiusContext``.
+  ``build_prime_table``, ``gap_series`` in ``intervals`` and
+  ``MoebiusContext``.
   ``_primes_below`` sums them into the primes below a list of bounds:
   struck with every base prime for ``partial_counts`` in ``intervals``
   and ``maier_scan`` in ``stats_lab``, and only below the cube root of
@@ -144,11 +146,14 @@ class SieveWindow:
 
 
 def build_prime_table(bound: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTable:
-    """Enumerate all primes <= bound with a plain Eratosthenes sieve.
+    """Enumerate all primes <= bound on the wheel rows of ``_prime_list``.
+
+    The base primes up to sqrt(bound) come from the same call; none are
+    needed while sqrt(bound) stays within the presieve's primes up to 17.
 
     Args:
         bound: inclusive upper limit, must be >= 2.
-        memory_budget: cap in bytes on the sieve allocation.
+        memory_budget: cap in bytes on ``bound``, one flag per integer.
 
     Returns:
         PrimeTable with a read-only int64 prime array.
@@ -157,12 +162,9 @@ def build_prime_table(bound: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) ->
         raise DomainError(f"prime table bound must be >= 2, got {bound}")
     if bound + 1 > memory_budget:
         raise ResourceError(f"prime table bound {bound} exceeds memory budget {memory_budget} bytes")
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
+    root = math.isqrt(bound)
+    base = build_prime_table(root).primes if root > _WHEEL_PRESIEVE[-1] else ()
+    primes = _prime_list(0, bound + 1, base)
     primes.setflags(write=False)
     return PrimeTable(bound=bound, primes=primes)
 
@@ -497,6 +499,9 @@ _INT64_MAX = (1 << 63) - 1
 # Windows struck together by the batched coprime counter.
 _COPRIME_BATCH = 64
 
+# Even (and odd) window starts counted together by ``_period_counts``.
+_PERIOD_BLOCK = 1 << 18
+
 
 @functools.lru_cache(maxsize=8)
 def _digit_weights(moduli: tuple, width: int) -> np.ndarray:
@@ -611,6 +616,29 @@ def _coprime_counts(starts, length: int, primes):
         if length & 1:
             flags[par[:, 0] == 0, m - 1] = False  # an even start leaves one slot fewer
         yield np.count_nonzero(flags[:, :m], axis=1).astype(np.int64)
+
+
+def _period_counts(primes, length: int):
+    """Integers coprime to P = ``prod(primes)`` in ``[s, s + length)`` for every s in [0, P).
+
+    Yields int32 count arrays of at most ``_PERIOD_BLOCK`` starts, in no
+    particular order of s. ``primes`` must start with 2, so every
+    survivor is odd and the odd presieve pattern of the other primes,
+    P / 2 flags built afresh rather than cached, is one period of
+    coprimality. Start 2a holds the odd slots a .. a + length // 2 - 1
+    and start 2a + 1 the slots a .. a + (length + 1) // 2 - 1, so one
+    prefix over a block of slots, read at the two spans, counts both.
+    """
+    pattern = _presieve_pattern.__wrapped__(tuple(int(p) for p in primes[1:]))
+    spans = (length // 2, (length + 1) // 2)
+    for a in range(0, len(pattern), _PERIOD_BLOCK):
+        n = min(_PERIOD_BLOCK, len(pattern) - a)
+        ext = np.empty(n + spans[1], dtype=bool)
+        _fill_rotated(ext, pattern, a)
+        prefix = np.zeros(len(ext) + 1, dtype=np.int32)
+        np.cumsum(ext, dtype=np.int32, out=prefix[1:])
+        for span in spans:
+            yield prefix[span : span + n] - prefix[:n]
 
 
 def count_primes_upto(x: int, table: PrimeTable) -> int:

@@ -195,6 +195,21 @@ def totient_of_primorial(primes) -> int:
     return out
 
 
+def shift_moments(primes, length: int) -> tuple[int, int]:
+    """(sum of c, sum of c^2) over the windows [s, s + length), s in [0, prod(primes)).
+
+    No window is counted. Sum c is length * phi(P). Sum c^2 counts the
+    ordered pairs of window positions (i, j) whose integers are both
+    coprime: for j - i = +-d there are prod_p (p - 1 - [p does not
+    divide d]) such starts (each p rules out the residues 0 and -d).
+    """
+    ps = [int(p) for p in primes]
+    phi = totient_of_primorial(ps)
+    pairs = sum((length - d) * math.prod(p - 1 - (d % p != 0) for p in ps)
+                for d in range(1, length))
+    return length * phi, length * phi + 2 * pairs
+
+
 def li_oracle(x: float) -> float:
     """Offset logarithmic integral via mpmath at 30 digits."""
     return float(mpmath.li(x, offset=True))

@@ -9,6 +9,8 @@ from sievelab import cli
 from sievelab.cli import main
 from sievelab.intervals import _chunk_bounds
 
+from _oracles import shift_moments
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -243,9 +245,14 @@ def test_enumeration_outputs_bytes_pinned(tmp_path, argv, digests):
 def test_randmodel_period_beyond_memory_budget_exits_3(tmp_path, capsys):
     assert run(["randmodel", "--k", 10, "--budget", 10 ** 10, "--out", tmp_path / "o"]) == 3
     assert "Traceback" not in capsys.readouterr().err
-    # p_9# passes the sieve's flag guard but not the exhaustive branch's footprint.
-    assert run(["randmodel", "--k", 9, "--budget", 10 ** 9, "--out", tmp_path / "o9"]) == 3
-    assert "Traceback" not in capsys.readouterr().err
+    # p_9# / 2 flags fit the budget: the histogram's moments meet the oracle.
+    out = tmp_path / "o9"
+    assert run(["randmodel", "--k", 9, "--budget", 10 ** 9, "--out", out]) == 0
+    hist = [tuple(map(int, line.split(","))) for line in read_lines(out / "randmodel_hist.csv")[1:]]
+    assert sum(c for _, c in hist) == 223092870
+    primes = cli._table_for(10).first(9)
+    assert (sum(v * c for v, c in hist), sum(v * v * c for v, c in hist)) == \
+        shift_moments(primes, 29 ** 2 - 23 ** 2)
 
 
 def test_corr_command(tmp_path):

@@ -19,7 +19,7 @@ from sievelab import (
 from sievelab.cli import build_parser
 from sievelab.randmodel import DEFAULT_BUDGET
 
-from _oracles import totient_of_primorial, window_count
+from _oracles import shift_moments, totient_of_primorial, window_count
 
 
 def test_exhaustive_k2(table_small):
@@ -54,18 +54,39 @@ def test_exhaustive_moments_pinned(table_small, k, moments):
     assert (s.count_sum, s.count_sq_sum, s.count_min, s.count_max) == moments
 
 
+def _length(table, k):
+    return table.nth(k + 1) ** 2 - table.nth(k) ** 2
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_exhaustive_moments_match_pair_count_oracle(table_small, k):
+    s = shift_model(k, table_small, budget=10 ** 9)
+    assert s.mode == "exhaustive"
+    assert (s.count_sum, s.count_sq_sum) == shift_moments(table_small.first(k), _length(table_small, k))
+
+
+def test_exhaustive_histogram_matches_window_count(table_small):
+    for k in range(1, 5):
+        s = shift_model(k, table_small, budget=10 ** 9)
+        lo0, length = table_small.nth(k) ** 2, _length(table_small, k)
+        counts = [window_count(lo0 + j, length, table_small.first(k)) for j in range(s.samples)]
+        assert np.array_equal(s.histogram, np.bincount(counts))
+
+
 def test_exhaustive_period_beyond_memory_budget(table_small):
-    # p_10# = 6469693230 flags exceed the 2^31-byte sieve budget; p_9# =
-    # 223092870 flags fit it, but the branch's ~10 bytes per slot do not.
-    # Either raises before any period-sized array exists.
-    for k, budget in ((10, 10 ** 10), (9, 10 ** 9)):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceError):
-                shift_model(k, table_small, budget=budget)
-            assert tracemalloc.get_traced_memory()[1] < 1 << 20
-        finally:
-            tracemalloc.stop()
+    # p_10# / 2 = 3234846615 odd flags exceed the 2^31-byte budget: the call
+    # raises before any period-sized array exists.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            shift_model(10, table_small, budget=10 ** 10)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # p_9# / 2 = 111546435 fit it, so k = 9 runs.
+    s = shift_model(9, table_small, budget=10 ** 9)
+    assert s.mode == "exhaustive" and s.samples == 223092870
+    assert (s.count_sum, s.count_sq_sum) == shift_moments(table_small.first(9), _length(table_small, 9))
 
 
 def test_pi_k_inside_sample_space(table_small, set200):

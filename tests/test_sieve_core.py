@@ -309,15 +309,18 @@ def test_prefix_counts_match_cumsum(flags, picks, sparse_cuts):
 
 
 def test_wheel_patterns_are_built_lazily():
-    # Importing the CLI and building a prime table must not pay for them.
-    code = ("import sievelab.cli; from sievelab import sieve_core; "
-            "sieve_core.build_prime_table(60000); "
-            "print(sieve_core._wheel_pattern.cache_info().currsize)")
+    # Importing the CLI must not pay for them, and the exhaustive shift
+    # model's half-period pattern (4.8 MB at k = 8) is never cached.
+    code = ("import sievelab.cli; from sievelab import randmodel, sieve_core; "
+            "print(sieve_core._wheel_pattern.cache_info().currsize); "
+            "print(sieve_core._presieve_pattern.cache_info().currsize); "
+            "randmodel.shift_model(8, sieve_core.build_prime_table(100), budget=10 ** 9); "
+            "print(sieve_core._presieve_pattern.cache_info().currsize)")
     src = os.path.dirname(os.path.dirname(sieve_core.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "0", "0"]
 
 
 def test_strike_limit_is_the_least_cube_above():
