@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -141,7 +142,7 @@ class _RunLog:
         }
 
 
-def _write_manifest(out_dir: Path, command: str, args, argv: list, outputs: list,
+def _write_manifest(command: str, args, argv: list, outputs: list,
                     k_max=None, extras=None) -> Path:
     manifest = {
         "command": command,
@@ -154,7 +155,7 @@ def _write_manifest(out_dir: Path, command: str, args, argv: list, outputs: list
     }
     if extras:
         manifest.update(extras)
-    path = out_dir / f"{command}.manifest.json"
+    path = args.out / f"{command}.manifest.json"
     _write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return path
 
@@ -181,41 +182,42 @@ _FIELDS = ["k", *IntervalSet.COLUMNS]
 def _checkpoint_load(path: Path) -> dict:
     """Checkpoint columns for k = 1..n, repairing a torn tail in place.
 
-    An append cut short leaves an unparseable last line: it is cut from
-    the file with a warning, so the scan resumes after the last complete
-    record. A complete last record missing only its newline gets one.
-    Any other bad line raises DomainError.
+    The file is read in one pass into one list per column. An append cut
+    short leaves an unparseable last line: it is cut from the file with a
+    warning, so the scan resumes after the last complete record. A
+    complete last record missing only its newline gets one. Any other bad
+    line raises DomainError.
     """
-    rows = []
-    data = path.read_bytes() if path.exists() else b""
-    lines = []  # (byte offset, line) of the non-blank lines
-    offset = 0
-    for raw in data.splitlines(keepends=True):
-        if raw.strip():
-            lines.append((offset, raw))
-        offset += len(raw)
-    for i, (offset, raw) in enumerate(lines):
-        try:
-            row = json.loads(raw)
-        except ValueError:
-            if i + 1 < len(lines):
-                raise DomainError(f"checkpoint {path} corrupt at line {i + 1}") from None
-            with path.open("r+b") as fh:
-                fh.truncate(offset)
-            _progress(f"checkpoint: dropped torn line {i + 1} of {path}, "
-                      f"resuming after k={len(rows)}")
-            break
-        if (not isinstance(row, dict) or row.keys() != set(_FIELDS)
-                or row["k"] != i + 1):
-            raise DomainError(f"checkpoint {path} corrupt at line {i + 1}")
-        rows.append(row)
-    else:
-        if lines and not data.endswith(b"\n"):
-            with path.open("ab") as fh:
-                fh.write(b"\n")
+    columns = {name: [] for name in IntervalSet.COLUMNS}
+    torn = None  # byte offset of an unparseable line, which must be the last
+    n = offset = 0
+    with (path.open("rb") if path.exists() else io.BytesIO()) as fh:
+        for raw in fh:
+            start, offset = offset, offset + len(raw)
+            if not raw.strip():
+                continue
+            if torn is not None:
+                raise DomainError(f"checkpoint {path} corrupt at line {n}")
+            n += 1
+            try:
+                row = json.loads(raw)
+            except ValueError:
+                torn = start
+                continue
+            if not isinstance(row, dict) or row.keys() != set(_FIELDS) or row["k"] != n:
+                raise DomainError(f"checkpoint {path} corrupt at line {n}")
+            for name, values in columns.items():
+                values.append(row[name])
+    if torn is not None:
+        with path.open("r+b") as fh:
+            fh.truncate(torn)
+        _progress(f"checkpoint: dropped torn line {n} of {path}, resuming after k={n - 1}")
+    elif n and not raw.endswith(b"\n"):
+        with path.open("ab") as fh:
+            fh.write(b"\n")
     try:
-        return {name: np.array([row[name] for row in rows], dtype=dtype)
-                for name, dtype in IntervalSet.COLUMNS.items()}
+        return {name: np.array(values, dtype=IntervalSet.COLUMNS[name])
+                for name, values in columns.items()}
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"checkpoint {path} corrupt: a value is not a number") from None
 
@@ -263,24 +265,20 @@ def _interval_set(args):
 # ---------------------------------------------------------------------------
 
 def _cmd_intervals(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     s, _ = _interval_set(args)
     ks = range(1, len(s) + 1)
-    f1 = out / "intervals.csv"
+    f1 = args.out / "intervals.csv"
     _write_csv(f1, _FIELDS,
                zip(ks, *(getattr(s, name).tolist() for name in IntervalSet.COLUMNS)))
-    f2 = out / "deviations.csv"
+    f2 = args.out / "deviations.csv"
     _write_csv(f2, ["k", "x", "pi_k", "li_k", "diff"],
                zip(ks, (s.p_next * s.p_next).tolist(), s.pi_k.tolist(), s.li_k.tolist(),
                    (s.pi_k - s.li_k).tolist()))
-    _write_manifest(out, "intervals", args, argv, [f1, f2], k_max=args.kmax)
+    _write_manifest("intervals", args, argv, [f1, f2], k_max=args.kmax)
     return 0
 
 
 def _cmd_maier(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     k_list = args.k
     if not k_list:
         raise DomainError("empty k list")
@@ -289,57 +287,51 @@ def _cmd_maier(args, argv) -> int:
     scan_rows = []
     for s in scans:
         scan_rows.extend((s.k, x, r) for x, r in s.ratios.points)
-    f1 = out / "maier_scan.csv"
+    f1 = args.out / "maier_scan.csv"
     _write_csv(f1, ["k", "x", "ratio"], scan_rows)
     summary_rows = [(s.k, s.ratios.metadata["phi_start"], s.ratios.metadata["phi_end"],
                      s.whole_interval_ratio, s.up_deviation, s.down_deviation, s.delta)
                     for s in scans]
-    f2 = out / "maier_summary.csv"
+    f2 = args.out / "maier_summary.csv"
     _write_csv(f2, ["k", "phi_start", "phi_end", "whole_interval_ratio",
                     "up_deviation", "down_deviation", "delta"], summary_rows)
-    _write_manifest(out, "maier", args, argv, [f1, f2], k_max=max(k_list),
+    _write_manifest("maier", args, argv, [f1, f2], k_max=max(k_list),
                     extras={"lambda": args.lam, "delta_band": args.delta_band,
                             "delta_lambda": stats_lab.extract_delta(scans)})
     return 0
 
 
 def _cmd_legendre(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = _table_for(args.kmax + 1)
     rows = residue_legendre.legendre_scan(1, args.kmax, table)
-    f1 = out / "legendre_scan.csv"
+    f1 = args.out / "legendre_scan.csv"
     _write_csv(f1, ["k", "ratio_full", "ratio_truncated", "pi_ratio"],
                [(r.k, r.ratio_full, r.ratio_truncated, r.pi_ratio) for r in rows])
-    f2 = out / "legendre_terms.csv"
+    f2 = args.out / "legendre_terms.csv"
     _write_csv(f2, ["k", "terms", "l_k"], [(r.k, r.terms, r.length) for r in rows])
-    _write_manifest(out, "legendre", args, argv, [f1, f2], k_max=args.kmax)
+    _write_manifest("legendre", args, argv, [f1, f2], k_max=args.kmax)
     return 0
 
 
 def _cmd_randmodel(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = _table_for(args.k + 1)
     summary = randmodel.shift_model(args.k, table, budget=args.budget, seed=args.seed)
     binom = randmodel.binomial_reference(args.k, table)
     pois = randmodel.poisson_reference(args.k, table)
-    f1 = out / "randmodel.csv"
+    f1 = args.out / "randmodel.csv"
     _write_csv(f1, ["k", "mode", "samples", "mean", "variance", "binom_var", "pois_var", "seed"],
                [(summary.k, summary.mode, summary.samples, summary.mean, summary.variance,
                  binom.variance, pois.variance,
                  summary.seed if summary.seed is not None else "")])
-    f2 = out / "randmodel_hist.csv"
+    f2 = args.out / "randmodel_hist.csv"
     hist_rows = [(v, int(c)) for v, c in enumerate(summary.histogram) if c > 0]
     _write_csv(f2, ["value", "count"], hist_rows)
-    _write_manifest(out, "randmodel", args, argv, [f1, f2], k_max=args.k,
+    _write_manifest("randmodel", args, argv, [f1, f2], k_max=args.k,
                     extras={"mode": summary.mode, "budget": args.budget})
     return 0
 
 
 def _cmd_bias(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     interval_set, table = _interval_set(args)
     series = stats_lab.bias_series(interval_set, table)
     meta = series.metadata
@@ -350,31 +342,27 @@ def _cmd_bias(args, argv) -> int:
         d = meta["delta"][i]
         rows.append((meta["k"][i], x, a_off, meta["b"][i], meta["c"][i],
                      a_off / d, meta["b_norm"][i], meta["c_norm"][i]))
-    f1 = out / "bias.csv"
+    f1 = args.out / "bias.csv"
     _write_csv(f1, ["k", "x", "a", "b", "c", "a_norm", "b_norm", "c_norm"], rows)
     fit = meta["fit"]
-    _write_manifest(out, "bias", args, argv, [f1], k_max=args.kmax,
+    _write_manifest("bias", args, argv, [f1], k_max=args.kmax,
                     extras={"count_offset": bool(args.count_offset),
                             "fit_mean": fit.mean, "fit_stdev": fit.stdev})
     return 0
 
 
 def _cmd_corr(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     interval_set, _ = _interval_set(args)
     deviations = interval_set.pi_k - interval_set.li_k
     series = stats_lab.lag_correlation(deviations, args.max_lag, block=args.block or 0)
-    f1 = out / "corr.csv"
+    f1 = args.out / "corr.csv"
     _write_csv(f1, ["lag_or_block", "value"], [(int(x), v) for x, v in series.points])
-    _write_manifest(out, "corr", args, argv, [f1], k_max=args.kmax,
+    _write_manifest("corr", args, argv, [f1], k_max=args.kmax,
                     extras={"max_lag": args.max_lag, "block": args.block or 0})
     return 0
 
 
 def _cmd_conjecture(args, argv) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     interval_set, _ = _interval_set(args)
     series = randmodel.conjecture_check(interval_set)
     meta = series.metadata
@@ -386,9 +374,9 @@ def _cmd_conjecture(args, argv) -> int:
         if abs(d_off) >= meta["sqrt_li"][i]:
             violations += 1
         rows.append((meta["k"][i], x, d_off, meta["sqrt_li"][i]))
-    f1 = out / "conjecture.csv"
+    f1 = args.out / "conjecture.csv"
     _write_csv(f1, ["k", "x", "pi_minus_li", "sqrt_li"], rows)
-    _write_manifest(out, "conjecture", args, argv, [f1], k_max=args.kmax,
+    _write_manifest("conjecture", args, argv, [f1], k_max=args.kmax,
                     extras={"count_offset": bool(args.count_offset),
                             "violations": violations})
     return 0
@@ -483,6 +471,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.run = _RunLog()
+        args.out = Path(args.out)
+        args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args, argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
