@@ -216,8 +216,8 @@ def _checkpoint_load(path: Path) -> dict:
         with path.open("ab") as fh:
             fh.write(b"\n")
     try:
-        return {name: np.array(values, dtype=IntervalSet.COLUMNS[name])
-                for name, values in columns.items()}
+        return {name: np.array(columns[name], dtype=dtype)
+                for name, dtype in IntervalSet.COLUMNS.items()}
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"checkpoint {path} corrupt: a value is not a number") from None
 

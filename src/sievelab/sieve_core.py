@@ -153,7 +153,7 @@ def build_prime_table(bound: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) ->
 
     Args:
         bound: inclusive upper limit, must be >= 2.
-        memory_budget: cap in bytes on ``bound``, one flag per integer.
+        memory_budget: limit on bound + 1, a flag per integer in bytes.
 
     Returns:
         PrimeTable with a read-only int64 prime array.

@@ -45,6 +45,16 @@ def test_build_prime_table_100_against_trial_division():
     assert list(t.primes) == trial_primes(100)
 
 
+def test_build_prime_table_at_every_small_bound():
+    # 19^2 = 361 is the least composite the wheel's presieve leaves, so
+    # the base primes must include 19 from there on.
+    ref = trial_primes(1000)
+    for bound in range(2, 1001):
+        t = build_prime_table(bound)
+        assert t.primes.tolist() == [p for p in ref if p <= bound]
+    assert t.primes.dtype == np.int64 and not t.primes.flags.writeable
+
+
 def test_prime_table_invariants(table_small):
     ps = table_small.primes
     assert ps[0] == 2
