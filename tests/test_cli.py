@@ -224,18 +224,23 @@ def test_randmodel_sampled_bytes_pinned(tmp_path):
 
 
 # sha256 recorded from the depth-first Legendre enumeration and the
-# per-prime exhaustive striker. --kmax 200 covers both truncated-sum paths.
+# per-prime exhaustive striker. --kmax 200 covers both truncated-sum paths;
+# --kmax 600 (the perfbench legendre_scan digests) sieves the context's mu
+# up to p_601^2 - 1, about 1.95e7.
 @pytest.mark.parametrize("argv, digests", [
     (["legendre", "--kmax", 200], {
         "legendre_scan.csv": "48552bbe2ad1b8633d1b882b2035f4d865045df9feb2248da4004d43200dfa8e",
         "legendre_terms.csv": "9fae08c2202f4f60fa983e130aeb08234c799b0a9ecaa5011a2977a5f426f58b"}),
+    (["legendre", "--kmax", 600], {
+        "legendre_scan.csv": "7d123118ad73df04532c032c73b5c596d474c766a5f6cc69ebf5e1360431fc04",
+        "legendre_terms.csv": "1ed9fc84e6270adfc957071879ce4bb4a604481b146c3099ec272810464027da"}),
     (["randmodel", "--k", 7, "--budget", 1000000], {
         "randmodel.csv": "a8cdce45ecbec61bf1aa39cc0c8c00bed8dce188c93e8871f3da4b85c01ee39e",
         "randmodel_hist.csv": "1e2003a3ae4612fc3708760ccc8a89addd3b870322f7e4607afe19dde725f46c"}),
     (["randmodel", "--k", 8, "--budget", 1000000000], {
         "randmodel.csv": "c84697f7b61b0e0d695f319f950c63e9a5b48874826a6cc89e1fef0e1de60c6d",
         "randmodel_hist.csv": "7f40150b77d21403ba20e1d23544a4cde1242fbdd771a17dc79e4c71828e2a84"}),
-], ids=["legendre-kmax200", "randmodel-k7-exhaustive", "randmodel-k8-exhaustive"])
+], ids=["legendre-kmax200", "legendre-kmax600", "randmodel-k7-exhaustive", "randmodel-k8-exhaustive"])
 def test_enumeration_outputs_bytes_pinned(tmp_path, argv, digests):
     out = tmp_path / "o"
     assert run(argv + ["--out", out]) == 0
