@@ -41,17 +41,25 @@ per prime: M(t) is repeated count_t times, divided by each q and the
 array summed with numpy's pairwise sum, exactly the float operations of
 the per-prime form. Summing M(t) * (S((B-1)/t) - S((B-1)/(t+1))) per t,
 with S(v) = sum_{p <= v} 1/p, would reorder the additions and move the
-last bits of ratio_truncated. The full-range mu array behind M(B-1) is
-sieved in blocks, so only its int8 values span the range.
+last bits of ratio_truncated.
+
+The full-range mu array behind M(B-1) is exact after two phases, and
+only its int8 values span the range: blocks struck by the primes up to
+r = isqrt(B-1), then mu(q * m) = -mu(m) written for each prime q > r
+from the context's prime list (n <= B-1 has at most one such factor).
 
 For small k the admissible divisors are enumerated outright by one
 array builder, _squarefree_products: every squarefree product
-d <= limit of the ascending primes, with mu(d), d = 1 first and the rest
-in depth-first order with the smallest prime first. The full count, the
-truncated sum and the term count all read its arrays; the truncated sum
-adds mu(d)/d in that order, one term at a time, and so keeps it for
-every bound up to 2^20, while the exact term count takes the context
-for any k beyond the enumeration's limit.
+d <= limit of the ascending primes, with mu(d) and the index of its
+largest prime, d = 1 first and the rest in depth-first order with the
+smallest prime first. The full count, the truncated sum and the term
+count all read its arrays; the truncated sum adds mu(d)/d in that
+order, one term at a time, and so keeps it for every bound up to 2^20,
+while the exact term count takes the context for any k beyond the
+enumeration's limit. legendre_scan enumerates once, over the primes of
+its last such k. The depth-first order is the lexicographic order of
+index tuples, and a filter keeps order, so the terms with largest prime
+index <= k and d < p_{k+1}^2 are k's own enumeration, term for term.
 """
 
 from __future__ import annotations
@@ -73,8 +81,11 @@ DEFAULT_TERM_CAP = 5_000_000
 # bounds up to 2^20); beyond it they use the MoebiusContext decomposition.
 _ENUMERATE_K_LIMIT = 25
 
-# Integers per block of _mobius_array's sieve (a 2 MiB int32 smooth-part array).
-_MOBIUS_BLOCK = 1 << 19
+# Integers per block of _mobius_array's first phase: 2 MiB of int8 values.
+_MOBIUS_BLOCK = 1 << 21
+
+# Most indices _mobius_array's second phase writes in one scatter.
+_MOBIUS_SCATTER = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -183,7 +194,7 @@ def count_coprime_legendre(window: Window, k: int, table: PrimeTable,
     lo_m1 = window.lo - 1
     hi = window.hi
     d_max = hi if truncate_below is None else min(hi, truncate_below - 1)
-    d, mu = _squarefree_products(table.first(k), d_max, term_cap)
+    d, mu, _ = _squarefree_products(table.first(k), d_max, term_cap)
     if hi > _INT64_MAX:
         d = d.astype(object)  # hi // d needs Python ints once hi leaves int64
     count = sum((mu * (hi // d - lo_m1 // d)).tolist())
@@ -203,59 +214,76 @@ def expected_legendre(window_length: int, k: int, table: PrimeTable) -> float:
 # Truncated smooth expansion and divisor accounting.
 # ---------------------------------------------------------------------------
 
-def _squarefree_products(ps, limit: int,
-                         term_cap: int = DEFAULT_TERM_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """(d, mu(d)) for every squarefree product d <= limit of the ascending primes ps.
+def _squarefree_products(ps, limit: int, term_cap: int = DEFAULT_TERM_CAP
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, mu(d), top) for every squarefree product d <= limit of the ascending primes ps.
 
     d = 1 comes first; the rest follow in depth-first order, smallest
-    prime first. The list for ps[j:] is built from the one for ps[j+1:]:
+    prime first, which is the lexicographic order of their index tuples.
+    The list for ps[j:] is built from the one for ps[j+1:]:
     L_j = [1] ++ p_j * L_{j+1}[d <= limit // p_j] ++ L_{j+1}[1:].
-    d is int64 when limit < 2^63 and holds Python ints otherwise; mu is
-    int8. limit < 1 gives no terms. Raises ResourceError before holding
-    more than term_cap terms.
+    top is the 1-based index in ps of each term's largest prime (0 for
+    d = 1), so the terms with top <= k are those of ps[:k]. d is int64
+    when limit < 2^63 and holds Python ints otherwise; mu is int8.
+    limit < 1 gives no terms. Raises ResourceError before holding more
+    than term_cap terms.
     """
+    top_dtype = np.min_scalar_type(len(ps))
     if limit < 1:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int8), np.zeros(0, top_dtype)
     d = np.ones(1, dtype=np.int64 if limit <= _INT64_MAX else object)
     mu = np.ones(1, dtype=np.int8)
-    for p in reversed([int(p) for p in ps]):
+    top = np.zeros(1, dtype=top_dtype)
+    for j in range(len(ps) - 1, -1, -1):
+        p = int(ps[j])
         keep = d <= limit // p
         size = len(d) + int(np.count_nonzero(keep))
         if size > term_cap:
             raise ResourceError(f"squarefree enumeration exceeded {term_cap} terms")
+        # The first kept term, when there is one, is d = 1, whose product is p itself.
+        top_p = top[keep]
+        top_p[:1] = j + 1
         d = np.concatenate((d[:1], p * d[keep], d[1:]))
         mu = np.concatenate((mu[:1], -mu[keep], mu[1:]))
-    return d, mu
+        top = np.concatenate((top[:1], top_p, top[1:]))
+    return d, mu, top
 
 
-def _mobius_array(limit: int, base_primes: Iterable[int]) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit (int8); needs base primes to sqrt(limit).
+def _mobius_array(limit: int, primes: np.ndarray) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit (int8); primes is ascending and holds every prime <= limit.
 
-    Sieved in blocks of _MOBIUS_BLOCK integers, so only the int8 result
-    spans the whole range. The tracked smooth parts divide their index,
-    so int32 suffices up to the context's 2^31 limit.
+    Phase 1 sieves in blocks of _MOBIUS_BLOCK integers with the primes
+    p <= r = isqrt(limit): it flips the sign of the multiples of p and
+    zeroes the multiples of p^2, which is exact for r-smooth n. Any other
+    n <= limit is q * m with exactly one prime q > r and m <= limit // (r+1)
+    <= r, so mu(n) = -mu(m), read from the exact prefix. Phase 2 writes
+    it at m * q for every such q, in scatters of at most _MOBIUS_SCATTER
+    indices.
     """
-    ps = [int(p) for p in base_primes if int(p) * int(p) <= limit]
+    r = math.isqrt(limit)
+    primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
+    n_small = int(np.searchsorted(primes, r, side="right"))
+    small = primes[:n_small].tolist()
     mu = np.ones(limit + 1, dtype=np.int8)
     for lo in range(0, limit + 1, _MOBIUS_BLOCK):
-        hi = min(lo + _MOBIUS_BLOCK, limit + 1)  # exclusive
-        block = mu[lo:hi]
-        smooth_part = np.ones(hi - lo, dtype=np.int32)
-        for p in ps:
-            # Multiples of p, then of its powers, from the first one >= max(lo, 1).
-            start = _first_multiple(p, lo)
-            block[start::p] *= -1
-            smooth_part[start::p] *= p
+        block = mu[lo : lo + _MOBIUS_BLOCK]
+        for p in small:
+            flip = block[_first_multiple(p, lo) :: p]
+            np.negative(flip, out=flip)
             sq = p * p
             block[_first_multiple(sq, lo) :: sq] = 0
-            pe = sq
-            while pe < hi:
-                smooth_part[_first_multiple(pe, lo) :: pe] *= p
-                pe *= p
-        # A cofactor above sqrt(limit) is a single extra prime factor.
-        leftover = smooth_part < np.arange(lo, hi, dtype=np.int32)
-        np.negative(block, where=leftover, out=block)
     mu[0] = 0
+    large = primes[n_small:]
+    buf = np.empty(min(len(large), _MOBIUS_SCATTER), dtype=np.int64)
+    for m in range(1, limit // (r + 1) + 1):
+        if mu[m] == 0:
+            continue  # phase 1 already zeroed every m * q
+        value = -mu[m]
+        end = int(np.searchsorted(large, limit // m, side="right"))
+        for i in range(0, end, _MOBIUS_SCATTER):
+            idx = buf[: min(end - i, _MOBIUS_SCATTER)]
+            np.multiply(large[i : i + len(idx)], m, out=idx)
+            mu[idx] = value
     return mu
 
 
@@ -268,7 +296,9 @@ class MoebiusContext:
     """Shared sieves for truncated sums and divisor counts at bounds <= limit+1.
 
     Built once per scan; supports every k whose bound p_{k+1}^2 - 1 is
-    at most ``limit``.
+    at most ``limit``. It holds every prime up to ``limit``, and both
+    mu sieves (the small prefix tables at build, the full range on the
+    first preload) take their primes from that list.
     """
 
     MIN_LIMIT = 4  # smallest limit a context is built for
@@ -277,7 +307,8 @@ class MoebiusContext:
         if limit < self.MIN_LIMIT:
             raise DomainError("moebius context limit too small")
         if limit >= 1 << 31:
-            raise ResourceError(f"moebius context limit {limit} beyond int32 sieve range")
+            # Its mu array and prime list hold about 2 bytes per integer.
+            raise ResourceError(f"moebius context limit {limit} is 2^31 or more")
         self.limit = limit
         root = math.isqrt(limit)
         if root > table.bound:
@@ -288,7 +319,7 @@ class MoebiusContext:
         self._primes_f = self.primes.astype(np.float64)
         # Small prefix tables cover every reduced argument (B-1)//q < p_{k+1}.
         small_cap = root + 1
-        mu_small = _mobius_array(small_cap, base)
+        mu_small = _mobius_array(small_cap, self.primes)
         contrib = np.zeros(small_cap + 1)
         contrib[1:] = mu_small[1:].astype(np.float64) / np.arange(1, small_cap + 1)
         self._m_small = np.cumsum(contrib)             # M(t) for t <= small_cap
@@ -303,9 +334,7 @@ class MoebiusContext:
         if not missing:
             return
         if self._full_mu is None:
-            root = math.isqrt(self.limit)
-            base = self.primes[: int(np.searchsorted(self.primes, root, side="right"))]
-            self._full_mu = _mobius_array(self.limit, base)
+            self._full_mu = _mobius_array(self.limit, self.primes)
         mu = self._full_mu
         acc = 0.0
         prev = 1
@@ -379,14 +408,31 @@ class MoebiusContext:
         return sq_total - int(np.dot(self._sq_small[ts], counts))
 
 
+def _enumerated(k: int, bound: int) -> bool:
+    """Whether truncated_moebius_sum enumerates its divisors (else the context sums them)."""
+    return k <= _ENUMERATE_K_LIMIT or bound <= 1 << 20
+
+
+def _depth_first_sums(ks: list, table: PrimeTable) -> list:
+    """truncated_moebius_sum(k, table) for the ascending ks, from one enumeration.
+
+    k's terms are those of the enumeration over the first ks[-1] primes
+    with top <= k and d < p_{k+1}^2, in k's own order (module docstring).
+    """
+    d, mu, top = _squarefree_products(table.first(ks[-1]), table.nth(ks[-1] + 1) ** 2 - 1)
+    terms = mu / d
+    return [float(np.cumsum(terms[(top <= k) & (d < table.nth(k + 1) ** 2)])[-1])
+            for k in ks]
+
+
 def truncated_moebius_sum(k: int, table: PrimeTable, bound: Optional[int] = None,
                           context: Optional[MoebiusContext] = None) -> float:
     """sum_{d | p_k#, d squarefree, d < bound} mu(d)/d; bound defaults to p_{k+1}^2."""
     p_next = table.nth(k + 1)
     if bound is None:
         bound = p_next * p_next
-    if k <= _ENUMERATE_K_LIMIT or bound <= 1 << 20:
-        d, mu = _squarefree_products(table.first(k), bound - 1)
+    if _enumerated(k, bound):
+        d, mu, _ = _squarefree_products(table.first(k), bound - 1)
         # cumsum adds term by term in enumeration order; a pairwise sum would
         # change the last bits of ratio_truncated.
         return float(np.cumsum(mu / d)[-1]) if len(d) else 0.0
@@ -447,13 +493,22 @@ class LegendreScanRow:
 def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreScanRow]:
     """Full vs truncated vs exact ratios, one row per k in [k_from, k_to].
 
-    pi_k is counted on the prime list of the scan's MoebiusContext, which
-    holds every prime up to p_{k_to+1}^2.
+    The rows whose truncated sum is enumerated (k <= 171, where
+    p_{k+1}^2 <= 2^20) share one enumeration, built and dropped before
+    the context rows, where the scan's memory peaks. pi_k is counted on
+    the prime list of the scan's MoebiusContext, which holds every prime
+    up to p_{k_to+1}^2.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
     limit = table.nth(k_to + 1) ** 2 - 1
     context = MoebiusContext(limit, table)
+    # Enumerated after the context's prime list, whose freed concatenation
+    # lets these temporaries reuse heap pages instead of faulting in fresh ones.
+    dfs_ks = [k for k in range(k_from, k_to + 1) if _enumerated(k, table.nth(k + 1) ** 2)]
+    tsums = _depth_first_sums(dfs_ks, table) if dfs_ks else []  # a prefix of the rows
+    # M restarts its chunks at every preloaded y, so this set, depth-first
+    # rows included, fixes the last bits of each M(y) the scan reads.
     context.preload([table.nth(k + 1) ** 2 - 1 for k in range(k_from, k_to + 1)
                      if k > _ENUMERATE_K_LIMIT])
     products = analytic.mertens_products(k_to, table)
@@ -463,7 +518,8 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreSca
         length = p_next * p_next - p * p
         log_hi = math.log(p_next * p_next)
         base = length / log_hi
-        tsum = truncated_moebius_sum(k, table, context=context)
+        tsum = (tsums[k - k_from] if k - k_from < len(tsums)
+                else truncated_moebius_sum(k, table, context=context))
         pi_k = int(np.searchsorted(context.primes, p_next * p_next)
                    - np.searchsorted(context.primes, p * p))
         rows.append(LegendreScanRow(

@@ -27,6 +27,7 @@ from sievelab import (
     truncated_moebius_sum,
 )
 from sievelab.residue_legendre import _MOBIUS_BLOCK, _mobius_array, _squarefree_products
+from sievelab.sieve_core import _prime_list
 
 from _oracles import (
     context_term_count,
@@ -282,9 +283,10 @@ def test_squarefree_products_in_depth_first_order(table_small, k, limit):
     ps = [int(p) for p in table_small.first(k)]
     subsets = sorted(c for r in range(k + 1) for c in combinations(range(k), r)
                      if math.prod(ps[i] for i in c) <= limit)
-    d, mu = _squarefree_products(ps, limit)
+    d, mu, top = _squarefree_products(ps, limit)
     assert d.tolist() == [math.prod(ps[i] for i in c) for c in subsets]
     assert mu.tolist() == [(-1) ** len(c) for c in subsets]
+    assert top.tolist() == [max(c) + 1 if c else 0 for c in subsets]
     assert d.dtype == (object if limit >= 2 ** 63 else np.int64)
     assert len(d) == count_squarefree_products(ps, limit + 1)
 
@@ -352,13 +354,63 @@ def test_context_sums_match_per_prime_reference_at_any_bound(table, ctx300, k, f
     _assert_matches_per_prime_reference(ctx300, k, 2 + int(frac * (top - 2)), table)
 
 
-@pytest.mark.parametrize("limit", [4, _MOBIUS_BLOCK - 1, _MOBIUS_BLOCK, _MOBIUS_BLOCK + 1,
-                                   3 * _MOBIUS_BLOCK + 7])
+def _assert_mobius_matches_reference(table, limit):
+    base = table.primes[: table.count_upto(math.isqrt(limit))]
+    got = _mobius_array(limit, _prime_list(0, limit + 1, base))
+    assert got.dtype == np.int8
+    assert np.array_equal(got, mobius_array(limit, base)), limit
+
+
+# Fixed limits around 2^19, then each block edge +-1 up to three blocks.
+@pytest.mark.parametrize("limit", [4, (1 << 19) - 1, 1 << 19, (1 << 19) + 1, 3 * (1 << 19) + 7]
+                         + [b * _MOBIUS_BLOCK + e for b in (1, 2, 3) for e in (-1, 0, 1)])
 def test_blocked_mobius_array_matches_reference(table, limit):
     base = table.primes[: table.count_upto(math.isqrt(limit))]
-    got = _mobius_array(limit, base)
+    got = _mobius_array(limit, _prime_list(0, limit + 1, base))
     assert got.dtype == np.int8
     assert np.array_equal(got, mobius_array(limit, base))
+
+
+def test_mobius_array_every_small_limit(table):
+    for limit in range(4, 301):
+        _assert_mobius_matches_reference(table, limit)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 127, 1021, 1031, 1259])
+def test_mobius_array_at_prime_squares(table, p):
+    # p^2 - 1 puts the prime p at isqrt(limit) + 1, the first prime phase 2
+    # writes; (p - 1)^2 is the smallest limit with the same root.
+    for limit in (max(4, (p - 1) ** 2), p * p - 1, p * p):
+        _assert_mobius_matches_reference(table, limit)
+
+
+@settings(max_examples=10, deadline=None)
+@given(limit=st.integers(4, 3 * _MOBIUS_BLOCK))
+def test_mobius_array_property(table, limit):
+    _assert_mobius_matches_reference(table, limit)
+
+
+@pytest.mark.parametrize("limit", [48, 120, 168])
+def test_context_small_mobius_when_root_plus_one_is_prime(table_small, limit):
+    # isqrt(limit) + 1 is 7, 11 and 13: mu_small reaches that prime itself.
+    ctx = MoebiusContext(limit, table_small)
+    root = math.isqrt(limit)
+    base = table_small.primes[: table_small.count_upto(math.isqrt(root + 1))]
+    assert np.array_equal(ctx._mu_small, mobius_array(root + 1, base))
+
+
+@pytest.mark.parametrize("k_from, k_to", [(1, 171), (20, 40), (150, 180), (171, 172), (172, 175)])
+def test_legendre_scan_rows_equal_per_k_calls(table, k_from, k_to):
+    # One enumeration serves every depth-first row (k <= 171, where p_{k+1}^2
+    # <= 2^20). The context rows read M from a context preloaded as the scan's.
+    ctx = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
+    ctx.preload([table.nth(k + 1) ** 2 - 1 for k in range(max(k_from, 26), k_to + 1)])
+    rows = legendre_scan(k_from, k_to, table)
+    assert [r.k for r in rows] == list(range(k_from, k_to + 1))
+    for r in rows:
+        bound = table.nth(r.k + 1) ** 2
+        assert r.ratio_truncated == truncated_moebius_sum(r.k, table, context=ctx) * math.log(bound)
+        assert r.terms == legendre_term_count(r.k, table, bound, context=ctx)
 
 
 @pytest.mark.parametrize("k_to", [25, 200])
