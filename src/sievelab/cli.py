@@ -2,12 +2,14 @@
 
 Each subcommand writes frozen-schema CSV files (header row, LF endings,
 UTF-8, reals at 15 significant digits) plus a JSON run manifest carrying
-the command line, seed, and a sha256 checksum per output. Outputs are
-byte-identical for identical (command, seed, version) regardless of
-thread count, and are renamed into place from a temp file. The interval
-commands run one scan from the first k missing in ``--checkpoint``,
-appending each sieve chunk to it as it arrives. Progress goes to stderr,
-one line per chunk; stdout stays quiet.
+the command line, seed, and a sha256 checksum per output. The manifest's
+shell-quoted ``command_line`` is the run's complete input: no setting
+comes from the environment, so re-running it reproduces every output
+byte for the same version, regardless of thread count. Outputs are
+renamed into place from a temp file. The interval commands run one scan
+from the first k missing in ``--checkpoint``, appending each sieve chunk
+to it as it arrives. Progress goes to stderr, one line per chunk; stdout
+stays quiet.
 
 The manifest's ``run`` block says where the run's time and memory went:
 wall and CPU seconds per stage (``scan``, the interval scan with its
@@ -30,6 +32,7 @@ import json
 import math
 import os
 import resource
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -64,16 +67,6 @@ def _int_list(text: str) -> list:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of integers: {text!r}") from None
-
-
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(f"SIEVELAB_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit(f"bad SIEVELAB_{name}={raw!r}")
 
 
 def _fmt(v) -> str:
@@ -146,7 +139,7 @@ def _write_manifest(command: str, args, argv: list, outputs: list,
                     k_max=None, extras=None) -> Path:
     manifest = {
         "command": command,
-        "command_line": " ".join(["sievelab"] + list(argv)),
+        "command_line": shlex.join(["sievelab", *argv]),
         "seed": args.seed,
         "k_max": k_max,
         "version": __version__,
@@ -354,11 +347,11 @@ def _cmd_bias(args, argv) -> int:
 def _cmd_corr(args, argv) -> int:
     interval_set, _ = _interval_set(args)
     deviations = interval_set.pi_k - interval_set.li_k
-    series = stats_lab.lag_correlation(deviations, args.max_lag, block=args.block or 0)
+    series = stats_lab.lag_correlation(deviations, args.max_lag, block=args.block)
     f1 = args.out / "corr.csv"
     _write_csv(f1, ["lag_or_block", "value"], [(int(x), v) for x, v in series.points])
     _write_manifest("corr", args, argv, [f1], k_max=args.kmax,
-                    extras={"max_lag": args.max_lag, "block": args.block or 0})
+                    extras={"max_lag": args.max_lag, "block": args.block})
     return 0
 
 
@@ -387,12 +380,10 @@ def _cmd_conjecture(args, argv) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sp, kmax=True):
-    sp.add_argument("--out", default=_env_default("OUT", "out", str),
-                    help="output directory (default: ./out)")
-    sp.add_argument("--seed", type=int, default=_env_default("SEED", 0, int))
-    sp.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int))
-    sp.add_argument("--segment-size", type=int,
-                    default=_env_default("SEGMENT_SIZE", DEFAULT_CHUNK_ENTRIES, int),
+    sp.add_argument("--out", type=Path, default="out", help="output directory (default: ./out)")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--segment-size", type=int, default=DEFAULT_CHUNK_ENTRIES,
                     help="sieve chunk span in integers: the unit of work of one worker")
     if kmax:
         sp.add_argument("--kmax", type=_positive_int, required=True,
@@ -400,8 +391,7 @@ def _add_common(sp, kmax=True):
 
 
 def _add_interval_scan_flags(sp):
-    sp.add_argument("--checkpoint", default=_env_default("CHECKPOINT", None, str),
-                    help="JSONL checkpoint for resumable interval scans")
+    sp.add_argument("--checkpoint", help="JSONL checkpoint for resumable interval scans")
 
 
 def _add_count_offset(sp):
@@ -437,8 +427,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("randmodel", help="shifted-window model summary for one interval")
     _add_common(sp, kmax=False)
     sp.add_argument("--k", type=_positive_int, required=True)
-    sp.add_argument("--budget", type=int,
-                    default=_env_default("BUDGET", randmodel.DEFAULT_BUDGET, int),
+    sp.add_argument("--budget", type=int, default=randmodel.DEFAULT_BUDGET,
                     help="exhaustive threshold / sampled draw count")
     sp.set_defaults(func=_cmd_randmodel)
 
@@ -471,7 +460,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args.run = _RunLog()
-        args.out = Path(args.out)
         args.out.mkdir(parents=True, exist_ok=True)
         return args.func(args, argv)
     except SystemExit as exc:

@@ -503,7 +503,8 @@ _COPRIME_BATCH = 64
 _PERIOD_BLOCK = 1 << 18
 
 
-@functools.lru_cache(maxsize=8)
+# One run uses one or two widths; a loop over k keeps at most two tables.
+@functools.lru_cache(maxsize=2)
 def _digit_weights(moduli: tuple, width: int) -> np.ndarray:
     """Read-only ``(width, len(moduli))`` int64 table of 2**(32*i) mod q; needs q < 2**31."""
     mod = np.array(moduli, dtype=np.int64)
@@ -529,7 +530,8 @@ def _strike_offsets(starts, moduli: tuple) -> np.ndarray:
     table of 2**(32*i) mod q (built on first use and cached), reduced
     after every ``_chunk_digits(max(moduli))`` digits so that no partial
     sum reaches 2**63. No per-modulus big-integer division runs and no
-    float BLAS is involved.
+    float BLAS is involved. Raises ResourceError before building a table
+    of more than ``DEFAULT_MEMORY_BUDGET`` bytes.
 
     Args:
         starts: non-empty sequence of integers >= 0, arbitrary precision.
@@ -542,6 +544,9 @@ def _strike_offsets(starts, moduli: tuple) -> np.ndarray:
         raise DomainError("window starts must be >= 0")
     chunk = _chunk_digits(q_max)
     width = max(1, -(-max(starts).bit_length() // _DIGIT_BITS))
+    if width * len(moduli) * 8 > DEFAULT_MEMORY_BUDGET:
+        raise ResourceError(f"digit-weight table of {width} digits x {len(moduli)} moduli "
+                            f"exceeds the {DEFAULT_MEMORY_BUDGET}-byte memory budget")
     raw = b"".join(s.to_bytes(width * _DIGIT_BITS // 8, "little") for s in starts)
     digits = np.frombuffer(raw, dtype="<u4").reshape(len(starts), width).astype(np.int64)
     weights = _digit_weights(moduli, width)

@@ -224,11 +224,14 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
     of the full averaging range, not a per-lag variance product); lag 0
     is exactly 1 by construction. With block > 0 the statistic is
     computed per non-overlapping block and the series maps block number
-    to the lag-1 value, with all lags kept in metadata.
+    to the lag-1 value, with all lags kept in metadata. A negative block
+    raises DomainError.
     """
     d = np.asarray(deviations, dtype=np.float64)
     if max_lag < 0 or d.size <= max_lag:
         raise DomainError("deviation sequence shorter than max_lag")
+    if block < 0:
+        raise DomainError(f"block must be >= 0, got {block}")
 
     def corr_range(seg: np.ndarray, lags) -> list:
         den = float(np.mean(seg * seg))
@@ -240,7 +243,7 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
                 out.append(float(np.mean(seg[:-j] * seg[j:])) / den)
         return out
 
-    if block <= 0:
+    if block == 0:
         lags = list(range(0, max_lag + 1))
         vals = corr_range(d, lags)
         return ScanSeries(

@@ -2,6 +2,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shlex
 
 import pytest
 
@@ -306,12 +307,49 @@ def test_failed_rename_keeps_previous_output(tmp_path, monkeypatch, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no temp file left
 
 
-def test_env_override(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["intervals", "--kmax", 40],
+    ["maier", "--k", "40,50", "--lambda", 2],
+    ["legendre", "--kmax", 30],
+    ["randmodel", "--k", 5],
+    ["bias", "--kmax", 40],
+    ["corr", "--kmax", 40, "--max-lag", 5],
+    ["conjecture", "--kmax", 40],
+], ids=lambda argv: argv[0])
+def test_manifest_command_line_reproduces_outputs(tmp_path, monkeypatch, argv):
+    # SIEVELAB_* variables named like flags, and an --out with a space: the
+    # recorded command line alone must give the same bytes.
+    for name, value in (("SEED", "5"), ("BUDGET", "500"), ("THREADS", "2"),
+                        ("SEGMENT_SIZE", "65536")):
+        monkeypatch.setenv(f"SIEVELAB_{name}", value)
+    out = tmp_path / "with space" / "o"
+    assert run([*argv, "--out", out]) == 0
+    manifest_path = out / f"{argv[0]}.manifest.json"
+    first = json.loads(manifest_path.read_text())
+    for name in ("SEED", "BUDGET", "THREADS", "SEGMENT_SIZE"):
+        monkeypatch.delenv(f"SIEVELAB_{name}")
+    for name in first["outputs"]:
+        (out / name).unlink()
+    command_line = shlex.split(first["command_line"])
+    assert command_line[0] == "sievelab"
+    assert main(command_line[1:]) == 0
+    again = json.loads(manifest_path.read_text())
+    assert again["command_line"] == first["command_line"]
+    assert again["outputs"] == first["outputs"]
+    assert {name: sha(out / name) for name in first["outputs"]} == first["outputs"]
+
+
+def test_corr_negative_block_is_domain_error(tmp_path, capsys):
     out = tmp_path / "o"
-    monkeypatch.setenv("SIEVELAB_SEED", "77")
-    assert run(["randmodel", "--k", 12, "--budget", 50, "--out", out]) == 0
-    row = read_lines(out / "randmodel.csv")[1].split(",")
-    assert row[7] == "77"
+    assert run(["corr", "--kmax", 80, "--max-lag", 5, "--block", -1, "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "corr.csv").exists()
+
+
+def test_randmodel_digit_table_beyond_memory_budget_exits_3(tmp_path, capsys):
+    assert run(["randmodel", "--k", 30000, "--budget", 2, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "Traceback" not in err
 
 
 def test_output_lines_end_with_lf(tmp_path):

@@ -512,3 +512,24 @@ def test_coprime_counter_errors():
     assert list(_coprime_counts([], 10, primes)) == []
     with pytest.raises(DomainError):
         _strike_offsets([5], (3, 2 ** 31))
+
+
+def test_strike_offsets_refuse_a_digit_table_beyond_the_budget(monkeypatch):
+    # randmodel --k 30000: p_k# has about 505 000 bits, so its table of
+    # 15 773 digits x 29 995 moduli would take 3.8 GB. It is refused unbuilt.
+    moduli = tuple(range(2, 29_997))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            _strike_offsets([1 << 505_000], moduli)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    # The bound is inclusive: a table of exactly the budget is built.
+    starts, moduli = [(1 << 100) - 1], (2, 3, 5)
+    monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", 4 * 3 * 8)
+    assert _strike_offsets(starts, moduli).tolist() == [[(-starts[0]) % q for q in moduli]]
+    monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", 4 * 3 * 8 - 1)
+    with pytest.raises(ResourceError):
+        _strike_offsets(starts, moduli)

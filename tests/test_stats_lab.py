@@ -96,6 +96,8 @@ def test_lag_correlation_blocks():
     assert set(series.metadata["per_lag"]) == {"1", "2", "3"}
     with pytest.raises(DomainError):
         lag_correlation(d, max_lag=10, block=5)
+    with pytest.raises(DomainError):
+        lag_correlation(d, max_lag=3, block=-1)
 
 
 def test_lag_correlation_errors():
