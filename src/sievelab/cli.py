@@ -345,6 +345,7 @@ def _cmd_bias(args, argv) -> int:
 
 
 def _cmd_corr(args, argv) -> int:
+    stats_lab.check_lag_arguments(args.kmax, args.max_lag, args.block)  # before the scan
     interval_set, _ = _interval_set(args)
     deviations = interval_set.pi_k - interval_set.li_k
     series = stats_lab.lag_correlation(deviations, args.max_lag, block=args.block)
@@ -382,7 +383,7 @@ def _cmd_conjecture(args, argv) -> int:
 def _add_common(sp, kmax=True):
     sp.add_argument("--out", type=Path, default="out", help="output directory (default: ./out)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_positive_int, default=1)
     sp.add_argument("--segment-size", type=int, default=DEFAULT_CHUNK_ENTRIES,
                     help="sieve chunk span in integers: the unit of work of one worker")
     if kmax:

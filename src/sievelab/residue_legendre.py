@@ -47,6 +47,11 @@ The full-range mu array behind M(B-1) is exact after two phases, and
 only its int8 values span the range: blocks struck by the primes up to
 r = isqrt(B-1), then mu(q * m) = -mu(m) written for each prime q > r
 from the context's prime list (n <= B-1 has at most one such factor).
+M(y) is one running float over the grid of interval ends g = p_j^2 - 1,
+j >= 27, up to the context's limit: from the previous end (or m = 1),
+each np.sum of 2^22 terms mu(m)/m is added to it, and a y off the grid
+adds its own chunks after the last g <= y. So M(y), and a scan row,
+depends on y alone: legendre_scan(k, k) is row k of any longer scan.
 
 For small k the admissible divisors are enumerated outright by one
 array builder, _squarefree_products: every squarefree product
@@ -64,6 +69,7 @@ index <= k and d < p_{k+1}^2 are k's own enumeration, term for term.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -86,6 +92,9 @@ _MOBIUS_BLOCK = 1 << 21
 
 # Most indices _mobius_array's second phase writes in one scatter.
 _MOBIUS_SCATTER = 1 << 16
+
+# Integers per np.sum of MoebiusContext's running sum M(y).
+_M_CHUNK = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,8 @@ class MoebiusContext:
     Built once per scan; supports every k whose bound p_{k+1}^2 - 1 is
     at most ``limit``. It holds every prime up to ``limit``, and both
     mu sieves (the small prefix tables at build, the full range on the
-    first preload) take their primes from that list.
+    first m_full call, which also sums M over the module docstring's
+    grid) take their primes from that list.
     """
 
     MIN_LIMIT = 4  # smallest limit a context is built for
@@ -326,42 +336,28 @@ class MoebiusContext:
         self._m_small = np.cumsum(contrib)             # M(t) for t <= small_cap
         self._sq_small = np.cumsum(mu_small != 0)      # squarefree count <= t
         self._mu_small = mu_small
-        self._m_full_cache: dict[int, float] = {}
-        self._full_mu: Optional[np.ndarray] = None
+        self._m_grid: Optional[tuple] = None  # (full-range mu, grid ends, M at each end)
         self._last_lattice: tuple = (None, None)
 
-    def _ensure_full_m(self, ys: list) -> None:
-        missing = sorted(y for y in set(ys) if y not in self._m_full_cache)
-        if not missing:
-            return
-        if self._full_mu is None:
-            self._full_mu = _mobius_array(self.limit, self.primes)
-        mu = self._full_mu
-        acc = 0.0
-        prev = 1
-        chunk = 1 << 22
-        for y in missing:
-            pos = prev
-            while pos <= y:
-                end = min(y, pos + chunk - 1)
-                seg = mu[pos : end + 1].astype(np.float64)
-                seg /= np.arange(pos, end + 1, dtype=np.float64)
-                acc += float(np.sum(seg))
-                pos = end + 1
-            self._m_full_cache[y] = acc
-            prev = y + 1
-
     def m_full(self, y: int) -> float:
-        """M(y) = sum_{m <= y} mu(m)/m."""
-        if y > self.limit:
-            raise DomainError(f"M({y}) beyond context limit {self.limit}")
-        if y not in self._m_full_cache:
-            self._ensure_full_m([y])
-        return self._m_full_cache[y]
-
-    def preload(self, ys: list) -> None:
-        """Batch-compute M at several points with a single pass."""
-        self._ensure_full_m([y for y in ys if y <= self.limit])
+        """M(y) = sum_{m <= y} mu(m)/m: the running sum at the last grid end <= y plus its tail."""
+        if not 0 <= y <= self.limit:
+            raise DomainError(f"M({y}) outside the context's range [0, {self.limit}]")
+        if self._m_grid is None:
+            top = int(np.searchsorted(self.primes, math.isqrt(self.limit + 1), side="right"))
+            ends = [0, *(self.primes[_ENUMERATE_K_LIMIT + 1 : top] ** 2 - 1).tolist()]
+            self._m_grid = (_mobius_array(self.limit, self.primes), ends, [0.0])
+            for g in ends[1:]:  # each end is the tail after the one before it
+                self._m_grid[2].append(self.m_full(g))
+        mu, ends, values = self._m_grid
+        i = bisect.bisect_right(ends, y, hi=len(values)) - 1  # the last end summed so far
+        acc = values[i]
+        for pos in range(ends[i] + 1, y + 1, _M_CHUNK):
+            end = min(y, pos + _M_CHUNK - 1)
+            seg = mu[pos : end + 1].astype(np.float64)
+            seg /= np.arange(pos, end + 1, dtype=np.float64)
+            acc += float(np.sum(seg))
+        return acc
 
     def _lattice(self, k: int, bound: int,
                  table: PrimeTable) -> tuple[int, np.ndarray, np.ndarray, int, int]:
@@ -508,10 +504,6 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreSca
     # lets these temporaries reuse heap pages instead of faulting in fresh ones.
     dfs_ks = [k for k in range(k_from, k_to + 1) if _enumerated(k, table.nth(k + 1) ** 2)]
     tsums = _depth_first_sums(dfs_ks, table) if dfs_ks else []  # a prefix of the rows
-    # M restarts its chunks at every preloaded y, so this set, depth-first
-    # rows included, fixes the last bits of each M(y) the scan reads.
-    context.preload([table.nth(k + 1) ** 2 - 1 for k in range(k_from, k_to + 1)
-                     if k > _ENUMERATE_K_LIMIT])
     products = analytic.mertens_products(k_to, table)
     rows = []
     for k in range(k_from, k_to + 1):

@@ -81,10 +81,12 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
     [p_k^2, p_{k+1}^2 - Phi(x)), which leaves the last stretch of the
     interval unscanned by construction. A non-finite lam, or a window
     length Phi(p_k^2) that overflows, underflows to 0 or does not fit
-    inside s_k, raises DomainError.
+    inside s_k, raises DomainError, and so does a negative step.
     """
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam}")
+    if step < 0:
+        raise DomainError(f"step must be >= 0, got {step}")
     p, p_next = table.nth(k), table.nth(k + 1)
     lo, hi = p * p, p_next * p_next - 1
     try:
@@ -93,7 +95,7 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
         phi_lo = math.inf
     if not 0 < phi_lo < hi - lo + 1:
         raise DomainError(f"window (log x)^{lam} = {phi_lo} does not fit inside s_{k}")
-    if step <= 0:
+    if step == 0:
         step = math.ceil(phi_lo / 100.0)
     xs = np.arange(lo, hi + 1, step, dtype=np.int64)
     logs = np.log(xs.astype(np.float64))
@@ -217,6 +219,20 @@ def empirical_pdf(samples, bins: int) -> tuple[ScanSeries, GaussianFit]:
     return series, fit
 
 
+def check_lag_arguments(n: int, max_lag: int, block: int = 0) -> None:
+    """Raise DomainError unless 0 <= max_lag < n and block is 0 or in (max_lag, n]."""
+    if max_lag < 0:
+        raise DomainError(f"max_lag must be >= 0, got {max_lag}")
+    if n <= max_lag:
+        raise DomainError("deviation sequence shorter than max_lag")
+    if block < 0:
+        raise DomainError(f"block must be >= 0, got {block}")
+    if 0 < block <= max_lag:
+        raise DomainError("block must exceed max_lag")
+    if block > n:
+        raise DomainError("deviation sequence shorter than one block")
+
+
 def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
     """Lagged products of the deviation sequence, normalized by E[d^2].
 
@@ -224,24 +240,15 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
     of the full averaging range, not a per-lag variance product); lag 0
     is exactly 1 by construction. With block > 0 the statistic is
     computed per non-overlapping block and the series maps block number
-    to the lag-1 value, with all lags kept in metadata. A negative block
-    raises DomainError.
+    to the lag-1 value, with all lags kept in metadata. Arguments that
+    check_lag_arguments refuses raise DomainError.
     """
     d = np.asarray(deviations, dtype=np.float64)
-    if max_lag < 0 or d.size <= max_lag:
-        raise DomainError("deviation sequence shorter than max_lag")
-    if block < 0:
-        raise DomainError(f"block must be >= 0, got {block}")
+    check_lag_arguments(d.size, max_lag, block)
 
     def corr_range(seg: np.ndarray, lags) -> list:
         den = float(np.mean(seg * seg))
-        out = []
-        for j in lags:
-            if j == 0:
-                out.append(float(np.mean(seg * seg)) / den)
-            else:
-                out.append(float(np.mean(seg[:-j] * seg[j:])) / den)
-        return out
+        return [float(np.mean(seg[: seg.size - j] * seg[j:])) / den for j in lags]
 
     if block == 0:
         lags = list(range(0, max_lag + 1))
@@ -252,11 +259,7 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
             metadata={"normalization": "asymmetric", "n": int(d.size)},
         )
 
-    if block <= max_lag:
-        raise DomainError("block must exceed max_lag")
     n_blocks = d.size // block
-    if n_blocks < 1:
-        raise DomainError("deviation sequence shorter than one block")
     lags = list(range(1, max_lag + 1))
     per_lag = {j: [] for j in lags}
     for b in range(n_blocks):

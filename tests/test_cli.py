@@ -340,10 +340,40 @@ def test_manifest_command_line_reproduces_outputs(tmp_path, monkeypatch, argv):
 
 
 def test_corr_negative_block_is_domain_error(tmp_path, capsys):
+    out, ck = tmp_path / "o", tmp_path / "scan.ckpt"
+    assert run(["corr", "--kmax", 80, "--max-lag", 5, "--block", -1, "--out", out,
+                "--checkpoint", ck]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "intervals k=" not in err
+    assert not (out / "corr.csv").exists() and not ck.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-lag", -1], "max_lag must be >= 0"),
+    (["--max-lag", 80], "deviation sequence shorter than max_lag"),
+    (["--max-lag", 5, "--block", 5], "block must exceed max_lag"),
+    (["--max-lag", 5, "--block", 81], "deviation sequence shorter than one block"),
+], ids=["max-lag<0", "max-lag>=kmax", "block<=max-lag", "block>kmax"])
+def test_corr_bad_flags_refused_before_scan(tmp_path, capsys, flags, message):
+    out, ck = tmp_path / "o", tmp_path / "scan.ckpt"
+    assert run(["corr", "--kmax", 80, *flags, "--out", out, "--checkpoint", ck]) == 2
+    err = capsys.readouterr().err
+    assert f"domain error: {message}" in err and "intervals k=" not in err
+    assert not (out / "corr.csv").exists() and not ck.exists()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_must_be_positive(tmp_path, threads):
     out = tmp_path / "o"
-    assert run(["corr", "--kmax", 80, "--max-lag", 5, "--block", -1, "--out", out]) == 2
-    assert "Traceback" not in capsys.readouterr().err
-    assert not (out / "corr.csv").exists()
+    assert run(["intervals", "--kmax", 20, "--threads", threads, "--out", out]) == 1
+    assert not (out / "intervals.csv").exists()
+
+
+def test_maier_negative_step_is_domain_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["maier", "--k", 30, "--step", -5, "--out", out]) == 2
+    assert "domain error: step must be >= 0" in capsys.readouterr().err
+    assert not (out / "maier_scan.csv").exists()
 
 
 def test_randmodel_digit_table_beyond_memory_budget_exits_3(tmp_path, capsys):

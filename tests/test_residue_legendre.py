@@ -26,6 +26,7 @@ from sievelab import (
     theoretical_first_positions,
     truncated_moebius_sum,
 )
+from sievelab import residue_legendre
 from sievelab.residue_legendre import _MOBIUS_BLOCK, _mobius_array, _squarefree_products
 from sievelab.sieve_core import _prime_list
 
@@ -338,7 +339,6 @@ def _assert_matches_per_prime_reference(ctx, k, bound, table):
 
 def test_context_sums_match_per_prime_reference(table, ctx300):
     ks = range(26, 301)
-    ctx300.preload([table.nth(k + 1) ** 2 - 1 for k in ks])
     for k in ks:
         _assert_matches_per_prime_reference(ctx300, k, table.nth(k + 1) ** 2, table)
     with pytest.raises(DomainError):
@@ -402,15 +402,55 @@ def test_context_small_mobius_when_root_plus_one_is_prime(table_small, limit):
 @pytest.mark.parametrize("k_from, k_to", [(1, 171), (20, 40), (150, 180), (171, 172), (172, 175)])
 def test_legendre_scan_rows_equal_per_k_calls(table, k_from, k_to):
     # One enumeration serves every depth-first row (k <= 171, where p_{k+1}^2
-    # <= 2^20). The context rows read M from a context preloaded as the scan's.
+    # <= 2^20).
     ctx = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
-    ctx.preload([table.nth(k + 1) ** 2 - 1 for k in range(max(k_from, 26), k_to + 1)])
     rows = legendre_scan(k_from, k_to, table)
     assert [r.k for r in rows] == list(range(k_from, k_to + 1))
     for r in rows:
         bound = table.nth(r.k + 1) ** 2
         assert r.ratio_truncated == truncated_moebius_sum(r.k, table, context=ctx) * math.log(bound)
         assert r.terms == legendre_term_count(r.k, table, bound, context=ctx)
+
+
+def test_legendre_scan_row_depends_on_k_alone(table):
+    # M(y) is summed on one grid of interval ends, so neither the scan's
+    # first k nor its last moves the bits of a row.
+    full = legendre_scan(1, 300, table)
+    for k in (179, 193, 200, 270, 300):
+        assert legendre_scan(k, k, table) == [full[k - 1]], k
+    assert legendre_scan(172, 300, table) == full[171:]
+
+
+# y on the grid (p_j^2 - 1, j >= 27, from 10608) and off it: below the first
+# end, beside an end, between ends and at the limit, which is not an end.
+_M_LIMIT = 547 ** 2 + 1000
+_M_YS = [0, 1, 2, 5000, 10607, 10608, 10609, 11000, 107 ** 2 - 1, 200_000,
+         547 ** 2 - 1, 547 ** 2, _M_LIMIT]
+
+
+@pytest.fixture(scope="module")
+def m_reference(table):
+    mu = mobius_array(_M_LIMIT, table.primes[: table.count_upto(math.isqrt(_M_LIMIT))])
+    terms = (mu / np.maximum(np.arange(_M_LIMIT + 1), 1)).tolist()
+    return {y: math.fsum(terms[: y + 1]) for y in _M_YS}
+
+
+# The default chunk, and one small enough that segments and tails span several.
+@pytest.mark.parametrize("chunk", [residue_legendre._M_CHUNK, 4099])
+def test_m_full_against_exact_sum(table, m_reference, monkeypatch, chunk):
+    # The partial sums run through values up to M(1) = 1, so the float sum's
+    # rounding is bounded in units of ulp(1) = 2^-52, not of ulp(M(y)); at
+    # these y it stays near one such unit.
+    monkeypatch.setattr(residue_legendre, "_M_CHUNK", chunk)
+    ascending, descending = MoebiusContext(_M_LIMIT, table), MoebiusContext(_M_LIMIT, table)
+    up = [ascending.m_full(y) for y in _M_YS]
+    down = [descending.m_full(y) for y in reversed(_M_YS)][::-1]
+    assert up == down  # bit for bit: M(y) does not depend on the query order
+    for y, got in zip(_M_YS, up):
+        assert abs(got - m_reference[y]) <= 4 * 2.0 ** -52, y
+    for y in (-1, _M_LIMIT + 1):
+        with pytest.raises(DomainError):
+            ascending.m_full(y)
 
 
 @pytest.mark.parametrize("k_to", [25, 200])

@@ -103,6 +103,10 @@ def test_lag_correlation_blocks():
 def test_lag_correlation_errors():
     with pytest.raises(DomainError):
         lag_correlation([1.0, 2.0], max_lag=5)
+    with pytest.raises(DomainError, match="max_lag must be >= 0"):
+        lag_correlation([1.0, 2.0], max_lag=-1)
+    with pytest.raises(DomainError, match="shorter than one block"):
+        lag_correlation([1.0, 2.0, 3.0], max_lag=1, block=4)
 
 
 def test_maier_scan_phi_values(table):
@@ -144,6 +148,13 @@ def test_maier_scan_holds_no_interval_sized_array(table):
 def test_maier_scan_window_too_big(table):
     with pytest.raises(DomainError):
         maier_scan(3, 3.0, table)  # (log 25)^3 = 33 > l_3 = 24
+
+
+def test_maier_scan_negative_step(table):
+    with pytest.raises(DomainError, match="step must be >= 0"):
+        maier_scan(30, 3.0, table, step=-5)
+    # 0 still selects the default stride.
+    assert maier_scan(30, 3.0, table, step=0) == maier_scan(30, 3.0, table)
 
 
 def test_extract_delta(table):
