@@ -122,14 +122,16 @@ class _RunLog:
 
     def block(self) -> dict:
         self.record("command", self._start)
-        own, kids = (resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
-                     for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+        own, kids = (resource.getrusage(who) for who in (resource.RUSAGE_SELF,
+                                                         resource.RUSAGE_CHILDREN))
         return {
             "stages": self.stages,
             "sieve_entries": self.sieve_entries,
             "workers": self.workers,
             "resumed_from_k": self.resumed_from_k,
-            "peak_rss_mb": {"self": round(own, 1), "children": round(kids, 1)},
+            "peak_rss_mb": {"self": round(own.ru_maxrss / 1024, 1),  # KiB on Linux
+                            "children": round(kids.ru_maxrss / 1024, 1)},
+            "minor_faults": {"self": own.ru_minflt, "children": kids.ru_minflt},
             "versions": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
                          "sievelab": __version__},
         }

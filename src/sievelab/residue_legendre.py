@@ -43,14 +43,17 @@ the per-prime form. Summing M(t) * (S((B-1)/t) - S((B-1)/(t+1))) per t,
 with S(v) = sum_{p <= v} 1/p, would reorder the additions and move the
 last bits of ratio_truncated.
 
-The full-range mu array behind M(B-1) is exact after two phases, and
-only its int8 values span the range: blocks struck by the primes up to
-r = isqrt(B-1), then mu(q * m) = -mu(m) written for each prime q > r
-from the context's prime list (n <= B-1 has at most one such factor).
-M(y) is one running float over the grid of interval ends g = p_j^2 - 1,
-j >= 27, up to the context's limit: from the previous end (or m = 1),
-each np.sum of 2^22 terms mu(m)/m is added to it, and a y off the grid
-adds its own chunks after the last g <= y. So M(y), and a scan row,
+M(B-1) reads mu from a stream of int8 blocks of 2^21 integers, each
+exact after two phases: struck by the primes up to r = isqrt(limit),
+then mu(q * m) = -mu(m) written for the primes q > r with q * m in the
+block (n <= limit has at most one such factor). Each block is dropped
+once summed, as in Deleglise & Rivat's segmented sum of M, so no array
+spans the range. M(y) is one running float over the grid of interval
+ends g = p_j^2 - 1, j >= 27, up to the context's limit: from the
+previous end (or m = 1), each np.sum of 2^22 terms mu(m)/m is added to
+it, a piece across a block seam joined first. The first m_full call
+walks the whole grid and keeps M at each end; a y off the grid sieves
+only (last g <= y, y] and adds its own chunks. So M(y), and a scan row,
 depends on y alone: legendre_scan(k, k) is row k of any longer scan.
 
 For small k the admissible divisors are enumerated outright by one
@@ -72,7 +75,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -87,11 +90,8 @@ DEFAULT_TERM_CAP = 5_000_000
 # bounds up to 2^20); beyond it they use the MoebiusContext decomposition.
 _ENUMERATE_K_LIMIT = 25
 
-# Integers per block of _mobius_array's first phase: 2 MiB of int8 values.
+# Integers per block of _mobius_blocks: 2 MiB of int8 values.
 _MOBIUS_BLOCK = 1 << 21
-
-# Most indices _mobius_array's second phase writes in one scatter.
-_MOBIUS_SCATTER = 1 << 16
 
 # Integers per np.sum of MoebiusContext's running sum M(y).
 _M_CHUNK = 1 << 22
@@ -258,42 +258,76 @@ def _squarefree_products(ps, limit: int, term_cap: int = DEFAULT_TERM_CAP
     return d, mu, top
 
 
-def _mobius_array(limit: int, primes: np.ndarray) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit (int8); primes is ascending and holds every prime <= limit.
+def _mobius_blocks(limit: int, primes: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """mu(n) for lo <= n <= hi <= limit, as consecutive int8 blocks of _MOBIUS_BLOCK integers.
 
-    Phase 1 sieves in blocks of _MOBIUS_BLOCK integers with the primes
-    p <= r = isqrt(limit): it flips the sign of the multiples of p and
-    zeroes the multiples of p^2, which is exact for r-smooth n. Any other
-    n <= limit is q * m with exactly one prime q > r and m <= limit // (r+1)
-    <= r, so mu(n) = -mu(m), read from the exact prefix. Phase 2 writes
-    it at m * q for every such q, in scatters of at most _MOBIUS_SCATTER
-    indices.
+    primes is ascending and holds every prime <= limit.
+    Phase 1 strikes each block with the primes p <= r = isqrt(limit): it
+    flips the sign of the multiples of p and zeroes the multiples of p^2,
+    which is exact for r-smooth n. Any other n <= limit is q * m with
+    exactly one prime q > r and m <= limit // (r+1) <= r, so mu(n) = -mu(m).
+    Phase 2 writes that at m * q for every squarefree m, over the q whose
+    multiple falls in the block: one searchsorted pair per block finds
+    every m's range of q. Each block is yielded and held nowhere else.
     """
     r = math.isqrt(limit)
     primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
     n_small = int(np.searchsorted(primes, r, side="right"))
-    small = primes[:n_small].tolist()
-    mu = np.ones(limit + 1, dtype=np.int8)
-    for lo in range(0, limit + 1, _MOBIUS_BLOCK):
-        block = mu[lo : lo + _MOBIUS_BLOCK]
-        for p in small:
-            flip = block[_first_multiple(p, lo) :: p]
-            np.negative(flip, out=flip)
-            sq = p * p
-            block[_first_multiple(sq, lo) :: sq] = 0
-    mu[0] = 0
-    large = primes[n_small:]
-    buf = np.empty(min(len(large), _MOBIUS_SCATTER), dtype=np.int64)
-    for m in range(1, limit // (r + 1) + 1):
-        if mu[m] == 0:
-            continue  # phase 1 already zeroed every m * q
-        value = -mu[m]
-        end = int(np.searchsorted(large, limit // m, side="right"))
-        for i in range(0, end, _MOBIUS_SCATTER):
-            idx = buf[: min(end - i, _MOBIUS_SCATTER)]
-            np.multiply(large[i : i + len(idx)], m, out=idx)
-            mu[idx] = value
-    return mu
+    small, large = primes[:n_small].tolist(), primes[n_small:]
+    mu_m = _strike(0, limit // (r + 1) + 1, small)  # every such m is r-smooth
+    ms = np.flatnonzero(mu_m)
+    values = -mu_m[ms]
+    for start in range(lo, hi + 1, _MOBIUS_BLOCK):
+        yield _mobius_block(start, min(hi + 1, start + _MOBIUS_BLOCK), small, large, ms, values)
+
+
+def _strike(lo: int, end: int, small: list) -> np.ndarray:
+    """Phase 1 of _mobius_blocks over [lo, end): mu(n) up to the factors above small[-1]."""
+    block = np.ones(end - lo, dtype=np.int8)
+    for p in small:
+        flip = block[_first_multiple(p, lo) :: p]
+        np.negative(flip, out=flip)
+        sq = p * p
+        block[_first_multiple(sq, lo) :: sq] = 0
+    if lo == 0:
+        block[0] = 0
+    return block
+
+
+def _mobius_block(lo: int, end: int, small: list, large: np.ndarray,
+                  ms: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Both phases of _mobius_blocks over [lo, end); values[i] is -mu(ms[i]).
+
+    Phase 2 lists each m's q in one slice of large, from one searchsorted
+    pair over all m. Consecutive m are written together, in runs of at
+    most len(block) // 32 products, so a run's int64 index arrays stay
+    within half the block's bytes; an m with more products runs alone.
+    """
+    block = _strike(lo, end, small)
+    firsts = np.searchsorted(large, -(-lo // ms))
+    counts = np.searchsorted(large, (end - 1) // ms, side="right") - firsts
+    cum = np.cumsum(counts)  # products written up to each m
+    run, a = max(1, len(block) // 32), 0
+    while a < len(ms):
+        done = int(cum[a] - counts[a])
+        b = max(a + 1, int(np.searchsorted(cum, done + run, side="right")))
+        if b == a + 1:
+            idx = large[firsts[a] : firsts[a] + counts[a]] * ms[a]
+        else:
+            c = counts[a:b]
+            idx = np.repeat(firsts[a:b] - (cum[a:b] - c - done), c)
+            idx += np.arange(len(idx))
+            idx = large[idx]
+            idx *= np.repeat(ms[a:b], c)
+        idx -= lo
+        block[idx] = np.repeat(values[a:b], counts[a:b])
+        a = b
+    return block
+
+
+def _mobius_array(limit: int, primes: np.ndarray) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit (int8): the blocks of _mobius_blocks, joined."""
+    return np.concatenate(list(_mobius_blocks(limit, primes, 0, limit)))
 
 
 def _first_multiple(m: int, lo: int) -> int:
@@ -301,14 +335,56 @@ def _first_multiple(m: int, lo: int) -> int:
     return max(m, lo + (-lo) % m) - lo
 
 
+def _m_running(acc: float, ends: list, blocks: Iterator[np.ndarray]) -> list:
+    """acc, then acc plus the sum of mu(m)/m up to each later end of the ascending ends.
+
+    blocks streams mu(m) for ends[0] < m <= ends[-1]. Each segment between
+    consecutive ends is cut into _M_CHUNK pieces from its own start, and
+    each piece's np.sum is added to the running float. The part of a piece
+    before a block seam is copied, so that block is freed before the next
+    one is sieved.
+    """
+    sums, block, at = [acc], np.zeros(0, dtype=np.int8), 0
+    for g0, g1 in zip(ends, ends[1:]):
+        for pos in range(g0 + 1, g1 + 1, _M_CHUNK):
+            need, parts = min(g1 + 1, pos + _M_CHUNK) - pos, []
+            while len(block) - at < need:
+                parts.append(block[at:].copy())
+                need -= len(parts[-1])
+                block = None
+                block, at = next(blocks), 0
+            parts.append(block[at : at + need])
+            at += need
+            acc += _piece_sum(pos, parts)
+        sums.append(acc)
+    return sums
+
+
+def _piece_sum(pos: int, parts: list) -> float:
+    """np.sum of mu(m)/m over the m from pos whose mu values are the parts, joined.
+
+    The parts are divided into one float array, so a piece across a block
+    seam sums the same floats as one read from a single array: its bits do
+    not depend on _MOBIUS_BLOCK. The quotients are those of
+    mu.astype(float64) /= arange, without a second float array.
+    """
+    seg = np.arange(pos, pos + sum(map(len, parts)), dtype=np.float64)
+    at = 0
+    for part in parts:
+        view = seg[at : at + len(part)]
+        np.divide(part, view, out=view)
+        at += len(part)
+    return float(np.sum(seg))
+
+
 class MoebiusContext:
     """Shared sieves for truncated sums and divisor counts at bounds <= limit+1.
 
     Built once per scan; supports every k whose bound p_{k+1}^2 - 1 is
     at most ``limit``. It holds every prime up to ``limit``, and both
-    mu sieves (the small prefix tables at build, the full range on the
-    first m_full call, which also sums M over the module docstring's
-    grid) take their primes from that list.
+    mu sieves take their primes from that list: the small prefix tables
+    at build, and the block stream that the first m_full call sums over
+    the module docstring's grid, keeping only M at each grid end.
     """
 
     MIN_LIMIT = 4  # smallest limit a context is built for
@@ -317,7 +393,8 @@ class MoebiusContext:
         if limit < self.MIN_LIMIT:
             raise DomainError("moebius context limit too small")
         if limit >= 1 << 31:
-            # Its mu array and prime list hold about 2 bytes per integer.
+            # Its prime list and the list's build take about 1.4 bytes per integer
+            # (peak RSS, limit 1.95e7 to 6.28e7); mu is only ever a block.
             raise ResourceError(f"moebius context limit {limit} is 2^31 or more")
         self.limit = limit
         root = math.isqrt(limit)
@@ -336,7 +413,7 @@ class MoebiusContext:
         self._m_small = np.cumsum(contrib)             # M(t) for t <= small_cap
         self._sq_small = np.cumsum(mu_small != 0)      # squarefree count <= t
         self._mu_small = mu_small
-        self._m_grid: Optional[tuple] = None  # (full-range mu, grid ends, M at each end)
+        self._m_grid: Optional[tuple] = None  # (grid ends, M at each end)
         self._last_lattice: tuple = (None, None)
 
     def m_full(self, y: int) -> float:
@@ -346,18 +423,14 @@ class MoebiusContext:
         if self._m_grid is None:
             top = int(np.searchsorted(self.primes, math.isqrt(self.limit + 1), side="right"))
             ends = [0, *(self.primes[_ENUMERATE_K_LIMIT + 1 : top] ** 2 - 1).tolist()]
-            self._m_grid = (_mobius_array(self.limit, self.primes), ends, [0.0])
-            for g in ends[1:]:  # each end is the tail after the one before it
-                self._m_grid[2].append(self.m_full(g))
-        mu, ends, values = self._m_grid
-        i = bisect.bisect_right(ends, y, hi=len(values)) - 1  # the last end summed so far
-        acc = values[i]
-        for pos in range(ends[i] + 1, y + 1, _M_CHUNK):
-            end = min(y, pos + _M_CHUNK - 1)
-            seg = mu[pos : end + 1].astype(np.float64)
-            seg /= np.arange(pos, end + 1, dtype=np.float64)
-            acc += float(np.sum(seg))
-        return acc
+            blocks = _mobius_blocks(self.limit, self.primes, 1, ends[-1])
+            self._m_grid = (ends, _m_running(0.0, ends, blocks))
+        ends, values = self._m_grid
+        i = bisect.bisect_right(ends, y) - 1
+        if ends[i] == y:
+            return values[i]
+        blocks = _mobius_blocks(self.limit, self.primes, ends[i] + 1, y)
+        return _m_running(values[i], [ends[i], y], blocks)[-1]
 
     def _lattice(self, k: int, bound: int,
                  table: PrimeTable) -> tuple[int, np.ndarray, np.ndarray, int, int]:

@@ -241,13 +241,16 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
     is exactly 1 by construction. With block > 0 the statistic is
     computed per non-overlapping block and the series maps block number
     to the lag-1 value, with all lags kept in metadata. Arguments that
-    check_lag_arguments refuses raise DomainError.
+    check_lag_arguments refuses, and a sequence or block whose mean square
+    is 0, raise DomainError.
     """
     d = np.asarray(deviations, dtype=np.float64)
     check_lag_arguments(d.size, max_lag, block)
 
     def corr_range(seg: np.ndarray, lags) -> list:
         den = float(np.mean(seg * seg))
+        if den == 0.0:
+            raise DomainError("lag correlation of an all-zero " + ("block" if block else "sequence"))
         return [float(np.mean(seg[: seg.size - j] * seg[j:])) / den for j in lags]
 
     if block == 0:

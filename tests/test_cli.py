@@ -503,7 +503,8 @@ def test_interrupted_scan_keeps_whole_chunks(tmp_path, monkeypatch, capsys):
     assert _interval_digests(tmp_path, ck, CHUNKED_SCAN) == PINNED_KMAX_300
 
 
-_RUN_KEYS = {"stages", "sieve_entries", "workers", "resumed_from_k", "peak_rss_mb", "versions"}
+_RUN_KEYS = {"stages", "sieve_entries", "workers", "resumed_from_k", "peak_rss_mb",
+             "minor_faults", "versions"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -519,6 +520,7 @@ def test_every_manifest_has_a_run_block(tmp_path, argv):
     assert block["versions"]["sievelab"] == "0.1.0"
     assert {"python", "numpy"} <= block["versions"].keys()
     assert block["peak_rss_mb"]["self"] > 0 and block["peak_rss_mb"]["children"] >= 0
+    assert block["minor_faults"]["self"] > 0 and block["minor_faults"]["children"] >= 0
     assert block["stages"]["command"]["wall_s"] > 0
     assert block["resumed_from_k"] is None
     scans = argv[0] in ("intervals", "bias", "corr", "conjecture")

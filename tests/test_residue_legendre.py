@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -451,6 +452,62 @@ def test_m_full_against_exact_sum(table, m_reference, monkeypatch, chunk):
     for y in (-1, _M_LIMIT + 1):
         with pytest.raises(DomainError):
             ascending.m_full(y)
+
+
+def _chunked_m_reference(mu, ends: list, y: int, chunk: int) -> float:
+    """M(y) with the context's float operations, over one full reference mu array."""
+    cuts = [g for g in ends if g < y] + [y]
+    acc = 0.0
+    for g0, g1 in zip(cuts, cuts[1:]):
+        for pos in range(g0 + 1, g1 + 1, chunk):
+            seg = mu[pos : min(g1, pos + chunk - 1) + 1].astype(np.float64)
+            seg /= np.arange(pos, pos + len(seg), dtype=np.float64)
+            acc += float(np.sum(seg))
+    return acc
+
+
+# Blocks of 4099 put a seam inside most grid segments near 547^2 (about 6000
+# long) and inside off-grid tails: the grid stream's blocks start at
+# 1 + 4099 i, and a tail's at the grid end before it (541^2 - 1 for the
+# 296779..296781 trio).
+@pytest.mark.parametrize("chunk", [residue_legendre._M_CHUNK, 1000])
+def test_m_full_across_block_seams(table, monkeypatch, chunk):
+    monkeypatch.setattr(residue_legendre, "_MOBIUS_BLOCK", 4099)
+    monkeypatch.setattr(residue_legendre, "_M_CHUNK", chunk)
+    ctx = MoebiusContext(_M_LIMIT, table)
+    mu = mobius_array(_M_LIMIT, table.primes[: table.count_upto(math.isqrt(_M_LIMIT))])
+    ends = [0] + [p * p - 1 for p in table.primes[26:].tolist() if p * p - 1 <= _M_LIMIT]
+    on_grid = [10608, 107 ** 2 - 1, 541 ** 2 - 1, 547 ** 2 - 1]
+    beside_seams = [4099, 4100, 4101, 8198, 8199, 541 ** 2 - 1 + 4099, 541 ** 2 + 4099,
+                    541 ** 2 + 4100]
+    for y in [*on_grid, *beside_seams, _M_LIMIT - 1, _M_LIMIT]:
+        assert ctx.m_full(y) == _chunked_m_reference(mu, ends, y, chunk), y
+
+
+def test_m_full_holds_no_full_range_array(table):
+    # The grid pass streams mu one block at a time: its traced peak is a
+    # block, a piece's floats and their index arrays, not mu over [0, limit]
+    # (19.5 MB of int8 at this limit).
+    limit = table.nth(601) ** 2 - 1
+    ctx = MoebiusContext(limit, table)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ctx.m_full(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit // 4, peak
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    held = [a.size for value in vars(ctx).values() for a in arrays(value)]
+    assert max(held) <= len(ctx.primes)
 
 
 @pytest.mark.parametrize("k_to", [25, 200])

@@ -100,6 +100,17 @@ def test_lag_correlation_blocks():
         lag_correlation(d, max_lag=3, block=-1)
 
 
+def test_lag_correlation_of_all_zero_sequence():
+    # The mean square is the denominator: 0 is a domain error, not a ZeroDivisionError.
+    with pytest.raises(DomainError, match="all-zero sequence"):
+        lag_correlation([0.0] * 6, max_lag=2)
+
+
+def test_lag_correlation_of_all_zero_block():
+    with pytest.raises(DomainError, match="all-zero block"):
+        lag_correlation([1.0, -2.0, 0.5, 0.0, 0.0, 0.0], max_lag=1, block=3)
+
+
 def test_lag_correlation_errors():
     with pytest.raises(DomainError):
         lag_correlation([1.0, 2.0], max_lag=5)
