@@ -2,14 +2,15 @@
 
 Each subcommand writes frozen-schema CSV files (header row, LF endings,
 UTF-8, reals at 15 significant digits) plus a JSON run manifest carrying
-the command line, seed, and a sha256 checksum per output. The manifest's
-shell-quoted ``command_line`` is the run's complete input: no setting
-comes from the environment, so re-running it reproduces every output
-byte for the same version, regardless of thread count. Outputs are
-renamed into place from a temp file. The interval commands run one scan
-from the first k missing in ``--checkpoint``, appending each sieve chunk
-to it as it arrives. Progress goes to stderr, one line per chunk; stdout
-stays quiet.
+the command line, seed (null except for randmodel), and a sha256
+checksum per output. The manifest's shell-quoted ``command_line`` is the
+run's complete input: no setting comes from the environment, and a
+command accepts no flag it does not read, so re-running it reproduces
+every output byte for the same version, regardless of thread count.
+Outputs are renamed into place from a temp file. The interval commands
+run one scan from the first k missing in ``--checkpoint``, appending
+each sieve chunk to it as it arrives. Progress goes to stderr, one line
+per chunk; stdout stays quiet.
 
 The manifest's ``run`` block says where the run's time and memory went:
 wall and CPU seconds per stage (``scan``, the interval scan with its
@@ -142,7 +143,7 @@ def _write_manifest(command: str, args, argv: list, outputs: list,
     manifest = {
         "command": command,
         "command_line": shlex.join(["sievelab", *argv]),
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),  # randmodel's alone
         "k_max": k_max,
         "version": __version__,
         "outputs": {p.name: _sha256(p) for p in outputs},
@@ -291,8 +292,7 @@ def _cmd_maier(args, argv) -> int:
     _write_csv(f2, ["k", "phi_start", "phi_end", "whole_interval_ratio",
                     "up_deviation", "down_deviation", "delta"], summary_rows)
     _write_manifest("maier", args, argv, [f1, f2], k_max=max(k_list),
-                    extras={"lambda": args.lam, "delta_band": args.delta_band,
-                            "delta_lambda": stats_lab.extract_delta(scans)})
+                    extras={"lambda": args.lam, "delta_lambda": stats_lab.extract_delta(scans)})
     return 0
 
 
@@ -384,16 +384,15 @@ def _cmd_conjecture(args, argv) -> int:
 
 def _add_common(sp, kmax=True):
     sp.add_argument("--out", type=Path, default="out", help="output directory (default: ./out)")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=_positive_int, default=1)
-    sp.add_argument("--segment-size", type=int, default=DEFAULT_CHUNK_ENTRIES,
-                    help="sieve chunk span in integers: the unit of work of one worker")
     if kmax:
         sp.add_argument("--kmax", type=_positive_int, required=True,
                         help="largest interval index k")
 
 
 def _add_interval_scan_flags(sp):
+    sp.add_argument("--segment-size", type=int, default=DEFAULT_CHUNK_ENTRIES,
+                    help="sieve chunk span in integers: the unit of work of one worker")
     sp.add_argument("--checkpoint", help="JSONL checkpoint for resumable interval scans")
 
 
@@ -417,8 +416,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", type=_int_list, required=True,
                     help="comma-separated interval indices")
     sp.add_argument("--lambda", dest="lam", type=float, default=3.0)
-    sp.add_argument("--delta-band", type=float, default=0.03,
-                    help="illustrative band half width recorded in the manifest")
     sp.add_argument("--step", type=int, default=0,
                     help="scan stride; 0 means ceil(Phi/100)")
     sp.set_defaults(func=_cmd_maier)
@@ -430,6 +427,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("randmodel", help="shifted-window model summary for one interval")
     _add_common(sp, kmax=False)
     sp.add_argument("--k", type=_positive_int, required=True)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--budget", type=int, default=randmodel.DEFAULT_BUDGET,
                     help="exhaustive threshold / sampled draw count")
     sp.set_defaults(func=_cmd_randmodel)

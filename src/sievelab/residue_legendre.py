@@ -43,31 +43,35 @@ the per-prime form. Summing M(t) * (S((B-1)/t) - S((B-1)/(t+1))) per t,
 with S(v) = sum_{p <= v} 1/p, would reorder the additions and move the
 last bits of ratio_truncated.
 
-M(B-1) reads mu from a stream of int8 blocks of 2^21 integers, each
-exact after two phases: struck by the primes up to r = isqrt(limit),
-then mu(q * m) = -mu(m) written for the primes q > r with q * m in the
-block (n <= limit has at most one such factor). Each block is dropped
-once summed, as in Deleglise & Rivat's segmented sum of M, so no array
-spans the range. M(y) is one running float over the grid of interval
-ends g = p_j^2 - 1, j >= 27, up to the context's limit: from the
-previous end (or m = 1), each np.sum of 2^22 terms mu(m)/m is added to
-it, a piece across a block seam joined first. The first m_full call
-walks the whole grid and keeps M at each end; a y off the grid sieves
-only (last g <= y, y] and adds its own chunks. So M(y), and a scan row,
-depends on y alone: legendre_scan(k, k) is row k of any longer scan.
+M(B-1) reads mu from a stream of int8 blocks, each exact after two
+phases: struck by the primes up to r = isqrt(limit), then
+mu(q * m) = -mu(m) written for the primes q > r with q * m in the block
+(n <= limit has at most one such factor). M(y) is one running float over
+the grid of interval ends g = p_j^2 - 1, j >= 27, up to the context's
+limit: each segment from the previous end (or m = 1) is cut into pieces
+of 2^22 integers from its own start, and each piece's np.sum of mu(m)/m
+is added to it. A block holds whole pieces, about 2^21 integers (a
+longer piece is a block of its own), and is dropped once summed, as in
+Deleglise & Rivat's segmented sum of M, so no array spans the range.
+The first m_full call walks the whole grid and keeps M at each end; a y
+off the grid sieves only (last g <= y, y] and adds its own pieces. So
+M(y), and a scan row, depends on y alone: legendre_scan(k, k) is row k
+of any longer scan.
 
-For small k the admissible divisors are enumerated outright by one
-array builder, _squarefree_products: every squarefree product
-d <= limit of the ascending primes, with mu(d) and the index of its
-largest prime, d = 1 first and the rest in depth-first order with the
-smallest prime first. The full count, the truncated sum and the term
-count all read its arrays; the truncated sum adds mu(d)/d in that
-order, one term at a time, and so keeps it for every bound up to 2^20,
-while the exact term count takes the context for any k beyond the
-enumeration's limit. legendre_scan enumerates once, over the primes of
-its last such k. The depth-first order is the lexicographic order of
-index tuples, and a filter keeps order, so the terms with largest prime
-index <= k and d < p_{k+1}^2 are k's own enumeration, term for term.
+One rule, _enumerated, picks the path of the truncated sum, the term
+count and the scan alike: the context serves exactly the bounds in
+(2^20, p_{k+1}^2], and every other bound is enumerated (for k <= 25
+that is every bound, as p_26^2 < 2^20). The enumeration is one array
+builder, _squarefree_products: every squarefree product d <= limit of
+the ascending primes, with mu(d) and the index of its largest prime,
+d = 1 first and the rest in depth-first order with the smallest prime
+first. _enumerated_rows serves any (k, bound) rows from one such array
+over the primes of their largest k. The depth-first order is the
+lexicographic order of index tuples, and a filter keeps order, so the
+terms with largest prime index <= k and d < bound are k's own
+enumeration, term for term; each row adds its mu(d)/d one at a time in
+that order. legendre_scan takes the sums and counts of all its
+enumerated rows (k <= 171, where p_{k+1}^2 <= 2^20) from one call.
 """
 
 from __future__ import annotations
@@ -86,11 +90,12 @@ from .sieve_core import _INT64_MAX, DEFAULT_MEMORY_BUDGET, PrimeTable, _prime_li
 # Abort inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_TERM_CAP = 5_000_000
 
-# Truncated sums enumerate their divisors up to this many primes (and for
-# bounds up to 2^20); beyond it they use the MoebiusContext decomposition.
-_ENUMERATE_K_LIMIT = 25
+# M(y)'s grid of interval ends is p_{k+1}^2 - 1 for k > _M_GRID_K0, from
+# p_27^2 - 1 = 10608 on: every bit of M(y) depends on this value.
+_M_GRID_K0 = 25
 
-# Integers per block of _mobius_blocks: 2 MiB of int8 values.
+# Integers per block of _mobius_blocks (2 MiB of int8 values), unless one
+# piece of M(y)'s running sum is longer.
 _MOBIUS_BLOCK = 1 << 21
 
 # Integers per np.sum of MoebiusContext's running sum M(y).
@@ -258,8 +263,8 @@ def _squarefree_products(ps, limit: int, term_cap: int = DEFAULT_TERM_CAP
     return d, mu, top
 
 
-def _mobius_blocks(limit: int, primes: np.ndarray, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """mu(n) for lo <= n <= hi <= limit, as consecutive int8 blocks of _MOBIUS_BLOCK integers.
+def _mobius_blocks(limit: int, primes: np.ndarray, cuts) -> Iterator[np.ndarray]:
+    """mu(n) for cuts[i] <= n < cuts[i+1], one int8 block per i; the cuts ascend to <= limit + 1.
 
     primes is ascending and holds every prime <= limit.
     Phase 1 strikes each block with the primes p <= r = isqrt(limit): it
@@ -277,8 +282,8 @@ def _mobius_blocks(limit: int, primes: np.ndarray, lo: int, hi: int) -> Iterator
     mu_m = _strike(0, limit // (r + 1) + 1, small)  # every such m is r-smooth
     ms = np.flatnonzero(mu_m)
     values = -mu_m[ms]
-    for start in range(lo, hi + 1, _MOBIUS_BLOCK):
-        yield _mobius_block(start, min(hi + 1, start + _MOBIUS_BLOCK), small, large, ms, values)
+    for lo, end in zip(cuts, cuts[1:]):
+        yield _mobius_block(lo, end, small, large, ms, values)
 
 
 def _strike(lo: int, end: int, small: list) -> np.ndarray:
@@ -326,8 +331,9 @@ def _mobius_block(lo: int, end: int, small: list, large: np.ndarray,
 
 
 def _mobius_array(limit: int, primes: np.ndarray) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit (int8): the blocks of _mobius_blocks, joined."""
-    return np.concatenate(list(_mobius_blocks(limit, primes, 0, limit)))
+    """mu(n) for 0 <= n <= limit (int8): _mobius_blocks cut every _MOBIUS_BLOCK integers, joined."""
+    cuts = [*range(0, limit + 1, _MOBIUS_BLOCK), limit + 1]
+    return np.concatenate(list(_mobius_blocks(limit, primes, cuts)))
 
 
 def _first_multiple(m: int, lo: int) -> int:
@@ -335,46 +341,35 @@ def _first_multiple(m: int, lo: int) -> int:
     return max(m, lo + (-lo) % m) - lo
 
 
-def _m_running(acc: float, ends: list, blocks: Iterator[np.ndarray]) -> list:
+def _m_running(acc: float, ends: list, limit: int, primes: np.ndarray) -> list:
     """acc, then acc plus the sum of mu(m)/m up to each later end of the ascending ends.
 
-    blocks streams mu(m) for ends[0] < m <= ends[-1]. Each segment between
-    consecutive ends is cut into _M_CHUNK pieces from its own start, and
-    each piece's np.sum is added to the running float. The part of a piece
-    before a block seam is copied, so that block is freed before the next
-    one is sieved.
+    Each segment between consecutive ends is cut into _M_CHUNK pieces from
+    its own start, and each piece's np.sum is added to the running float.
+    mu comes from _mobius_blocks (limit and primes as there) in blocks of
+    whole pieces, about _MOBIUS_BLOCK integers each, so no piece crosses a
+    block seam. A piece's floats are dropped once summed, and a block
+    before the next one is sieved.
     """
-    sums, block, at = [acc], np.zeros(0, dtype=np.int8), 0
-    for g0, g1 in zip(ends, ends[1:]):
-        for pos in range(g0 + 1, g1 + 1, _M_CHUNK):
-            need, parts = min(g1 + 1, pos + _M_CHUNK) - pos, []
-            while len(block) - at < need:
-                parts.append(block[at:].copy())
-                need -= len(parts[-1])
-                block = None
-                block, at = next(blocks), 0
-            parts.append(block[at : at + need])
-            at += need
-            acc += _piece_sum(pos, parts)
-        sums.append(acc)
+    pieces = [(pos, min(g1 + 1, pos + _M_CHUNK))
+              for g0, g1 in zip(ends, ends[1:]) for pos in range(g0 + 1, g1 + 1, _M_CHUNK)]
+    cuts = [ends[0] + 1]
+    for pos, end in pieces:
+        if end - cuts[-1] > _MOBIUS_BLOCK and pos > cuts[-1]:
+            cuts.append(pos)
+    cuts.append(ends[-1] + 1)
+    sums, blocks, block = [acc], _mobius_blocks(limit, primes, cuts), None
+    for pos, end in pieces:
+        if block is None or end > lo + len(block):
+            block = None
+            block, lo = next(blocks), pos
+        # The quotients of mu.astype(float64) /= arange, without a second float array.
+        seg = np.arange(pos, end, dtype=np.float64)
+        acc += float(np.sum(np.divide(block[pos - lo : end - lo], seg, out=seg)))
+        del seg
+        if end > ends[len(sums)]:  # the piece closes a segment
+            sums.append(acc)
     return sums
-
-
-def _piece_sum(pos: int, parts: list) -> float:
-    """np.sum of mu(m)/m over the m from pos whose mu values are the parts, joined.
-
-    The parts are divided into one float array, so a piece across a block
-    seam sums the same floats as one read from a single array: its bits do
-    not depend on _MOBIUS_BLOCK. The quotients are those of
-    mu.astype(float64) /= arange, without a second float array.
-    """
-    seg = np.arange(pos, pos + sum(map(len, parts)), dtype=np.float64)
-    at = 0
-    for part in parts:
-        view = seg[at : at + len(part)]
-        np.divide(part, view, out=view)
-        at += len(part)
-    return float(np.sum(seg))
 
 
 class MoebiusContext:
@@ -422,15 +417,13 @@ class MoebiusContext:
             raise DomainError(f"M({y}) outside the context's range [0, {self.limit}]")
         if self._m_grid is None:
             top = int(np.searchsorted(self.primes, math.isqrt(self.limit + 1), side="right"))
-            ends = [0, *(self.primes[_ENUMERATE_K_LIMIT + 1 : top] ** 2 - 1).tolist()]
-            blocks = _mobius_blocks(self.limit, self.primes, 1, ends[-1])
-            self._m_grid = (ends, _m_running(0.0, ends, blocks))
+            ends = [0, *(self.primes[_M_GRID_K0 + 1 : top] ** 2 - 1).tolist()]
+            self._m_grid = (ends, _m_running(0.0, ends, self.limit, self.primes))
         ends, values = self._m_grid
         i = bisect.bisect_right(ends, y) - 1
         if ends[i] == y:
             return values[i]
-        blocks = _mobius_blocks(self.limit, self.primes, ends[i] + 1, y)
-        return _m_running(values[i], [ends[i], y], blocks)[-1]
+        return _m_running(values[i], [ends[i], y], self.limit, self.primes)[-1]
 
     def _lattice(self, k: int, bound: int,
                  table: PrimeTable) -> tuple[int, np.ndarray, np.ndarray, int, int]:
@@ -478,34 +471,38 @@ class MoebiusContext:
         return sq_total - int(np.dot(self._sq_small[ts], counts))
 
 
-def _enumerated(k: int, bound: int) -> bool:
-    """Whether truncated_moebius_sum enumerates its divisors (else the context sums them)."""
-    return k <= _ENUMERATE_K_LIMIT or bound <= 1 << 20
+def _enumerated(k: int, bound: int, table: PrimeTable) -> bool:
+    """Whether sums and counts below bound enumerate their divisors; else the context
+    serves them, for exactly the bounds in (2^20, p_{k+1}^2]."""
+    return bound <= 1 << 20 or bound > table.nth(k + 1) ** 2
 
 
-def _depth_first_sums(ks: list, table: PrimeTable) -> list:
-    """truncated_moebius_sum(k, table) for the ascending ks, from one enumeration.
+def _enumerated_rows(rows: list, table: PrimeTable,
+                     term_cap: int = DEFAULT_TERM_CAP) -> list:
+    """(sum of mu(d)/d, count) over the squarefree P_k-smooth d < bound, per (k, bound) in rows.
 
-    k's terms are those of the enumeration over the first ks[-1] primes
-    with top <= k and d < p_{k+1}^2, in k's own order (module docstring).
+    The rows share one enumeration over the first max-k primes; a row's
+    terms are those with top <= k and d < bound, in its own order (module
+    docstring). cumsum adds them term by term in that order; a pairwise
+    sum would change the last bits of ratio_truncated.
     """
-    d, mu, top = _squarefree_products(table.first(ks[-1]), table.nth(ks[-1] + 1) ** 2 - 1)
+    d, mu, top = _squarefree_products(table.first(max(k for k, _ in rows)),
+                                      max(bound for _, bound in rows) - 1, term_cap)
     terms = mu / d
-    return [float(np.cumsum(terms[(top <= k) & (d < table.nth(k + 1) ** 2)])[-1])
-            for k in ks]
+    sums = []
+    for k, bound in rows:
+        row = terms[(top <= k) & (d < bound)]
+        sums.append((float(np.cumsum(row, out=row)[-1]) if len(row) else 0.0, len(row)))
+    return sums
 
 
 def truncated_moebius_sum(k: int, table: PrimeTable, bound: Optional[int] = None,
                           context: Optional[MoebiusContext] = None) -> float:
     """sum_{d | p_k#, d squarefree, d < bound} mu(d)/d; bound defaults to p_{k+1}^2."""
-    p_next = table.nth(k + 1)
     if bound is None:
-        bound = p_next * p_next
-    if _enumerated(k, bound):
-        d, mu, _ = _squarefree_products(table.first(k), bound - 1)
-        # cumsum adds term by term in enumeration order; a pairwise sum would
-        # change the last bits of ratio_truncated.
-        return float(np.cumsum(mu / d)[-1]) if len(d) else 0.0
+        bound = table.nth(k + 1) ** 2
+    if _enumerated(k, bound, table):
+        return _enumerated_rows([(k, bound)], table)[0][0]
     if context is None:
         context = MoebiusContext(bound - 1, table)
     return context.truncated_sum(k, bound, table)
@@ -535,17 +532,11 @@ def legendre_term_count(k: int, table: PrimeTable, bound: Optional[int] = None,
         raise DomainError("k must be >= 0")
     if bound is None:
         return 2 ** k
-    if bound <= 1:
-        return 0
-    p_next = table.nth(k + 1)
-    # Both paths count exactly, so beyond the enumeration's k limit the
-    # faster context serves every bound it can hold; the truncated sum
-    # also enumerates bounds up to 2^20, whose float order it must keep.
-    if k > _ENUMERATE_K_LIMIT and MoebiusContext.MIN_LIMIT < bound <= p_next * p_next:
-        if context is None:
-            context = MoebiusContext(bound - 1, table)
-        return context.term_count(k, bound, table)
-    return len(_squarefree_products(table.first(k), bound - 1, term_cap)[0])
+    if _enumerated(k, bound, table):
+        return _enumerated_rows([(k, bound)], table, term_cap)[0][1]
+    if context is None:
+        context = MoebiusContext(bound - 1, table)
+    return context.term_count(k, bound, table)
 
 
 @dataclass(frozen=True)
@@ -563,11 +554,11 @@ class LegendreScanRow:
 def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreScanRow]:
     """Full vs truncated vs exact ratios, one row per k in [k_from, k_to].
 
-    The rows whose truncated sum is enumerated (k <= 171, where
-    p_{k+1}^2 <= 2^20) share one enumeration, built and dropped before
-    the context rows, where the scan's memory peaks. pi_k is counted on
-    the prime list of the scan's MoebiusContext, which holds every prime
-    up to p_{k_to+1}^2.
+    The rows whose bound p_{k+1}^2 is enumerated (k <= 171, where
+    p_{k+1}^2 <= 2^20) take their truncated sum and term count from one
+    _enumerated_rows call, built and dropped before the context rows,
+    where the scan's memory peaks. pi_k is counted on the prime list of
+    the scan's MoebiusContext, which holds every prime up to p_{k_to+1}^2.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
@@ -575,8 +566,9 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreSca
     context = MoebiusContext(limit, table)
     # Enumerated after the context's prime list, whose freed concatenation
     # lets these temporaries reuse heap pages instead of faulting in fresh ones.
-    dfs_ks = [k for k in range(k_from, k_to + 1) if _enumerated(k, table.nth(k + 1) ** 2)]
-    tsums = _depth_first_sums(dfs_ks, table) if dfs_ks else []  # a prefix of the rows
+    listed = [(k, table.nth(k + 1) ** 2) for k in range(k_from, k_to + 1)]
+    listed = [row for row in listed if _enumerated(*row, table)]  # a prefix of the rows
+    enumerated = _enumerated_rows(listed, table) if listed else []
     products = analytic.mertens_products(k_to, table)
     rows = []
     for k in range(k_from, k_to + 1):
@@ -584,8 +576,11 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreSca
         length = p_next * p_next - p * p
         log_hi = math.log(p_next * p_next)
         base = length / log_hi
-        tsum = (tsums[k - k_from] if k - k_from < len(tsums)
-                else truncated_moebius_sum(k, table, context=context))
+        if k - k_from < len(enumerated):
+            tsum, terms = enumerated[k - k_from]
+        else:
+            tsum = truncated_moebius_sum(k, table, context=context)
+            terms = legendre_term_count(k, table, p_next * p_next, context=context)
         pi_k = int(np.searchsorted(context.primes, p_next * p_next)
                    - np.searchsorted(context.primes, p * p))
         rows.append(LegendreScanRow(
@@ -594,7 +589,7 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreSca
             ratio_full=products[k] * log_hi,
             ratio_truncated=tsum * log_hi,
             pi_ratio=pi_k / base,
-            terms=legendre_term_count(k, table, p_next * p_next, context=context),
+            terms=terms,
         ))
     return rows
 

@@ -179,6 +179,26 @@ def test_maier_bad_k_token_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+_MINIMAL_ARGV = {
+    "intervals": ["--kmax", 20], "bias": ["--kmax", 20], "corr": ["--kmax", 20, "--max-lag", 5],
+    "conjecture": ["--kmax", 20], "legendre": ["--kmax", 20], "maier": ["--k", 30],
+    "randmodel": ["--k", 5],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--seed", 1] for command in _MINIMAL_ARGV if command != "randmodel"),
+    *([command, "--segment-size", 65536] for command in ("maier", "legendre", "randmodel")),
+    ["maier", "--delta-band", 0.05],
+], ids=lambda argv: f"{argv[0]}{argv[1]}")
+def test_flag_its_command_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert run([argv[0], *_MINIMAL_ARGV[argv[0]], *argv[1:], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_legendre_command(tmp_path):
     out = tmp_path / "o"
     assert run(["legendre", "--kmax", 12, "--out", out]) == 0
@@ -523,6 +543,8 @@ def test_every_manifest_has_a_run_block(tmp_path, argv):
     assert block["minor_faults"]["self"] > 0 and block["minor_faults"]["children"] >= 0
     assert block["stages"]["command"]["wall_s"] > 0
     assert block["resumed_from_k"] is None
+    manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
+    assert manifest["seed"] == (0 if argv[0] == "randmodel" else None)
     scans = argv[0] in ("intervals", "bias", "corr", "conjecture")
     assert ("scan" in block["stages"]) == scans
     # The scan sieves [p_1^2, p_21^2) = [4, 73^2) with one worker.

@@ -167,7 +167,7 @@ def test_truncated_moebius_sum_against_fractions(table_small):
 
 
 def test_truncated_sum_fast_path_matches_dfs(table):
-    # k = 30 exceeds the DFS threshold: decomposition vs exact rationals.
+    # k = 30: the context's decomposition against exact rationals.
     k = 30
     bound = table.nth(k + 1) ** 2
     ps = [int(p) for p in table.first(k)]
@@ -185,7 +185,7 @@ def test_legendre_term_count(table_small, table):
         bound = table_small.nth(k + 1) ** 2
         ps = [int(p) for p in table_small.first(k)]
         assert legendre_term_count(k, table_small, bound) == count_squarefree_products(ps, bound)
-    # Sieve-decomposition path against the enumeration oracle.
+    # k = 45 is beyond 25 primes, but its bound, below 2^20, is enumerated too.
     k = 45
     bound = table.nth(k + 1) ** 2
     ps = [int(p) for p in table.first(k)]
@@ -194,8 +194,8 @@ def test_legendre_term_count(table_small, table):
 
 @pytest.mark.parametrize("k", [26, 40, 41, 50])
 def test_term_count_small_bounds_beyond_enumeration_limit(table, k):
-    # Bounds 2..4 lie below the smallest MoebiusContext; from 5 on the
-    # context counts for every k beyond the enumeration limit.
+    # Every bound here is at most 2^20, so these counts are enumerated; the
+    # context's small-bound counts are checked against the per-prime reference.
     ps = [int(p) for p in table.first(k)]
     for bound in (2, 3, 4, 5, 6, 1000, table.nth(k + 1) ** 2):
         assert legendre_term_count(k, table, bound) == count_squarefree_products(ps, bound)
@@ -355,6 +355,25 @@ def test_context_sums_match_per_prime_reference_at_any_bound(table, ctx300, k, f
     _assert_matches_per_prime_reference(ctx300, k, 2 + int(frac * (top - 2)), table)
 
 
+@pytest.mark.parametrize("k", [26, 100, 171, 172, 300])
+def test_one_rule_for_sums_and_counts(table, ctx300, k):
+    # The context serves exactly the bounds in (2^20, p_{k+1}^2]; every other
+    # bound is enumerated, in depth-first order, for sums and counts alike.
+    ps = [int(p) for p in table.first(k)]
+    top = table.nth(k + 1) ** 2
+    for bound in [2, 5, 1 << 20, (1 << 20) + 1, top] + ([top + 1] if k in (26, 172) else []):
+        count = legendre_term_count(k, table, bound, context=ctx300)
+        assert count == count_squarefree_products(ps, bound), bound
+        got = truncated_moebius_sum(k, table, bound, context=ctx300)
+        if 1 << 20 < bound <= top:
+            assert got == context_truncated_sum(ctx300, k, bound, table), bound
+        else:
+            assert got == dfs_moebius_sum(ps, bound)[0], bound
+    # Above p_{k+1}^2 the enumeration's term cap applies, not the context's domain.
+    with pytest.raises(ResourceError):
+        truncated_moebius_sum(k, table, bound=1 << 62)
+
+
 def _assert_mobius_matches_reference(table, limit):
     base = table.primes[: table.count_upto(math.isqrt(limit))]
     got = _mobius_array(limit, _prime_list(0, limit + 1, base))
@@ -466,10 +485,11 @@ def _chunked_m_reference(mu, ends: list, y: int, chunk: int) -> float:
     return acc
 
 
-# Blocks of 4099 put a seam inside most grid segments near 547^2 (about 6000
-# long) and inside off-grid tails: the grid stream's blocks start at
-# 1 + 4099 i, and a tail's at the grid end before it (541^2 - 1 for the
-# 296779..296781 trio).
+# Blocks of about 4099 integers: with 1000-integer pieces a block holds four
+# whole pieces, so its seams fall inside grid segments near 547^2 (about
+# 6000 long) and inside off-grid tails (from 541^2 for the 296779..296781
+# trio); with the default chunk each such segment is one piece, longer than
+# a block, and so a block of its own.
 @pytest.mark.parametrize("chunk", [residue_legendre._M_CHUNK, 1000])
 def test_m_full_across_block_seams(table, monkeypatch, chunk):
     monkeypatch.setattr(residue_legendre, "_MOBIUS_BLOCK", 4099)
