@@ -1,13 +1,20 @@
 """Dataset-emitting command line: one subcommand per analysis.
 
-Each subcommand writes frozen-schema CSV files (header row, LF endings,
-UTF-8, reals at 15 significant digits) plus a JSON run manifest carrying
-the command line, seed (null except for randmodel), and a sha256
-checksum per output. The manifest's shell-quoted ``command_line`` is the
-run's complete input: no setting comes from the environment, and a
-command accepts no flag it does not read, so re-running it reproduces
-every output byte for the same version, regardless of thread count.
-Outputs are renamed into place from a temp file. The interval commands
+Each subcommand ``_cmd_<name>(args)`` computes its datasets and writes
+nothing. It returns ``(files, k_max, extras)``: ``files`` maps each CSV
+name to an ordered dict of equal-length columns whose keys are the
+header, and ``extras`` holds the command's own manifest keys. ``main``
+writes every file through one column writer (header row, LF endings,
+UTF-8; float columns at 15 significant digits, any other with ``str``),
+then the JSON run manifest carrying the command line, seed (null except
+for randmodel), and the sha256 of the bytes written per output. The
+manifest's shell-quoted ``command_line`` is the run's complete input: no
+setting comes from the environment, and a command accepts no flag it
+does not read, save ``--threads``, which maier, legendre and randmodel
+accept unread so that one flag set drives all seven commands. So
+re-running it reproduces every output byte for the same version,
+regardless of thread count. Outputs are renamed into place from a temp
+file. The interval commands
 run one scan from the first k missing in ``--checkpoint``, appending
 each sieve chunk to it as it arrives. Progress goes to stderr, one line
 per chunk; stdout stays quiet.
@@ -70,12 +77,11 @@ def _int_list(text: str) -> list:
             f"not a comma-separated list of integers: {text!r}") from None
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.15g}"
+def _segment_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be an integer >= 2")
+    return value
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -89,14 +95,17 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_csv(path: Path, columns: dict) -> str:
+    """Write equal-length ``columns`` under a header of their names; return
+    the sha256 of the bytes written. A float column is written at 15
+    significant digits, any other column (ints, big ints, text) with str."""
+    cells = []
+    for values in map(np.asarray, columns.values()):
+        fmt = "{:.15g}".format if values.dtype.kind == "f" else str
+        cells.append(map(fmt, values.tolist()))
+    data = ("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n").encode("utf-8")
+    _write_atomic(path, data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _clock() -> tuple:
@@ -136,24 +145,6 @@ class _RunLog:
             "versions": {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
                          "sievelab": __version__},
         }
-
-
-def _write_manifest(command: str, args, argv: list, outputs: list,
-                    k_max=None, extras=None) -> Path:
-    manifest = {
-        "command": command,
-        "command_line": shlex.join(["sievelab", *argv]),
-        "seed": getattr(args, "seed", None),  # randmodel's alone
-        "k_max": k_max,
-        "version": __version__,
-        "outputs": {p.name: _sha256(p) for p in outputs},
-        "run": args.run.block(),
-    }
-    if extras:
-        manifest.update(extras)
-    path = args.out / f"{command}.manifest.json"
-    _write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    return path
 
 
 def _progress(msg: str) -> None:
@@ -231,7 +222,7 @@ def _interval_set(args):
     and appended to it one sieve chunk at a time."""
     table = _table_for(args.kmax + 1)
     run, start = args.run, _clock()
-    ck = Path(args.checkpoint) if args.checkpoint else None
+    ck = args.checkpoint
     blocks = [_checkpoint_load(ck)] if ck else []
     k_next = len(blocks[0]["pi_k"]) + 1 if ck else 1
     if k_next > 1:
@@ -253,129 +244,98 @@ def _interval_set(args):
         run.workers = _pool_size(args.threads, chunks)
     run.record("scan", start)
     return IntervalSet({name: np.concatenate([b[name] for b in blocks])[: args.kmax]
-                        for name in IntervalSet.COLUMNS}), table
+                        for name in IntervalSet.COLUMNS})
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-def _cmd_intervals(args, argv) -> int:
-    s, _ = _interval_set(args)
-    ks = range(1, len(s) + 1)
-    f1 = args.out / "intervals.csv"
-    _write_csv(f1, _FIELDS,
-               zip(ks, *(getattr(s, name).tolist() for name in IntervalSet.COLUMNS)))
-    f2 = args.out / "deviations.csv"
-    _write_csv(f2, ["k", "x", "pi_k", "li_k", "diff"],
-               zip(ks, (s.p_next * s.p_next).tolist(), s.pi_k.tolist(), s.li_k.tolist(),
-                   (s.pi_k - s.li_k).tolist()))
-    _write_manifest("intervals", args, argv, [f1, f2], k_max=args.kmax)
-    return 0
+def _cmd_intervals(args):
+    s = _interval_set(args)
+    k = np.arange(1, len(s) + 1)
+    return {
+        "intervals.csv": {"k": k, **{name: getattr(s, name) for name in IntervalSet.COLUMNS}},
+        "deviations.csv": {"k": k, "x": s.p_next * s.p_next, "pi_k": s.pi_k, "li_k": s.li_k,
+                           "diff": s.pi_k - s.li_k},
+    }, args.kmax, {}
 
 
-def _cmd_maier(args, argv) -> int:
+def _cmd_maier(args):
     k_list = args.k
     if not k_list:
         raise DomainError("empty k list")
     table = _table_for(max(k_list) + 1)
     scans = [stats_lab.maier_scan(k, args.lam, table, step=args.step) for k in k_list]
-    scan_rows = []
-    for s in scans:
-        scan_rows.extend((s.k, x, r) for x, r in s.ratios.points)
-    f1 = args.out / "maier_scan.csv"
-    _write_csv(f1, ["k", "x", "ratio"], scan_rows)
-    summary_rows = [(s.k, s.ratios.metadata["phi_start"], s.ratios.metadata["phi_end"],
-                     s.whole_interval_ratio, s.up_deviation, s.down_deviation, s.delta)
-                    for s in scans]
-    f2 = args.out / "maier_summary.csv"
-    _write_csv(f2, ["k", "phi_start", "phi_end", "whole_interval_ratio",
-                    "up_deviation", "down_deviation", "delta"], summary_rows)
-    _write_manifest("maier", args, argv, [f1, f2], k_max=max(k_list),
-                    extras={"lambda": args.lam, "delta_lambda": stats_lab.extract_delta(scans)})
-    return 0
+    ratios = [s.ratios for s in scans]
+    summary = {"k": k_list,
+               "phi_start": [r.metadata["phi_start"] for r in ratios],
+               "phi_end": [r.metadata["phi_end"] for r in ratios]}
+    for name in ("whole_interval_ratio", "up_deviation", "down_deviation", "delta"):
+        summary[name] = [getattr(s, name) for s in scans]
+    return {
+        "maier_scan.csv": {"k": np.repeat(k_list, [len(r.points) for r in ratios]),
+                           "x": np.concatenate([r.xs() for r in ratios]),
+                           "ratio": np.concatenate([r.values() for r in ratios])},
+        "maier_summary.csv": summary,
+    }, max(k_list), {"lambda": args.lam, "delta_lambda": stats_lab.extract_delta(scans)}
 
 
-def _cmd_legendre(args, argv) -> int:
-    table = _table_for(args.kmax + 1)
-    rows = residue_legendre.legendre_scan(1, args.kmax, table)
-    f1 = args.out / "legendre_scan.csv"
-    _write_csv(f1, ["k", "ratio_full", "ratio_truncated", "pi_ratio"],
-               [(r.k, r.ratio_full, r.ratio_truncated, r.pi_ratio) for r in rows])
-    f2 = args.out / "legendre_terms.csv"
-    _write_csv(f2, ["k", "terms", "l_k"], [(r.k, r.terms, r.length) for r in rows])
-    _write_manifest("legendre", args, argv, [f1, f2], k_max=args.kmax)
-    return 0
+def _cmd_legendre(args):
+    rows = residue_legendre.legendre_scan(1, args.kmax, _table_for(args.kmax + 1))
+    field = {name: [getattr(r, name) for r in rows]
+             for name in ("k", "ratio_full", "ratio_truncated", "pi_ratio", "terms", "length")}
+    return {
+        "legendre_scan.csv": {name: field[name]
+                              for name in ("k", "ratio_full", "ratio_truncated", "pi_ratio")},
+        "legendre_terms.csv": {"k": field["k"], "terms": field["terms"], "l_k": field["length"]},
+    }, args.kmax, {}
 
 
-def _cmd_randmodel(args, argv) -> int:
+def _cmd_randmodel(args):
     table = _table_for(args.k + 1)
     summary = randmodel.shift_model(args.k, table, budget=args.budget, seed=args.seed)
-    binom = randmodel.binomial_reference(args.k, table)
-    pois = randmodel.poisson_reference(args.k, table)
-    f1 = args.out / "randmodel.csv"
-    _write_csv(f1, ["k", "mode", "samples", "mean", "variance", "binom_var", "pois_var", "seed"],
-               [(summary.k, summary.mode, summary.samples, summary.mean, summary.variance,
-                 binom.variance, pois.variance,
-                 summary.seed if summary.seed is not None else "")])
-    f2 = args.out / "randmodel_hist.csv"
-    hist_rows = [(v, int(c)) for v, c in enumerate(summary.histogram) if c > 0]
-    _write_csv(f2, ["value", "count"], hist_rows)
-    _write_manifest("randmodel", args, argv, [f1, f2], k_max=args.k,
-                    extras={"mode": summary.mode, "budget": args.budget})
-    return 0
+    values = np.flatnonzero(summary.histogram)
+    return {
+        "randmodel.csv": {
+            "k": [summary.k], "mode": [summary.mode], "samples": [summary.samples],
+            "mean": [summary.mean], "variance": [summary.variance],
+            "binom_var": [randmodel.binomial_reference(args.k, table).variance],
+            "pois_var": [randmodel.poisson_reference(args.k, table).variance],
+            "seed": [summary.seed if summary.seed is not None else ""]},
+        "randmodel_hist.csv": {"value": values, "count": summary.histogram[values]},
+    }, args.k, {"mode": summary.mode, "budget": args.budget}
 
 
-def _cmd_bias(args, argv) -> int:
-    interval_set, table = _interval_set(args)
-    series = stats_lab.bias_series(interval_set, table)
+def _cmd_bias(args):
+    series = stats_lab.bias_series(_interval_set(args))
     meta = series.metadata
-    offset = 2.0 if args.count_offset else 0.0
-    rows = []
-    for i, (x, a) in enumerate(series.points):
-        a_off = a + offset
-        d = meta["delta"][i]
-        rows.append((meta["k"][i], x, a_off, meta["b"][i], meta["c"][i],
-                     a_off / d, meta["b_norm"][i], meta["c_norm"][i]))
-    f1 = args.out / "bias.csv"
-    _write_csv(f1, ["k", "x", "a", "b", "c", "a_norm", "b_norm", "c_norm"], rows)
-    fit = meta["fit"]
-    _write_manifest("bias", args, argv, [f1], k_max=args.kmax,
-                    extras={"count_offset": bool(args.count_offset),
-                            "fit_mean": fit.mean, "fit_stdev": fit.stdev})
-    return 0
+    a = series.values() + (2.0 if args.count_offset else 0.0)
+    columns = {"k": meta["k"], "x": series.xs(), "a": a, "b": meta["b"], "c": meta["c"],
+               "a_norm": a / np.asarray(meta["delta"]), "b_norm": meta["b_norm"],
+               "c_norm": meta["c_norm"]}
+    return {"bias.csv": columns}, args.kmax, {
+        "count_offset": args.count_offset,
+        "fit_mean": meta["fit"].mean, "fit_stdev": meta["fit"].stdev}
 
 
-def _cmd_corr(args, argv) -> int:
+def _cmd_corr(args):
     stats_lab.check_lag_arguments(args.kmax, args.max_lag, args.block)  # before the scan
-    interval_set, _ = _interval_set(args)
-    deviations = interval_set.pi_k - interval_set.li_k
-    series = stats_lab.lag_correlation(deviations, args.max_lag, block=args.block)
-    f1 = args.out / "corr.csv"
-    _write_csv(f1, ["lag_or_block", "value"], [(int(x), v) for x, v in series.points])
-    _write_manifest("corr", args, argv, [f1], k_max=args.kmax,
-                    extras={"max_lag": args.max_lag, "block": args.block})
-    return 0
+    s = _interval_set(args)
+    series = stats_lab.lag_correlation(s.pi_k - s.li_k, args.max_lag, block=args.block)
+    columns = {"lag_or_block": series.xs().astype(np.int64), "value": series.values()}
+    return {"corr.csv": columns}, args.kmax, {"max_lag": args.max_lag, "block": args.block}
 
 
-def _cmd_conjecture(args, argv) -> int:
-    interval_set, _ = _interval_set(args)
-    series = randmodel.conjecture_check(interval_set)
+def _cmd_conjecture(args):
+    series = randmodel.conjecture_check(_interval_set(args))
     meta = series.metadata
-    offset = 2.0 if args.count_offset else 0.0
-    rows = []
-    violations = 0
-    for i, (x, d) in enumerate(series.points):
-        d_off = d + offset
-        if abs(d_off) >= meta["sqrt_li"][i]:
-            violations += 1
-        rows.append((meta["k"][i], x, d_off, meta["sqrt_li"][i]))
-    f1 = args.out / "conjecture.csv"
-    _write_csv(f1, ["k", "x", "pi_minus_li", "sqrt_li"], rows)
-    _write_manifest("conjecture", args, argv, [f1], k_max=args.kmax,
-                    extras={"count_offset": bool(args.count_offset),
-                            "violations": violations})
-    return 0
+    d = series.values() + (2.0 if args.count_offset else 0.0)
+    sqrt_li = np.asarray(meta["sqrt_li"])
+    columns = {"k": meta["k"], "x": series.xs(), "pi_minus_li": d, "sqrt_li": sqrt_li}
+    return {"conjecture.csv": columns}, args.kmax, {
+        "count_offset": args.count_offset,
+        "violations": int(np.count_nonzero(np.abs(d) >= sqrt_li))}
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +351,9 @@ def _add_common(sp, kmax=True):
 
 
 def _add_interval_scan_flags(sp):
-    sp.add_argument("--segment-size", type=int, default=DEFAULT_CHUNK_ENTRIES,
+    sp.add_argument("--segment-size", type=_segment_size, default=DEFAULT_CHUNK_ENTRIES,
                     help="sieve chunk span in integers: the unit of work of one worker")
-    sp.add_argument("--checkpoint", help="JSONL checkpoint for resumable interval scans")
+    sp.add_argument("--checkpoint", type=Path, help="JSONL checkpoint for resumable interval scans")
 
 
 def _add_count_offset(sp):
@@ -462,7 +422,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.run = _RunLog()
         args.out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, argv)
+        files, k_max, extras = args.func(args)
+        outputs = {name: _write_csv(args.out / name, columns) for name, columns in files.items()}
+        manifest = {"command": args.command, "command_line": shlex.join(["sievelab", *argv]),
+                    "seed": getattr(args, "seed", None),  # randmodel's alone
+                    "k_max": k_max, "version": __version__, "outputs": outputs,
+                    "run": args.run.block(), **extras}
+        _write_atomic(args.out / f"{args.command}.manifest.json",
+                      (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except DomainError as exc:

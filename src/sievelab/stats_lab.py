@@ -277,7 +277,7 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
     )
 
 
-def bias_series(interval_set: IntervalSet, table: PrimeTable) -> ScanSeries:
+def bias_series(interval_set: IntervalSet) -> ScanSeries:
     """The three cumulative error curves at x = p_{k+1}^2, raw and normalized.
 
     (a) pi(x) - li(x); (b) running sum of l_j/log p_j^2 - li_j;

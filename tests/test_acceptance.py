@@ -141,9 +141,9 @@ def test_criterion_06_term_count_growth(table):
                    f"(terms(25)={t25}), {elapsed:.1f}s")
 
 
-def test_criterion_07_bias_ordering_sign_band(table, set10k):
+def test_criterion_07_bias_ordering_sign_band(set10k):
     t0 = time.perf_counter()
-    series = sl.bias_series(set10k, table)
+    series = sl.bias_series(set10k)
     meta = series.metadata
     b = np.array(meta["b"])
     c = np.array(meta["c"])
@@ -193,10 +193,10 @@ def test_rows_match_lucy_hedgehog_every_1000th_k(set10k):
     assert lucy_pi(set10k.record(ACCEPT_KMAX).p_next ** 2) == 497138058
 
 
-def test_intervals_kmax_10k_bytes_pinned(table, set10k, tmp_path, monkeypatch):
+def test_intervals_kmax_10k_bytes_pinned(set10k, tmp_path, monkeypatch):
     # The sha256 of `intervals --kmax 10000`, rendered by the CLI from the
     # fixture's columns so that the pin costs no second scan.
-    monkeypatch.setattr(cli, "_interval_set", lambda args: (set10k, table))
+    monkeypatch.setattr(cli, "_interval_set", lambda args: set10k)
     assert cli_main(["intervals", "--kmax", str(ACCEPT_KMAX), "--out", str(tmp_path)]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("intervals.csv", "deviations.csv")}

@@ -389,6 +389,17 @@ def test_threads_must_be_positive(tmp_path, threads):
     assert not (out / "intervals.csv").exists()
 
 
+@pytest.mark.parametrize("size", [1, 0, -7])
+def test_segment_size_below_two_is_usage_error(tmp_path, size):
+    # Refused when parsed, also when the checkpoint already covers --kmax.
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 20, "--out", tmp_path / "part", "--checkpoint", ck]) == 0
+    out = tmp_path / "o"
+    for scan in ([], ["--checkpoint", ck]):
+        assert run(["intervals", "--kmax", 20, "--segment-size", size, "--out", out, *scan]) == 1
+    assert not out.exists()
+
+
 def test_maier_negative_step_is_domain_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["maier", "--k", 30, "--step", -5, "--out", out]) == 2
@@ -574,3 +585,78 @@ def test_resumed_run_reports_its_resume_k(tmp_path):
     assert run(["intervals", "--kmax", 60, "--out", again, "--checkpoint", ck]) == 0
     block = json.loads((again / "intervals.manifest.json").read_text())["run"]
     assert (block["resumed_from_k"], block["sieve_entries"], block["workers"]) == (61, 0, 0)
+
+
+# Each command's manifest without its "run" block and "command_line",
+# recorded before the commands returned columns for main to write. The
+# corr --block 100 digest is the only pin of block mode's corr.csv.
+PINNED_MANIFESTS = {
+    "intervals --kmax 20": {"k_max": 20, "outputs": {
+        "intervals.csv": "58207ecb913cd9101373c364096359df644ad243275de9b154121e2b5da4e050",
+        "deviations.csv": "1c4efab7df65f6ced798cce94dcfc3cc864dc6d47001fa9e340ac073cbf2b8c8"}},
+    "maier --k 30,40 --lambda 2": {
+        "k_max": 40, "lambda": 2.0, "delta_lambda": 0.47987832593897917, "outputs": {
+            "maier_scan.csv": "87fca874842d00feae268cd85c641e4362af6056e63314d0675cad80e19453cf",
+            "maier_summary.csv":
+                "523a6f253a5b251d85cc21818099994cc70b7831012c4c319efce115bd384e97"}},
+    "legendre --kmax 20": {"k_max": 20, "outputs": {
+        "legendre_scan.csv": "d4a5dfd1f44bf5ebf203b3b2cfe82bb8c3669a83be1e44d08f1c97a6f9b1c11d",
+        "legendre_terms.csv": "7fc4a3c333b16277627759cbb45f12e45acf7781370e60ffe30c58cc690e832b"}},
+    "randmodel --k 5": {"k_max": 5, "seed": 0, "mode": "exhaustive", "budget": 100000, "outputs": {
+        "randmodel.csv": "cdbdcbfd4aaba5e7ad9821c82ad9fe7e233eff23c378f609c085b1c229114847",
+        "randmodel_hist.csv": "af7f1819caefc4467d2f863ae4488058c0a747e0a119cfa313b9dd61548865cf"}},
+    "randmodel --k 12 --budget 200 --seed 9": {
+        "k_max": 12, "seed": 9, "mode": "sampled", "budget": 200, "outputs": {
+            "randmodel.csv": "31d99069e42d043cb766f7f8967cf0f25f600126759465688daef4e7170d1c38",
+            "randmodel_hist.csv":
+                "4218785da2532fb5ffcd75b46eb7326ca916bccc3e40fa6f7d91736d9970bbef"}},
+    "bias --kmax 40": {
+        "k_max": 40, "count_offset": False, "fit_mean": -0.9109505636557633,
+        "fit_stdev": 0.1280241615437914,
+        "outputs": {"bias.csv": "40798441402433e3e866b3139d0ec8919df9a3680f07283714da8d088e9906ce"}},
+    "bias --kmax 40 --count-offset": {
+        "k_max": 40, "count_offset": True, "fit_mean": -0.9109505636557633,
+        "fit_stdev": 0.1280241615437914,
+        "outputs": {"bias.csv": "df4d23bb17f0dc47cfd22a4abd6b5709ddb5fc65096a7e6f7ec78158ab1b1b57"}},
+    "corr --kmax 40 --max-lag 5": {
+        "k_max": 40, "max_lag": 5, "block": 0,
+        "outputs": {"corr.csv": "ae9a35ba23864e9cd643a1e5ea20ccf0815e9d704ab1152505be85aa88266520"}},
+    "corr --kmax 300 --max-lag 5 --block 100": {
+        "k_max": 300, "max_lag": 5, "block": 100,
+        "outputs": {"corr.csv": "f0d16d9c9140e7e67a65d9a2ee8defcfabe9a3a86ae675d3d6c7cb2d3ad1ef0a"}},
+    "conjecture --kmax 40": {"k_max": 40, "count_offset": False, "violations": 0, "outputs": {
+        "conjecture.csv": "cd2f2b2fd267e149389e61c47704d04418cf60d8494358fbe8445711de6fee9f"}},
+    "conjecture --kmax 40 --count-offset": {
+        "k_max": 40, "count_offset": True, "violations": 0, "outputs": {
+            "conjecture.csv": "a0f5a552fb76823342945c8cb2fed0ec36ffd41853940a9bf0a0a91eb6133525"}},
+}
+
+
+@pytest.mark.parametrize("command_line", PINNED_MANIFESTS)
+def test_manifest_pinned(tmp_path, command_line):
+    argv = command_line.split()
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == 0
+    manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
+    del manifest["run"], manifest["command_line"]
+    assert manifest == {"command": argv[0], "version": "0.1.0", "seed": None,
+                        **PINNED_MANIFESTS[command_line]}
+
+
+@pytest.mark.parametrize("flags, violations, digest", [
+    ([], 2, "07e68cec24dbb8bacd80a68746e8f3edc8eb1da080f1edec344bf12f8d72574c"),
+    (["--count-offset"], 3, "e75be9cd1205251f14795ffd0110900c5e0094c161d5abe1c309d07083d4f07e"),
+], ids=["plain", "count-offset"])
+def test_conjecture_counts_violations(tmp_path, flags, violations, digest):
+    # True counts never leave the band at these sizes, so six primes are
+    # added to s_1 in the checkpoint: |pi - li| >= sqrt(li) at the first k.
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 40, "--out", tmp_path / "part", "--checkpoint", ck]) == 0
+    rows = [json.loads(line) for line in read_lines(ck)]
+    rows[0]["pi_k"] += 6
+    ck.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "o"
+    assert run(["conjecture", "--kmax", 40, "--out", out, "--checkpoint", ck, *flags]) == 0
+    manifest = json.loads((out / "conjecture.manifest.json").read_text())
+    assert manifest["violations"] == violations
+    assert sha(out / "conjecture.csv") == manifest["outputs"]["conjecture.csv"] == digest

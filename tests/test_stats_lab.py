@@ -216,13 +216,13 @@ def test_lag_correlation_of_interval_deviations(set1000):
 
 
 def test_bias_delta_is_delta_normalizer(table, set200):
-    delta = bias_series(set200, table).metadata["delta"]
+    delta = bias_series(set200).metadata["delta"]
     for k in (1, 2, 50, 200):
         assert delta[k - 1] == delta_normalizer(k, table)
 
 
-def test_bias_series_ordering_and_normalized_lines(table, set1000):
-    series = bias_series(set1000, table)
+def test_bias_series_ordering_and_normalized_lines(set1000):
+    series = bias_series(set1000)
     meta = series.metadata
     b = np.array(meta["b"])
     c = np.array(meta["c"])
