@@ -71,10 +71,12 @@ def _positive_int(text: str) -> int:
 
 def _int_list(text: str) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}") from None
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    return values
 
 
 def _segment_size(text: str) -> int:
@@ -263,8 +265,6 @@ def _cmd_intervals(args):
 
 def _cmd_maier(args):
     k_list = args.k
-    if not k_list:
-        raise DomainError("empty k list")
     table = _table_for(max(k_list) + 1)
     scans = [stats_lab.maier_scan(k, args.lam, table, step=args.step) for k in k_list]
     ratios = [s.ratios for s in scans]

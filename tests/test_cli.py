@@ -179,6 +179,15 @@ def test_maier_bad_k_token_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("k", [",", ""], ids=["comma", "blank"])
+def test_maier_empty_k_list_is_usage_error(tmp_path, capsys, k):
+    out = tmp_path / "o"
+    assert run(["maier", "--k", k, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "--k" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 _MINIMAL_ARGV = {
     "intervals": ["--kmax", 20], "bias": ["--kmax", 20], "corr": ["--kmax", 20, "--max-lag", 5],
     "conjecture": ["--kmax", 20], "legendre": ["--kmax", 20], "maier": ["--k", 30],

@@ -19,9 +19,10 @@ from sievelab import (
 )
 
 from sievelab import sieve_core
-from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _RESIDUES, _chunk_digits,
-                                 _coprime_counts, _icbrt, _pi_from, _prefix_counts, _prime_list,
-                                 _primes_below, _semiprime_lookup, _semiprimes_below,
+from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _PRESIEVE_PRIMES, _RESIDUES,
+                                 _chunk_digits, _coprime_counts, _fill_rotated, _icbrt, _pi_from,
+                                 _prefix_counts, _presieve_pattern, _prime_list, _primes_below,
+                                 _rotated_rows, _semiprime_lookup, _semiprimes_below,
                                  _strike_limit, _strike_offsets, _wheel_pattern, _wheel_rows)
 
 from _oracles import (coprime_survivors, lucy_pi, mark_primality, odd_primality, trial_primes,
@@ -499,6 +500,94 @@ def test_strike_offsets_chunked_sums_stay_exact():
         c = _chunk_digits(q_max)
         bound = ((1 << 32) - 1) * max(q_max - 1, 1)
         assert c >= 1 and c * bound <= _INT64_MAX < (c + 1) * bound
+
+
+# Run in a child process per OpenBLAS kernel: prints the kernel's name
+# ("-" where it cannot be read) and how many cases came out inexact.
+_BLAS_CHILD = """
+import ctypes, glob, os, random
+import numpy as np
+from sievelab.sieve_core import _strike_offsets, build_prime_table
+
+def corename():
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return ""
+
+primes = [int(p) for p in build_prime_table(2000).primes[:300]]
+rng = random.Random(300)
+cases = [
+    # One digit per chunk: every product is a 16-bit half times a weight near 2**31.
+    ((2, 3, 2 ** 31 - 1, 2 ** 31 - 19), [2 ** (32 * w) - 1 for w in (1, 2, 3, 64, 65, 127)]),
+    # 2048 all-ones digits per chunk: the partial sums reach about 2**46.
+    ((2, 255255, 1223, 2 ** 20 - 3), [2 ** (32 * w) - 1 for w in (2047, 2048, 2049, 4097)]),
+    # The k = 300 moduli at 2000-bit starts.
+    ((2, 255255, *(q for q in primes if q > 17)),
+     [rng.getrandbits(2000) for _ in range(64)] + [2 ** 2000 - 1]),
+]
+bad = sum(_strike_offsets(starts, moduli).tolist() != [[(-s) % q for q in moduli] for s in starts]
+          for moduli, starts in cases)
+print(corename() or "-", bad)
+"""
+
+
+def test_strike_offsets_exact_under_every_blas_kernel():
+    # The float64 products must not depend on the BLAS kernel the CPU
+    # selects: the default, an AVX2-only and an SSE-only one.
+    src = os.path.dirname(os.path.dirname(sieve_core.__file__))
+    names = []
+    for coretype in (None, "Haswell", "Prescott"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", _BLAS_CHILD], capture_output=True, text=True,
+                             env=env, check=True)
+        name, bad = out.stdout.split()
+        assert bad == "0", (coretype, name)
+        names.append(name)
+    if "-" not in names:
+        assert len(set(names)) == 3, names  # the variable did switch the kernel
+
+
+def test_rotated_rows_match_fill_rotated():
+    # k <= 6 presieves part of 3..17 (periods 1, 3, 15, 105, 1155, 15015),
+    # so rows longer than a period occur; the k >= 7 pattern at l_200's size.
+    for i in range(len(_PRESIEVE_PRIMES) + 1):
+        pattern = _presieve_pattern(_PRESIEVE_PRIMES[:i])
+        period = len(pattern)
+        rotations = sorted({period - 1, *range(0, period, max(period // 97, 1))})
+        for size in (1, period, period + 1, 3 * period + 2, 7356):
+            rows = _rotated_rows(pattern, size)
+            assert rows.shape == (period, size) and not rows.flags.writeable
+            gathered = rows[np.array(rotations)]
+            for r, row in zip(rotations, gathered):
+                expected = np.empty(size, dtype=bool)
+                _fill_rotated(expected, pattern, r)
+                assert np.array_equal(rows[r], expected), (period, size, r)
+                assert np.array_equal(row, expected), (period, size, r)
+
+
+def test_coprime_batch_memory_is_a_few_rows():
+    # One k = 200 batch: 64 windows of 7356 odd slots. Copying the whole
+    # overlapping view (255255 rows) would take 1.9 GB.
+    primes = [int(p) for p in _SMALL[:201]]
+    ps = primes[:200]
+    length = primes[200] ** 2 - ps[-1] ** 2
+    rng = random.Random(200)
+    starts = [ps[-1] ** 2 + rng.randrange(math.prod(ps)) for _ in range(_COPRIME_BATCH)]
+    tracemalloc.start()
+    try:
+        counts = list(_coprime_counts(starts, length, ps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert np.concatenate(counts).tolist() == [window_count(s, length, ps) for s in starts]
 
 
 def test_coprime_counter_errors():
