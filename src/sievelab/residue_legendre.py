@@ -33,15 +33,20 @@ Both prime sums read their summand only at the lattice points
 t = (B-1)//q < p_{k+1} (Deleglise & Rivat's grouping for the Mobius
 summation, Exp. Math. 5, 1996). MoebiusContext finds, for each t, how
 many primes q >= p_{k+1} share it: pi((B-1)//t) - pi((B-1)//(t+1)),
-from binary searches on its prime list (every prime up to its limit,
-from ``sieve_core._prime_list``), so a bound costs O(p_{k+1})
+from binary searches on its prime list (every prime up to its limit, as
+float64, from ``sieve_core._prime_list``), so a bound costs O(p_{k+1})
 searches instead of a floor division per prime. The term count is then
 one exact integer dot product over t. The truncated sum keeps its terms
-per prime: M(t) is repeated count_t times, divided by each q and the
-array summed with numpy's pairwise sum, exactly the float operations of
-the per-prime form. Summing M(t) * (S((B-1)/t) - S((B-1)/(t+1))) per t,
-with S(v) = sum_{p <= v} 1/p, would reorder the additions and move the
-last bits of ratio_truncated.
+per prime, M(t)/q, added over the ascending q in the order of numpy's
+pairwise sum (Higham, SIAM J. Sci. Comput. 14, 1993): exactly the float
+operations of the per-prime form, with no array per prime.
+_pairwise_sum splits the terms where numpy's pairwise_sum does, down to
+leaves of _SUM_LEAF terms, and np.sum adds each leaf, computed into one
+buffer: a lattice point with _DENSE_COUNT primes or more divides its
+M(t) by its slice of the prime list, and only the sparse points before
+them repeat M(t) per prime. Summing M(t) * (S((B-1)/t) - S((B-1)/(t+1)))
+per t, with S(v) = sum_{p <= v} 1/p, would reorder the additions and
+move the last bits of ratio_truncated.
 
 M(B-1) reads mu from a stream of int8 blocks, each exact after two
 phases: struck by the primes up to r = isqrt(limit), then
@@ -100,6 +105,15 @@ _MOBIUS_BLOCK = 1 << 21
 
 # Integers per np.sum of MoebiusContext's running sum M(y).
 _M_CHUNK = 1 << 22
+
+# Terms per leaf of truncated_sum's pairwise sum; at least numpy's 128-term
+# block, so that a leaf's np.sum continues numpy's own tree.
+_SUM_LEAF = 1 << 16
+
+# Primes per lattice point from which truncated_sum divides M(t) by its q
+# without repeating it, and the most terms it repeats M(t) for at once.
+_DENSE_COUNT = 512
+_SPARSE_RUN = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -266,7 +280,7 @@ def _squarefree_products(ps, limit: int, term_cap: int = DEFAULT_TERM_CAP
 def _mobius_blocks(limit: int, primes: np.ndarray, cuts) -> Iterator[np.ndarray]:
     """mu(n) for cuts[i] <= n < cuts[i+1], one int8 block per i; the cuts ascend to <= limit + 1.
 
-    primes is ascending and holds every prime <= limit.
+    primes is ascending, int64 or float64, and holds every prime <= limit.
     Phase 1 strikes each block with the primes p <= r = isqrt(limit): it
     flips the sign of the multiples of p and zeroes the multiples of p^2,
     which is exact for r-smooth n. Any other n <= limit is q * m with
@@ -278,7 +292,7 @@ def _mobius_blocks(limit: int, primes: np.ndarray, cuts) -> Iterator[np.ndarray]
     r = math.isqrt(limit)
     primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
     n_small = int(np.searchsorted(primes, r, side="right"))
-    small, large = primes[:n_small].tolist(), primes[n_small:]
+    small, large = primes[:n_small].astype(np.int64).tolist(), primes[n_small:]
     mu_m = _strike(0, limit // (r + 1) + 1, small)  # every such m is r-smooth
     ms = np.flatnonzero(mu_m)
     values = -mu_m[ms]
@@ -305,8 +319,10 @@ def _mobius_block(lo: int, end: int, small: list, large: np.ndarray,
 
     Phase 2 lists each m's q in one slice of large, from one searchsorted
     pair over all m. Consecutive m are written together, in runs of at
-    most len(block) // 32 products, so a run's int64 index arrays stay
-    within half the block's bytes; an m with more products runs alone.
+    most len(block) // 32 products, so a run's index arrays stay within
+    half the block's bytes; an m with more products runs alone. The
+    products q * m take large's dtype; in float64 they are exact, being
+    at most limit < 2^53, and each run is cast to int64 once.
     """
     block = _strike(lo, end, small)
     firsts = np.searchsorted(large, -(-lo // ms))
@@ -324,6 +340,7 @@ def _mobius_block(lo: int, end: int, small: list, large: np.ndarray,
             idx += np.arange(len(idx))
             idx = large[idx]
             idx *= np.repeat(ms[a:b], c)
+        idx = idx.astype(np.int64, copy=False)
         idx -= lo
         block[idx] = np.repeat(values[a:b], counts[a:b])
         a = b
@@ -372,11 +389,26 @@ def _m_running(acc: float, ends: list, limit: int, primes: np.ndarray) -> list:
     return sums
 
 
+def _pairwise_sum(leaf, lo: int, n: int) -> float:
+    """np.sum of the n terms from position lo, bit for bit; leaf(lo, n) returns
+    n <= _SUM_LEAF consecutive terms.
+
+    numpy's pairwise sum adds n > 128 terms as the sums of the first
+    n2 = n//2 - (n//2) % 8 and of the rest; this splits the same way down
+    to _SUM_LEAF terms, and each leaf's np.sum builds the rest of the tree.
+    """
+    if n <= _SUM_LEAF:
+        return float(np.sum(leaf(lo, n)))
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(leaf, lo, half) + _pairwise_sum(leaf, lo + half, n - half)
+
+
 class MoebiusContext:
     """Shared sieves for truncated sums and divisor counts at bounds <= limit+1.
 
     Built once per scan; supports every k whose bound p_{k+1}^2 - 1 is
-    at most ``limit``. It holds every prime up to ``limit``, and both
+    at most ``limit``. It holds every prime up to ``limit`` in one
+    float64 list, exact below 2^53 (``limit`` stays below 2^31), and both
     mu sieves take their primes from that list: the small prefix tables
     at build, and the block stream that the first m_full call sums over
     the module docstring's grid, keeping only M at each grid end.
@@ -388,7 +420,7 @@ class MoebiusContext:
         if limit < self.MIN_LIMIT:
             raise DomainError("moebius context limit too small")
         if limit >= 1 << 31:
-            # Its prime list and the list's build take about 1.4 bytes per integer
+            # Its prime list and the list's build take about 0.6 bytes per integer
             # (peak RSS, limit 1.95e7 to 6.28e7); mu is only ever a block.
             raise ResourceError(f"moebius context limit {limit} is 2^31 or more")
         self.limit = limit
@@ -396,10 +428,10 @@ class MoebiusContext:
         if root > table.bound:
             raise DomainError("prime table too small for moebius context")
         base = table.primes[: table.count_upto(root)]
-        # Primes up to limit, for the single-large-factor correction.
-        self.primes = _prime_list(0, limit + 1, base)
-        # Spares truncated_sum a float cast per call, same bits: 0.1-0.5 s for 9.2 MB at kmax 600.
-        self._primes_f = self.primes.astype(np.float64)
+        # Primes up to limit, for the single-large-factor correction; float64,
+        # so that truncated_sum divides by them without a cast.
+        self.primes = _prime_list(0, limit + 1, base, dtype=np.float64)
+        self._leaf = np.empty(min(len(self.primes), _SUM_LEAF))  # truncated_sum's terms
         # Small prefix tables cover every reduced argument (B-1)//q < p_{k+1}.
         small_cap = root + 1
         mu_small = _mobius_array(small_cap, self.primes)
@@ -417,7 +449,7 @@ class MoebiusContext:
             raise DomainError(f"M({y}) outside the context's range [0, {self.limit}]")
         if self._m_grid is None:
             top = int(np.searchsorted(self.primes, math.isqrt(self.limit + 1), side="right"))
-            ends = [0, *(self.primes[_M_GRID_K0 + 1 : top] ** 2 - 1).tolist()]
+            ends = [0, *(self.primes[_M_GRID_K0 + 1 : top].astype(np.int64) ** 2 - 1).tolist()]
             self._m_grid = (ends, _m_running(0.0, ends, self.limit, self.primes))
         ends, values = self._m_grid
         i = bisect.bisect_right(ends, y) - 1
@@ -453,13 +485,34 @@ class MoebiusContext:
         """sum of mu(d)/d over squarefree P_k-smooth d < bound.
 
         Requires bound <= p_{k+1}^2 so no admissible d carries two prime
-        factors above p_k. The correction adds M(y//q)/q prime by prime,
-        in ascending q: M is read once per lattice point and repeated.
+        factors above p_k. The correction adds M(y//q)/q over the ascending
+        q in np.sum's pairwise order, a leaf of at most _SUM_LEAF terms at
+        a time: M is read once per lattice point, and a point with
+        _DENSE_COUNT primes or more divides it by its slice of q directly.
         """
         y, ts, counts, i0, i1 = self._lattice(k, bound, table)
-        terms = np.repeat(self._m_small[ts], counts)
-        terms /= self._primes_f[i0:i1]
-        return self.m_full(y) + float(np.sum(terms))
+        qs, m_t, ends = self.primes[i0:i1], self._m_small[ts], np.cumsum(counts)
+        # The points come in descending t, so with ever more primes: the terms
+        # from split on belong to points that all have _DENSE_COUNT or more.
+        sparse = np.flatnonzero(counts < _DENSE_COUNT)
+        split = int(ends[sparse[-1]]) if len(sparse) else 0
+
+        def leaf(lo: int, n: int) -> np.ndarray:
+            pos, hi = lo, lo + n
+            while pos < hi:
+                j = int(np.searchsorted(ends, pos, side="right"))  # the point of term pos
+                if pos < split:  # M(t) repeated per q, _SPARSE_RUN terms at a time
+                    end = min(split, hi, pos + _SPARSE_RUN)
+                    jb = int(np.searchsorted(ends, end - 1, side="right")) + 1
+                    c = np.minimum(ends[j:jb], end) - np.maximum(ends[j:jb] - counts[j:jb], pos)
+                    m = np.repeat(m_t[j:jb], c)
+                else:
+                    end, m = min(int(ends[j]), hi), m_t[j]
+                np.divide(m, qs[pos:end], out=self._leaf[pos - lo : end - lo])
+                pos = end
+            return self._leaf[:n]
+
+        return self.m_full(y) + _pairwise_sum(leaf, 0, len(qs))
 
     def term_count(self, k: int, bound: int, table: PrimeTable) -> int:
         """Number of squarefree P_k-smooth d < bound (counting d = 1)."""
@@ -556,19 +609,16 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreSca
 
     The rows whose bound p_{k+1}^2 is enumerated (k <= 171, where
     p_{k+1}^2 <= 2^20) take their truncated sum and term count from one
-    _enumerated_rows call, built and dropped before the context rows,
-    where the scan's memory peaks. pi_k is counted on the prime list of
-    the scan's MoebiusContext, which holds every prime up to p_{k_to+1}^2.
+    _enumerated_rows call, built and dropped before the context's prime
+    list exists. pi_k is counted on that list, which holds every prime
+    up to p_{k_to+1}^2.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
-    limit = table.nth(k_to + 1) ** 2 - 1
-    context = MoebiusContext(limit, table)
-    # Enumerated after the context's prime list, whose freed concatenation
-    # lets these temporaries reuse heap pages instead of faulting in fresh ones.
     listed = [(k, table.nth(k + 1) ** 2) for k in range(k_from, k_to + 1)]
     listed = [row for row in listed if _enumerated(*row, table)]  # a prefix of the rows
     enumerated = _enumerated_rows(listed, table) if listed else []
+    context = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
     products = analytic.mertens_products(k_to, table)
     rows = []
     for k in range(k_from, k_to + 1):

@@ -32,8 +32,8 @@ coprime to 30, in eight residue rows, one per r in {1, 7, 11, 13, 17, 19,
 flags. Each row is streamed as cache-sized blocks of ``_BLOCK_SLOTS``
 slots: each block is filled, fixed up and struck while it is
 cache-resident, then handed to the caller, so a count over a window of
-any length costs one block of memory and a prime list a few copies of
-its primes. A block starts as a rotated copy of its residue's presieve
+any length costs one block of memory and a prime list one block and
+one array, sized by a proven bound on its count. A block starts as a rotated copy of its residue's presieve
 pattern, in which the multiples of 7, 11, 13 and 17 are struck (period
 7*11*13*17 = 17017 rows); the fix-ups then strike 1, restore 7..29 in
 row 0 and clear the integers below the window start. Each base prime p >= 19
@@ -89,6 +89,7 @@ index arguments are named ``k`` and documented as 1-based.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -484,28 +485,45 @@ def _primes_below(lo: int, bounds, base_primes, lookup=None) -> np.ndarray:
     return below
 
 
-def _prime_list(lo: int, end: int, base_primes) -> np.ndarray:
-    """The primes of [lo, end) as an ascending int64 array.
+def _prime_list(lo: int, end: int, base_primes, dtype=np.int64) -> np.ndarray:
+    """The primes of [lo, end) as an ascending array of ``dtype``.
 
     ``base_primes`` is ascending and must hold every prime up to
     sqrt(end - 1). Requires lo >= 0. Each row block of ``_wheel_rows``
     gives the primes 30*(m_lo + a + i) + r at its True flags i below
-    ``end``; one sort merges the rows, and the primes 2, 3 and 5, which
-    have no row, are added where they fall.
+    ``end``, written straight into one array of ``_prime_count_bound``
+    entries after the primes 2, 3 and 5, which have no row; the filled
+    prefix is sorted in place and returned, a view of that array.
     """
-    parts = [np.array([q for q in _ROWLESS_PRIMES if lo <= q < end], dtype=np.int64)]
-    m_lo = lo // _WHEEL
+    out = np.empty(_prime_count_bound(lo, end), dtype=dtype)
+    rowless = [q for q in _ROWLESS_PRIMES if lo <= q < end]
+    out[: len(rowless)] = rowless
+    n, m_lo = len(rowless), lo // _WHEEL
     for r, a, block in _wheel_rows(lo, end, base_primes):
         primes = np.flatnonzero(block[: (end - r + _WHEEL - 1) // _WHEEL - m_lo - a])
         primes += m_lo + a
         primes *= _WHEEL
         primes += r
-        parts.append(primes)
-    # A sorted copy, not an in-place sort: freeing the concatenation raises
-    # glibc's mmap threshold to the list's size, so later temporaries up to
-    # that size (MoebiusContext's per-k truncated-sum terms) reuse heap pages
-    # instead of faulting in fresh ones.
-    return np.sort(np.concatenate(parts))
+        out[n : n + len(primes)] = primes
+        n += len(primes)
+    out = out[:n]
+    out.sort()
+    return out
+
+
+def _prime_count_bound(lo: int, end: int) -> int:
+    """An upper bound on the number of primes in [lo, end).
+
+    It is 3, for 2, 3 and 5, plus the smaller of Rosser and Schoenfeld's
+    pi(x) < 1.25506 x / ln x at x = end - 1 (Illinois J. Math. 6, 1962)
+    and the number of integers in [lo, end) coprime to 30. The second
+    keeps a narrow window far from 0 from reserving a list sized for every
+    prime below its end.
+    """
+    x = end - 1
+    pi_bound = int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+    below = [8 * (n // _WHEEL) + bisect.bisect_left(_RESIDUES, n % _WHEEL) for n in (lo, end)]
+    return len(_ROWLESS_PRIMES) + min(pi_bound, max(below[1] - below[0], 0))
 
 
 # Starts are split into little-endian digits of this many bits.

@@ -263,7 +263,7 @@ def context_truncated_sum(ctx, k: int, bound: int, table) -> float:
     y = bound - 1
     i0 = int(np.searchsorted(ctx.primes, p_next))
     i1 = int(np.searchsorted(ctx.primes, y, side="right"))
-    qs = ctx.primes[i0:i1]
+    qs = ctx.primes[i0:i1].astype(np.int64)
     ts = y // qs
     corr = float(np.sum(ctx._m_small[ts] / qs))
     return ctx.m_full(y) + corr
@@ -279,7 +279,7 @@ def context_term_count(ctx, k: int, bound: int, table) -> int:
     sq_total = int(np.sum(mu * (y // (ds * ds))))
     i0 = int(np.searchsorted(ctx.primes, p_next))
     i1 = int(np.searchsorted(ctx.primes, y, side="right"))
-    qs = ctx.primes[i0:i1]
+    qs = ctx.primes[i0:i1].astype(np.int64)
     ts = y // qs
     return sq_total - int(np.sum(ctx._sq_small[ts]))
 

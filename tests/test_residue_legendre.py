@@ -28,7 +28,8 @@ from sievelab import (
     truncated_moebius_sum,
 )
 from sievelab import residue_legendre
-from sievelab.residue_legendre import _MOBIUS_BLOCK, _mobius_array, _squarefree_products
+from sievelab.residue_legendre import (_MOBIUS_BLOCK, _SUM_LEAF, _mobius_array, _pairwise_sum,
+                                       _squarefree_products)
 from sievelab.sieve_core import _prime_list
 
 from _oracles import (
@@ -324,6 +325,7 @@ def test_truncated_sum_equals_depth_first_reference(table, k, frac):
 def test_moebius_context_primes(table_small, limit):
     base = table_small.primes[: table_small.count_upto(math.isqrt(limit))]
     ctx = MoebiusContext(limit, table_small)
+    assert ctx.primes.dtype == np.float64
     assert ctx.primes.tolist() == np.flatnonzero(mark_primality(0, limit, base)).tolist()
 
 
@@ -375,10 +377,13 @@ def test_one_rule_for_sums_and_counts(table, ctx300, k):
 
 
 def _assert_mobius_matches_reference(table, limit):
+    # The context passes float64 primes; the int64 list gives the same mu.
     base = table.primes[: table.count_upto(math.isqrt(limit))]
-    got = _mobius_array(limit, _prime_list(0, limit + 1, base))
-    assert got.dtype == np.int8
-    assert np.array_equal(got, mobius_array(limit, base)), limit
+    expected = mobius_array(limit, base)
+    for dtype in (np.int64, np.float64):
+        got = _mobius_array(limit, _prime_list(0, limit + 1, base, dtype))
+        assert got.dtype == np.int8
+        assert np.array_equal(got, expected), (limit, dtype)
 
 
 # Fixed limits around 2^19, then each block edge +-1 up to three blocks.
@@ -528,6 +533,45 @@ def test_m_full_holds_no_full_range_array(table):
 
     held = [a.size for value in vars(ctx).values() for a in arrays(value)]
     assert max(held) <= len(ctx.primes)
+
+
+# Around numpy's 128-term block, the leaf size and a few leaves, and 10^6.
+@pytest.mark.parametrize("n", [*range(10), 127, 128, 129, _SUM_LEAF - 1, _SUM_LEAF,
+                               _SUM_LEAF + 1, 3 * _SUM_LEAF + 5, 10 ** 6])
+def test_pairwise_sum_equals_np_sum(n):
+    # truncated_sum's leaf-and-tree sum must be np.sum bit for bit: this pins
+    # numpy's pairwise rule (split at n//2 - (n//2) % 8 above 128 terms), so a
+    # numpy that changes it fails here before any digest moves.
+    rng = np.random.default_rng(n)
+    terms = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+    leaves = []
+
+    def leaf(lo, size):
+        leaves.append(size)
+        return terms[lo : lo + size]
+
+    assert _pairwise_sum(leaf, 0, n) == np.sum(terms)
+    assert sum(leaves) == n and max(leaves) <= _SUM_LEAF
+
+
+def test_truncated_sum_holds_no_term_array(table):
+    # With M(y) on the grid warm, a truncated sum fills the context's one leaf
+    # buffer and allocates only a few int64 and float64 arrays over its
+    # lattice of p_{k+1} - 1 points, with no array per prime q: from k = 300
+    # to 600 the q go from 0.28M to 1.24M (7.7 MB more as float64), the
+    # lattice points from 1992 to 4420.
+    ctx = MoebiusContext(table.nth(601) ** 2 - 1, table)
+    ctx.m_full(ctx.limit)
+    peaks = {}
+    for k in (300, 600):
+        tracemalloc.start()
+        try:
+            ctx.truncated_sum(k, table.nth(k + 1) ** 2, table)
+            peaks[k] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[600] <= 1 << 20, peaks
+    assert peaks[600] - peaks[300] <= 64 * (table.nth(601) - table.nth(301)), peaks
 
 
 @pytest.mark.parametrize("k_to", [25, 200])

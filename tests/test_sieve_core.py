@@ -197,6 +197,39 @@ def test_prime_list_matches_reference(lo, length):
     _check_prime_list(lo, lo + length - 1)
 
 
+def _traced_prime_list(lo, end, base):
+    """``_prime_list(lo, end, base)`` and the peak bytes that tracemalloc saw during it."""
+    tracemalloc.start()
+    try:
+        primes = _prime_list(lo, end, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return primes, peak
+
+
+def test_prime_list_holds_one_list():
+    # The primes of [0, p_601^2) (MoebiusContext's list at legendre --kmax 600)
+    # go straight into one array sized by Rosser and Schoenfeld's bound, so
+    # the peak is that array and one row block, not rows, a join and a sort.
+    primes, peak = _traced_prime_list(0, 4421 ** 2, build_prime_table(4421).primes)  # p_601
+    assert len(primes) == 1_243_513 and primes[-1] == 19_545_203  # sympy's primepi, prevprime
+    assert peak <= 1.6 * primes.nbytes, peak / primes.nbytes
+
+
+def test_prime_list_of_a_narrow_window_far_out():
+    # gap_series' window s_5000 lies near 2.4e9, where pi(x) < 1.25506 x/ln x
+    # would reserve 1.1 GB; the list reserves no more than the window's
+    # integers coprime to 30, plus 2, 3 and 5, and the rest of the peak is
+    # a row block and the strike state of 5000 base primes (under 1 MiB).
+    lo, end = 48611 ** 2, 48619 ** 2
+    base = build_prime_table(48619).primes
+    slots = int(np.count_nonzero(np.gcd(np.arange(lo, end), 30) == 1))
+    primes, peak = _traced_prime_list(lo, end, base)
+    assert np.array_equal(primes, np.flatnonzero(mark_primality(lo, end - 1, base)) + lo)
+    assert peak <= 8 * (slots + 3) + (1 << 20), (peak, 8 * (slots + 3))
+
+
 def _edge_bounds(lo, hi):
     """Bounds in [lo, hi + 1] on, and next to, the row start and every residue of block edges.
 
