@@ -10,19 +10,24 @@ then the JSON run manifest carrying the command line, seed (null except
 for randmodel), and the sha256 of the bytes written per output. The
 manifest's shell-quoted ``command_line`` is the run's complete input: no
 setting comes from the environment, and a command accepts no flag it
-does not read, save ``--threads``, which maier, legendre and randmodel
-accept unread so that one flag set drives all seven commands. So
-re-running it reproduces every output byte for the same version,
-regardless of thread count. Outputs are renamed into place from a temp
-file. The interval commands
-run one scan from the first k missing in ``--checkpoint``, appending
-each sieve chunk to it as it arrives. Progress goes to stderr, one line
-per chunk; stdout stays quiet.
+does not read, save ``--threads``, which maier and legendre accept
+unread so that one flag set drives all seven commands. ``--threads``
+sets the worker processes of the interval scan and of randmodel's
+sampled draws, and defaults to the CPUs this process may use
+(``os.sched_getaffinity``); ``main`` runs OpenBLAS on one thread, as
+each worker does. So re-running it reproduces every output byte for the
+same version, regardless of thread count. Outputs are renamed into place
+from a temp file. The interval commands run one scan from the first k
+missing in ``--checkpoint``, appending each sieve chunk to it as it
+arrives. Progress goes to stderr, one line per chunk; stdout stays
+quiet.
 
 The manifest's ``run`` block says where the run's time and memory went:
 wall and CPU seconds per stage (``scan``, the interval scan with its
 checkpoint load, and ``command``, everything up to the manifest), the
-integers the scan sieved, its worker count, the k it resumed from (null
+integers the scan sieved, the worker count of the scan or of
+randmodel's sampled draws (0 when no scan or draws ran), the OpenBLAS
+thread count (null where it cannot be read), the k it resumed from (null
 when no checkpoint record was loaded), peak RSS of the process and of
 its largest waited-for child, and the Python, numpy and sievelab
 versions. It is the only part of a manifest that varies between runs;
@@ -49,8 +54,8 @@ import numpy as np
 
 from . import __version__, randmodel, residue_legendre, stats_lab
 from .errors import DomainError, ResourceError
-from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, _pool_size, compute_interval_records
-from .sieve_core import build_prime_table
+from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, compute_interval_records
+from .sieve_core import _blas_threads, _pin_blas_threads, _pool_size, build_prime_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,6 +145,7 @@ class _RunLog:
             "stages": self.stages,
             "sieve_entries": self.sieve_entries,
             "workers": self.workers,
+            "blas_threads": _blas_threads(),
             "resumed_from_k": self.resumed_from_k,
             "peak_rss_mb": {"self": round(own.ru_maxrss / 1024, 1),  # KiB on Linux
                             "children": round(kids.ru_maxrss / 1024, 1)},
@@ -294,7 +300,10 @@ def _cmd_legendre(args):
 
 def _cmd_randmodel(args):
     table = _table_for(args.k + 1)
-    summary = randmodel.shift_model(args.k, table, budget=args.budget, seed=args.seed)
+    summary = randmodel.shift_model(args.k, table, budget=args.budget, seed=args.seed,
+                                    threads=args.threads)
+    if summary.mode == "sampled":
+        args.run.workers = len(randmodel._draw_ranges(args.budget, args.threads))
     values = np.flatnonzero(summary.histogram)
     return {
         "randmodel.csv": {
@@ -344,7 +353,8 @@ def _cmd_conjecture(args):
 
 def _add_common(sp, kmax=True):
     sp.add_argument("--out", type=Path, default="out", help="output directory (default: ./out)")
-    sp.add_argument("--threads", type=_positive_int, default=1)
+    sp.add_argument("--threads", type=_positive_int, default=len(os.sched_getaffinity(0)),
+                    help="worker processes (default: the CPUs this process may use)")
     if kmax:
         sp.add_argument("--kmax", type=_positive_int, required=True,
                         help="largest interval index k")
@@ -418,6 +428,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    _pin_blas_threads()
     try:
         args = parser.parse_args(argv)
         args.run = _RunLog()

@@ -29,9 +29,10 @@ Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers: the unit of work handed to one worker and of one
 checkpoint append. It does not set the memory a worker uses.
 
-A scan is one loop over its chunks, whose counts come from ``map`` or
-one fork pool's ``imap`` (each task carries its primes) in k order; each
-chunk's columns go to the caller's ``progress`` hook as they arrive.
+A scan is one loop over its chunks, whose counts come in k order from
+``sieve_core._worker_map``: ``map``, or one fork pool's ``imap`` (each
+task carries its primes); each chunk's columns go to the caller's
+``progress`` hook as they arrive.
 
 All per-interval quantities (pi_k, li_k, the PNT estimate) are computed
 independently per k; neither chunk boundaries nor worker count can
@@ -42,10 +43,8 @@ read-only numpy columns.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import multiprocessing as mp
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -53,7 +52,8 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _prime_list, _primes_below, _semiprime_lookup
+from .sieve_core import (PrimeTable, _pool_size, _prime_list, _primes_below, _semiprime_lookup,
+                         _worker_map)
 
 # Target chunk span in integers: the task granularity of a scan.
 DEFAULT_CHUNK_ENTRIES = 1 << 25
@@ -193,11 +193,6 @@ def _block(k_lo: int, pi_k: np.ndarray, table: PrimeTable) -> dict:
     }
 
 
-def _pool_size(threads: int, chunks: int) -> int:
-    """Processes that sieve a scan of ``chunks`` chunks: one per chunk at most."""
-    return max(1, min(threads, chunks))
-
-
 def compute_interval_records(
     k_from: int,
     k_to: int,
@@ -226,10 +221,8 @@ def compute_interval_records(
     global _scan_lookup
     _scan_lookup = _semiprime_lookup(table.nth(k_to + 1) ** 2, table.primes[: k_to + 1])
     try:
-        pool = mp.get_context("fork").Pool(workers) if workers > 1 else None
-        with pool or contextlib.nullcontext():
-            counts = (pool.imap if pool else map)(_chunk_counts, tasks)
-            for (k_lo, _), pi_k in zip(chunks, counts):
+        with _worker_map(workers) as imap:
+            for (k_lo, _), pi_k in zip(chunks, imap(_chunk_counts, tasks)):
                 blocks.append(_block(k_lo, pi_k, table))
                 if progress:
                     progress(k_lo, blocks[-1])

@@ -9,9 +9,11 @@ the 2^31-byte memory budget raises ResourceError before anything is
 allocated. Sampled mode draws shifts with a derived per-sample seed, so
 results are independent of evaluation order and worker count; the
 drawn windows are counted in fixed batches by the coprime counter of
-``sieve_core``. Both modes feed their counts into one histogram, off
-which the count sum, sum of squares, minimum and maximum are read in
-exact integer arithmetic, so memory does not grow with the draw count.
+``sieve_core``, in contiguous ranges of draw indices, one per worker of
+a fork pool, whose integer histograms the parent adds. Both modes feed
+their counts into one histogram, off which the count sum, sum of
+squares, minimum and maximum are read in exact integer arithmetic, so
+memory does not grow with the draw count.
 
 Rescaling the raw (coprimality) model by e^gamma / 2 moves its mean to
 the density-of-primes scale l_k / log p_{k+1}^2, where it is compared
@@ -20,6 +22,7 @@ against binomial B(l_k, 1/log p_{k+1}^2) and Poisson references.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -30,7 +33,8 @@ import numpy as np
 from . import analytic
 from .errors import DomainError, ResourceError
 from .intervals import IntervalSet
-from .sieve_core import DEFAULT_MEMORY_BUDGET, PrimeTable, _coprime_counts, _period_counts
+from .sieve_core import (_COPRIME_BATCH, DEFAULT_MEMORY_BUDGET, PrimeTable, _check_coprime_starts,
+                         _coprime_counts, _period_counts, _pool_size, _worker_map)
 from .residue_legendre import primorial
 from .stats_lab import ScanSeries
 
@@ -80,8 +84,53 @@ def _summarize(k: int, mode: str, hist: np.ndarray, seed: Optional[int]) -> Shif
     )
 
 
+def _add_histograms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, the shorter read as zero-padded; written into the longer."""
+    if len(a) < len(b):
+        a, b = b, a
+    a[: len(b)] += b
+    return a
+
+
+def _histogram(blocks) -> np.ndarray:
+    """The int64 bincount of every count array in ``blocks``."""
+    hist = np.zeros(0, dtype=np.int64)
+    for counts in blocks:
+        hist = _add_histograms(hist, np.bincount(counts))
+    return hist
+
+
+def _draw_ranges(draws: int, threads: int) -> list:
+    """Contiguous ranges of the draw indices 0..draws-1, one per worker.
+
+    They are cut at ``_COPRIME_BATCH`` boundaries, so no worker gets an
+    empty range and only the last range ends in a short batch.
+    """
+    batches = -(-draws // _COPRIME_BATCH)
+    workers = _pool_size(threads, batches)
+    cuts = [min(draws, batches * i // workers * _COPRIME_BATCH) for i in range(workers + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _draw_starts(seed: int, k: int, draws: range, lo0: int, period: int):
+    """lo0 plus the shift of each draw i in ``draws``: the first
+    ``randrange(period)`` of ``random.Random(f"{seed}:{k}:{i}")``, from one
+    generator re-seeded per draw."""
+    rng = random.Random()
+    for i in draws:
+        rng.seed(f"{seed}:{k}:{i}")
+        yield lo0 + rng.randrange(period)
+
+
+def _draw_histogram(task) -> np.ndarray:
+    """The histogram of one range of draws; ``task`` is
+    (draws, seed, k, lo0, period, length, primes)."""
+    draws, seed, k, lo0, period, length, ps = task
+    return _histogram(_coprime_counts(_draw_starts(seed, k, draws, lo0, period), length, ps))
+
+
 def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
-                seed: int = 0) -> ShiftModelSummary:
+                seed: int = 0, threads: int = 1) -> ShiftModelSummary:
     """Moments of {S(s_k^j, p_k#)}: exhaustive when p_k# <= budget, else sampled.
 
     Exhaustive mode counts the window at every residue of one period:
@@ -92,9 +141,14 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
     ResourceError before allocating when that exceeds 2^31 bytes (from
     k = 10). Sampled mode draws ``budget`` shifts; each draw's shift is
     derived from (seed, k, draw index), so the result does not depend on
-    evaluation order, and draws are counted in fixed batches in one
-    reused buffer. Either mode keeps only the histogram of the counts,
-    off which every moment is read exactly.
+    evaluation order or ``threads``. The draws are split into contiguous
+    ranges over at most ``threads`` forked workers (one per
+    ``_COPRIME_BATCH`` draws at most), each counting its range in fixed
+    batches in one reused buffer. It raises ResourceError before
+    counting or forking when the counter's digit table for the largest
+    possible start would exceed the memory budget. Either mode keeps
+    only the histogram of the counts, off which every moment is read
+    exactly.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -110,16 +164,12 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
         if period // 2 > DEFAULT_MEMORY_BUDGET:
             raise ResourceError(f"exhaustive period p_{k}# = {period} needs {period // 2} bytes, "
                                 f"beyond the {DEFAULT_MEMORY_BUDGET}-byte budget")
-        mode, blocks = "exhaustive", _period_counts(ps, length)
-    else:
-        starts = (lo0 + random.Random(f"{seed}:{k}:{i}").randrange(period) for i in range(budget))
-        mode, blocks = "sampled", _coprime_counts(starts, length, ps)
-    hist = np.zeros(0, dtype=np.int64)
-    for counts in blocks:
-        block_hist = np.bincount(counts, minlength=len(hist))
-        block_hist[: len(hist)] += hist
-        hist = block_hist
-    return _summarize(k, mode, hist, seed if mode == "sampled" else None)
+        return _summarize(k, "exhaustive", _histogram(_period_counts(ps, length)), None)
+    _check_coprime_starts(lo0 + period - 1, ps)
+    tasks = [(draws, seed, k, lo0, period, length, ps) for draws in _draw_ranges(budget, threads)]
+    with _worker_map(len(tasks)) as imap:
+        hist = functools.reduce(_add_histograms, imap(_draw_histogram, tasks))
+    return _summarize(k, "sampled", hist, seed)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,12 @@ On a window ``[p_k^2, p_{k+1}^2 - 1]`` sieved by the first k primes the
 two disciplines coincide, which is the property everything downstream
 leans on.
 
+``_worker_map`` is the package's one process pool, for the interval
+scan and the sampled shift model: the builtin ``map`` for one worker,
+else a fork pool whose workers each run OpenBLAS on one thread
+(``_pin_blas_threads``, through ``ctypes`` on numpy's bundled library; a
+no-op where that library or its symbol is missing).
+
 Prime indexing is 1-based throughout: ``p_1 = 2``, ``p_2 = 3``,
 ``p_3 = 5``. Off-by-one here corrupts every downstream interval, so all
 index arguments are named ``k`` and documented as 1-based.
@@ -90,9 +96,14 @@ index arguments are named ``k`` and documented as 1-based.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import ctypes
 import functools
+import glob
 import itertools
 import math
+import multiprocessing as mp
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +112,66 @@ from .errors import DomainError, ResourceError
 
 # Guard against accidentally allocating huge sieve arrays (bytes).
 DEFAULT_MEMORY_BUDGET = 1 << 31
+
+# numpy's bundled OpenBLAS; the wheel decides its file and symbol names.
+_OPENBLAS_GLOB = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+
+
+def _openblas_function(name: str):
+    """The function ``name`` of numpy's bundled OpenBLAS, or None where no
+    such library or symbol is found."""
+    for path in glob.glob(_OPENBLAS_GLOB):
+        try:
+            fn = getattr(ctypes.CDLL(path), name, None)
+        except OSError:  # a matching file that does not load
+            continue
+        if fn is not None:
+            return fn
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Run this process's OpenBLAS on one thread; a no-op where it cannot be found.
+
+    The coprime counter's products are small, and a second BLAS thread
+    only spins on them, so one BLAS thread per process leaves the cores
+    to the worker processes.
+    """
+    set_threads = _openblas_function("scipy_openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None where it cannot be read."""
+    get = _openblas_function("scipy_openblas_get_num_threads64_")
+    if get is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
+def _pool_size(threads: int, tasks: int) -> int:
+    """Processes that run ``tasks`` tasks on ``threads`` threads: one per task at most."""
+    return max(1, min(threads, tasks))
+
+
+@contextlib.contextmanager
+def _worker_map(workers: int):
+    """An ``imap`` over a fork pool of ``workers`` processes, or the builtin
+    ``map`` for one worker.
+
+    Results arrive in task order. Each worker is pinned to one BLAS thread
+    (``_pin_blas_threads``), and the pool is torn down when the block
+    exits, so no worker outlives it. Forked workers share the parent's
+    pages as they were at the fork.
+    """
+    if workers <= 1:
+        yield map
+        return
+    with mp.get_context("fork").Pool(workers, initializer=_pin_blas_threads) as pool:
+        yield pool.imap
 
 
 @dataclass(frozen=True)
@@ -560,6 +631,19 @@ def _chunk_digits(q_max: int) -> int:
     return _INT64_MAX // (((1 << _DIGIT_BITS) - 1) * max(q_max - 1, 1))
 
 
+def _digit_width(max_start: int, moduli_count: int) -> int:
+    """Digits of ``_DIGIT_BITS`` bits that hold ``max_start``, at least one.
+
+    Raises ResourceError when the digit-weight table of that width for
+    ``moduli_count`` moduli would exceed ``DEFAULT_MEMORY_BUDGET`` bytes.
+    """
+    width = max(1, -(-max_start.bit_length() // _DIGIT_BITS))
+    if width * moduli_count * 8 > DEFAULT_MEMORY_BUDGET:
+        raise ResourceError(f"digit-weight table of {width} digits x {moduli_count} moduli "
+                            f"exceeds the {DEFAULT_MEMORY_BUDGET}-byte memory budget")
+    return width
+
+
 def _strike_offsets(starts, moduli: tuple) -> np.ndarray:
     """``(-s) mod q`` for every start s (rows) and modulus q (columns), exactly.
 
@@ -586,10 +670,7 @@ def _strike_offsets(starts, moduli: tuple) -> np.ndarray:
     if min(starts) < 0:
         raise DomainError("window starts must be >= 0")
     chunk = _chunk_digits(q_max)
-    width = max(1, -(-max(starts).bit_length() // _DIGIT_BITS))
-    if width * len(moduli) * 8 > DEFAULT_MEMORY_BUDGET:
-        raise ResourceError(f"digit-weight table of {width} digits x {len(moduli)} moduli "
-                            f"exceeds the {DEFAULT_MEMORY_BUDGET}-byte memory budget")
+    width = _digit_width(max(starts), len(moduli))
     n = len(starts)
     raw = b"".join(s.to_bytes(width * _DIGIT_BITS // 8, "little") for s in starts)
     # Rows 0..n-1 hold the starts' low halves, rows n..2n-1 their high halves.
@@ -606,6 +687,24 @@ def _strike_offsets(starts, moduli: tuple) -> np.ndarray:
         res -= part[n:]
         np.remainder(res, mod, out=res)
     return res
+
+
+def _coprime_split(ps) -> tuple:
+    """(the presieve primes among ``ps``, the other primes after 2): the
+    pattern and the one-by-one strikes of ``_coprime_counts``."""
+    present = set(ps)
+    pre = tuple(q for q in _PRESIEVE_PRIMES if q in present)
+    return pre, [q for q in ps[1:] if q not in pre]
+
+
+def _check_coprime_starts(max_start: int, primes) -> None:
+    """Raise ResourceError where ``_coprime_counts`` over ``primes`` would
+    build a digit-weight table beyond the memory budget for ``max_start``.
+
+    Its moduli are 2, the pattern period and the struck primes, so a caller
+    can fail before counting, or forking, rather than at the first batch.
+    """
+    _digit_width(max_start, 2 + len(_coprime_split(primes)[1]))
 
 
 def _coprime_counts(starts, length: int, primes):
@@ -637,11 +736,9 @@ def _coprime_counts(starts, length: int, primes):
         raise DomainError(f"window length must be >= 1, got {length}")
     if not ps or ps[0] != 2 or any(a >= b for a, b in zip(ps, ps[1:])):
         raise DomainError("primes must be ascending distinct primes starting with 2")
-    present = set(ps)
-    pre = tuple(q for q in _PRESIEVE_PRIMES if q in present)
+    pre, strike = _coprime_split(ps)
     pattern = _presieve_pattern(pre)
     period = len(pattern)
-    strike = [q for q in ps[1:] if q not in pre]
     moduli = (2, period, *strike)
     m = (length + 1) // 2
     windows = _rotated_rows(pattern, m)

@@ -416,10 +416,13 @@ def test_maier_negative_step_is_domain_error(tmp_path, capsys):
     assert not (out / "maier_scan.csv").exists()
 
 
-def test_randmodel_digit_table_beyond_memory_budget_exits_3(tmp_path, capsys):
-    assert run(["randmodel", "--k", 30000, "--budget", 2, "--out", tmp_path / "o"]) == 3
-    err = capsys.readouterr().err
-    assert "resource limit" in err and "Traceback" not in err
+def test_randmodel_digit_table_beyond_memory_budget_exits_3(tmp_path, capsys, pool_sizes):
+    # The parent checks the table for the largest start, so no worker starts.
+    for argv in (["--budget", 2], ["--budget", 200, "--threads", 2]):
+        assert run(["randmodel", "--k", 30000, *argv, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert "resource limit" in err and "Traceback" not in err
+    assert pool_sizes == [] and multiprocessing.active_children() == []
 
 
 def test_output_lines_end_with_lf(tmp_path):
@@ -543,8 +546,8 @@ def test_interrupted_scan_keeps_whole_chunks(tmp_path, monkeypatch, capsys):
     assert _interval_digests(tmp_path, ck, CHUNKED_SCAN) == PINNED_KMAX_300
 
 
-_RUN_KEYS = {"stages", "sieve_entries", "workers", "resumed_from_k", "peak_rss_mb",
-             "minor_faults", "versions"}
+_RUN_KEYS = {"stages", "sieve_entries", "workers", "blas_threads", "resumed_from_k",
+             "peak_rss_mb", "minor_faults", "versions"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -563,12 +566,35 @@ def test_every_manifest_has_a_run_block(tmp_path, argv):
     assert block["minor_faults"]["self"] > 0 and block["minor_faults"]["children"] >= 0
     assert block["stages"]["command"]["wall_s"] > 0
     assert block["resumed_from_k"] is None
+    assert block["blas_threads"] in (1, None)  # main pins OpenBLAS where it finds it
     manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
     assert manifest["seed"] == (0 if argv[0] == "randmodel" else None)
     scans = argv[0] in ("intervals", "bias", "corr", "conjecture")
     assert ("scan" in block["stages"]) == scans
     # The scan sieves [p_1^2, p_21^2) = [4, 73^2) with one worker.
     assert (block["sieve_entries"], block["workers"]) == ((73 ** 2 - 4, 1) if scans else (0, 0))
+
+
+def test_sampled_randmodel_reports_its_pool(tmp_path, pool_sizes):
+    # 100 draws are two batches: at most two workers, whatever --threads says.
+    digests = set()
+    for threads, workers in ((1, 1), (2, 2), (3, 2)):
+        out = tmp_path / str(threads)
+        assert run(["randmodel", "--k", 30, "--budget", 100, "--threads", threads,
+                    "--out", out]) == 0
+        manifest = json.loads((out / "randmodel.manifest.json").read_text())
+        assert manifest["run"]["workers"] == workers
+        digests.add(tuple(manifest["outputs"].values()))
+    assert pool_sizes == [2, 2] and len(digests) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_threads_default_to_the_usable_cpus():
+    parser = cli.build_parser()
+    for argv in (["intervals", "--kmax", "5"], ["maier", "--k", "30"], ["legendre", "--kmax", "5"],
+                 ["randmodel", "--k", "5"], ["bias", "--kmax", "5"], ["corr", "--kmax", "5"],
+                 ["conjecture", "--kmax", "5"]):
+        assert parser.parse_args(argv).threads == len(os.sched_getaffinity(0))
 
 
 def test_resumed_run_reports_its_resume_k(tmp_path):

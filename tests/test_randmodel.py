@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import random
 import tracemalloc
 
@@ -17,7 +18,7 @@ from sievelab import (
     variance_comparison,
 )
 from sievelab.cli import build_parser
-from sievelab.randmodel import DEFAULT_BUDGET
+from sievelab.randmodel import DEFAULT_BUDGET, _draw_ranges, _draw_starts
 
 from _oracles import shift_moments, totient_of_primorial, window_count
 
@@ -146,6 +147,34 @@ def test_sampled_counts_match_window_reference(table_small):
     assert s.count_sq_sum == sum(c * c for c in counts)
     assert (s.count_min, s.count_max) == (min(counts), max(counts))
     assert s.histogram.tolist() == np.bincount(counts).tolist()
+
+
+@pytest.mark.parametrize("budget", [100, 1000])
+def test_sampled_histogram_independent_of_threads(table_small, pool_sizes, budget):
+    # 100 draws are two batches, fewer than 64 per worker at 3 threads;
+    # 1000 is no multiple of 64.
+    runs = [shift_model(30, table_small, budget=budget, seed=7, threads=t) for t in (1, 2, 3)]
+    for s in runs[1:]:
+        assert s.histogram.tolist() == runs[0].histogram.tolist()
+        assert (s.samples, s.mean, s.variance, s.count_sq_sum) == \
+            (runs[0].samples, runs[0].mean, runs[0].variance, runs[0].count_sq_sum)
+    assert pool_sizes == ([2, 2] if budget == 100 else [2, 3])
+    assert multiprocessing.active_children() == []
+
+
+def test_draw_ranges_split_whole_batches():
+    for draws in (2, 63, 64, 65, 100, 1000, 20000):
+        for threads in (1, 2, 3, 8):
+            ranges = _draw_ranges(draws, threads)
+            assert [i for r in ranges for i in r] == list(range(draws))
+            assert len(ranges) == min(threads, -(-draws // 64))
+            assert all(r.start % 64 == 0 for r in ranges)
+
+
+def test_draw_starts_match_a_generator_per_draw():
+    period = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+    assert list(_draw_starts(5, 15, range(10, 80), 2209, period)) == \
+        [2209 + random.Random(f"5:15:{i}").randrange(period) for i in range(10, 80)]
 
 
 def test_default_budget_is_bounded(table_small, monkeypatch):

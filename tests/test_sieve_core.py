@@ -1,4 +1,6 @@
+import ctypes
 import math
+import multiprocessing
 import os
 import random
 import subprocess
@@ -20,7 +22,8 @@ from sievelab import (
 
 from sievelab import sieve_core
 from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _PRESIEVE_PRIMES, _RESIDUES,
-                                 _chunk_digits, _coprime_counts, _fill_rotated, _icbrt, _pi_from,
+                                 _check_coprime_starts, _chunk_digits, _coprime_counts,
+                                 _digit_width, _fill_rotated, _icbrt, _pi_from,
                                  _prefix_counts, _presieve_pattern, _prime_list, _primes_below,
                                  _rotated_rows, _semiprime_lookup, _semiprimes_below,
                                  _strike_limit, _strike_offsets, _wheel_pattern, _wheel_rows)
@@ -655,3 +658,51 @@ def test_strike_offsets_refuse_a_digit_table_beyond_the_budget(monkeypatch):
     monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", 4 * 3 * 8 - 1)
     with pytest.raises(ResourceError):
         _strike_offsets(starts, moduli)
+
+
+def test_coprime_start_check_matches_the_counter(table_small, monkeypatch):
+    # k = 30: the moduli are 2, the pattern period and the 23 primes 19..113.
+    ps = [int(p) for p in table_small.first(30)]
+    start = math.prod(ps) + ps[-1] ** 2
+    need = _digit_width(start, 1) * 25 * 8
+    for budget in (need, need - 1):
+        monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", budget)
+        checks = (lambda: _check_coprime_starts(start, ps),
+                  lambda: next(_coprime_counts([start], 100, ps)))
+        for check in checks:
+            if budget < need:
+                with pytest.raises(ResourceError):
+                    check()
+            else:
+                check()
+
+
+def _worker_blas_threads(_):
+    return sieve_core._blas_threads()
+
+
+def test_pool_workers_run_one_blas_thread():
+    set_threads = sieve_core._openblas_function("scipy_openblas_set_num_threads64_")
+    if set_threads is None or sieve_core._blas_threads() is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count functions")
+    before = sieve_core._blas_threads()
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(2)  # a worker inherits this unless its initializer pins it
+    try:
+        with sieve_core._worker_map(2) as imap:
+            assert list(imap(_worker_blas_threads, range(4))) == [1] * 4
+    finally:
+        set_threads(before)
+    assert multiprocessing.active_children() == []
+
+
+def test_blas_pin_is_a_no_op_without_openblas(tmp_path, monkeypatch):
+    assert sieve_core._openblas_function("no_such_openblas_symbol_") is None
+    monkeypatch.setattr(sieve_core, "_OPENBLAS_GLOB", str(tmp_path / "*openblas*"))
+    assert sieve_core._pin_blas_threads() is None
+    (tmp_path / "libopenblas.so").write_bytes(b"not a library")
+    assert sieve_core._blas_threads() is None
+    (tmp_path / "libopenblas.so").unlink()
+    assert sieve_core._blas_threads() is None
+    with sieve_core._worker_map(2) as imap:
+        assert list(imap(_worker_blas_threads, range(2))) == [None, None]
