@@ -47,7 +47,6 @@ from .intervals import (
 )
 from .residue_legendre import (
     CoprimeCount,
-    LegendreScanRow,
     MoebiusContext,
     PrimorialValue,
     Window,

@@ -280,21 +280,19 @@ def _cmd_maier(args):
     for name in ("whole_interval_ratio", "up_deviation", "down_deviation", "delta"):
         summary[name] = [getattr(s, name) for s in scans]
     return {
-        "maier_scan.csv": {"k": np.repeat(k_list, [len(r.points) for r in ratios]),
-                           "x": np.concatenate([r.xs() for r in ratios]),
-                           "ratio": np.concatenate([r.values() for r in ratios])},
+        "maier_scan.csv": {"k": np.repeat(k_list, [len(r.columns["x"]) for r in ratios]),
+                           **{name: np.concatenate([r.columns[name] for r in ratios])
+                              for name in ("x", "ratio")}},
         "maier_summary.csv": summary,
     }, max(k_list), {"lambda": args.lam, "delta_lambda": stats_lab.extract_delta(scans)}
 
 
 def _cmd_legendre(args):
-    rows = residue_legendre.legendre_scan(1, args.kmax, _table_for(args.kmax + 1))
-    field = {name: [getattr(r, name) for r in rows]
-             for name in ("k", "ratio_full", "ratio_truncated", "pi_ratio", "terms", "length")}
+    scan = residue_legendre.legendre_scan(1, args.kmax, _table_for(args.kmax + 1)).columns
+    header = ("k", "ratio_full", "ratio_truncated", "pi_ratio")
     return {
-        "legendre_scan.csv": {name: field[name]
-                              for name in ("k", "ratio_full", "ratio_truncated", "pi_ratio")},
-        "legendre_terms.csv": {"k": field["k"], "terms": field["terms"], "l_k": field["length"]},
+        "legendre_scan.csv": {name: scan[name] for name in header},
+        "legendre_terms.csv": {"k": scan["k"], "terms": scan["terms"], "l_k": scan["length"]},
     }, args.kmax, {}
 
 
@@ -318,33 +316,32 @@ def _cmd_randmodel(args):
 
 def _cmd_bias(args):
     series = stats_lab.bias_series(_interval_set(args))
-    meta = series.metadata
-    a = series.values() + (2.0 if args.count_offset else 0.0)
-    columns = {"k": meta["k"], "x": series.xs(), "a": a, "b": meta["b"], "c": meta["c"],
-               "a_norm": a / np.asarray(meta["delta"]), "b_norm": meta["b_norm"],
-               "c_norm": meta["c_norm"]}
+    header = ("k", "x", "a", "b", "c", "a_norm", "b_norm", "c_norm")  # all but delta
+    columns = {name: series.columns[name] for name in header}
+    if args.count_offset:
+        columns["a"] = columns["a"] + 2.0
+        columns["a_norm"] = columns["a"] / series.columns["delta"]
+    fit = series.metadata["fit"]
     return {"bias.csv": columns}, args.kmax, {
-        "count_offset": args.count_offset,
-        "fit_mean": meta["fit"].mean, "fit_stdev": meta["fit"].stdev}
+        "count_offset": args.count_offset, "fit_mean": fit.mean, "fit_stdev": fit.stdev}
 
 
 def _cmd_corr(args):
     stats_lab.check_lag_arguments(args.kmax, args.max_lag, args.block)  # before the scan
     s = _interval_set(args)
     series = stats_lab.lag_correlation(s.pi_k - s.li_k, args.max_lag, block=args.block)
-    columns = {"lag_or_block": series.xs().astype(np.int64), "value": series.values()}
+    columns = {name: series.columns[name] for name in ("lag_or_block", "value")}
     return {"corr.csv": columns}, args.kmax, {"max_lag": args.max_lag, "block": args.block}
 
 
 def _cmd_conjecture(args):
     series = randmodel.conjecture_check(_interval_set(args))
-    meta = series.metadata
-    d = series.values() + (2.0 if args.count_offset else 0.0)
-    sqrt_li = np.asarray(meta["sqrt_li"])
-    columns = {"k": meta["k"], "x": series.xs(), "pi_minus_li": d, "sqrt_li": sqrt_li}
+    columns, violations = dict(series.columns), series.metadata["violations"]
+    if args.count_offset:
+        columns["pi_minus_li"] = d = columns["pi_minus_li"] + 2.0
+        violations = int(np.count_nonzero(np.abs(d) >= columns["sqrt_li"]))
     return {"conjecture.csv": columns}, args.kmax, {
-        "count_offset": args.count_offset,
-        "violations": int(np.count_nonzero(np.abs(d) >= sqrt_li))}
+        "count_offset": args.count_offset, "violations": violations}
 
 
 # ---------------------------------------------------------------------------

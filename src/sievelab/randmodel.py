@@ -217,31 +217,24 @@ def variance_comparison(k_range, table: PrimeTable, budget: int = DEFAULT_BUDGET
                         seed: int = 0) -> ScanSeries:
     """Binomial stdev minus rescaled model stdev, per k; negative = violation.
 
-    The series value is the margin by which the binomial bound holds;
-    full per-k columns (model stdev, binomial stdev, Poisson variance,
-    mode) ride along in metadata, along with any violating k.
+    Per k, the series holds the ``margin`` by which the binomial bound
+    holds, the model and binomial stdevs, the Poisson variance, and the
+    model's ``mode`` and ``samples``; the metadata counts the violating k.
     """
     ks = sorted(set(int(k) for k in k_range))
     if not ks:
         raise DomainError("empty k range")
-    margins = []
-    meta = {"model_stdev": [], "binom_stdev": [], "pois_var": [],
-            "modes": [], "samples": [], "violations": [], "seed": seed}
+    rows = []
     for k in ks:
         summary = shift_model(k, table, budget=budget, seed=seed)
-        binom = binomial_reference(k, table)
         model_sd = math.sqrt(summary.rescaled_variance)
-        binom_sd = math.sqrt(binom.variance)
-        margin = binom_sd - model_sd
-        margins.append((float(k), margin))
-        meta["model_stdev"].append(model_sd)
-        meta["binom_stdev"].append(binom_sd)
-        meta["pois_var"].append(poisson_reference(k, table).variance)
-        meta["modes"].append(summary.mode)
-        meta["samples"].append(summary.samples)
-        if margin <= 0:
-            meta["violations"].append(k)
-    return ScanSeries(label="variance_comparison", points=margins, metadata=meta)
+        binom_sd = math.sqrt(binomial_reference(k, table).variance)
+        rows.append((k, binom_sd - model_sd, model_sd, binom_sd,
+                     poisson_reference(k, table).variance, summary.mode, summary.samples))
+    names = ("k", "margin", "model_stdev", "binom_stdev", "pois_var", "mode", "samples")
+    columns = dict(zip(names, map(np.array, zip(*rows))))
+    return ScanSeries(label="variance_comparison", columns=columns, metadata={
+        "seed": seed, "violations": int(np.count_nonzero(columns["margin"] <= 0))})
 
 
 def sum_model_bounds(x: int, interval_set: IntervalSet, table: PrimeTable) -> tuple[float, float]:
@@ -263,17 +256,16 @@ def sum_model_bounds(x: int, interval_set: IntervalSet, table: PrimeTable) -> tu
 def conjecture_check(interval_set: IntervalSet) -> ScanSeries:
     """pi(x) - li(x) against the +/- sqrt(li(x)) band at every x = p_{k+1}^2.
 
-    Violations (|pi - li| >= sqrt(li)) are reported in metadata, never
-    raised: whether the model's bound transfers to the true counts is an
-    empirical question.
+    The metadata counts the violations (|pi - li| >= sqrt(li)), which are
+    never raised: whether the model's bound transfers to the true counts
+    is an empirical question.
     """
-    diff = interval_set.pi_cum - interval_set.li_cum
-    sqrt_li = np.sqrt(interval_set.li_cum)
-    xs = (interval_set.p_next * interval_set.p_next).tolist()
+    s = interval_set
+    diff = s.pi_cum - s.li_cum
+    sqrt_li = np.sqrt(s.li_cum)
     return ScanSeries(
         label="conjecture",
-        points=[(float(x), float(d)) for x, d in zip(xs, diff)],
-        metadata={"k": list(range(1, len(interval_set) + 1)), "sqrt_li": sqrt_li.tolist(),
-                  "pi": interval_set.pi_cum.tolist(), "li": interval_set.li_cum.tolist(),
-                  "violations": (np.flatnonzero(np.abs(diff) >= sqrt_li) + 1).tolist()},
+        columns={"k": np.arange(1, len(s) + 1), "x": s.p_next * s.p_next,
+                 "pi_minus_li": diff, "sqrt_li": sqrt_li},
+        metadata={"violations": int(np.count_nonzero(np.abs(diff) >= sqrt_li))},
     )

@@ -60,8 +60,8 @@ longer piece is a block of its own), and is dropped once summed, as in
 Deleglise & Rivat's segmented sum of M, so no array spans the range.
 The first m_full call walks the whole grid and keeps M at each end; a y
 off the grid sieves only (last g <= y, y] and adds its own pieces. So
-M(y), and a scan row, depends on y alone: legendre_scan(k, k) is row k
-of any longer scan.
+M(y), and each scan column's entry for k, depends on y alone:
+legendre_scan(k, k) holds row k of any longer scan.
 
 One rule, _enumerated, picks the path of the truncated sum, the term
 count and the scan alike: the context serves exactly the bounds in
@@ -91,6 +91,7 @@ import numpy as np
 from . import analytic
 from .errors import DomainError, ResourceError
 from .sieve_core import _INT64_MAX, DEFAULT_MEMORY_BUDGET, PrimeTable, _prime_list, sieve_window
+from .stats_lab import ScanSeries
 
 # Abort inclusion-exclusion enumerations beyond this many terms.
 DEFAULT_TERM_CAP = 5_000_000
@@ -592,56 +593,38 @@ def legendre_term_count(k: int, table: PrimeTable, bound: Optional[int] = None,
     return context.term_count(k, bound, table)
 
 
-@dataclass(frozen=True)
-class LegendreScanRow:
-    """One row of the per-interval estimator comparison."""
+def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> ScanSeries:
+    """Full vs truncated vs exact ratios for k in [k_from, k_to], as columns.
 
-    k: int
-    length: int
-    ratio_full: float        # (l prod(1-1/p)) / (l / log p_{k+1}^2)
-    ratio_truncated: float   # truncated-expansion mean over the same base
-    pi_ratio: float          # exact pi_k over the same base
-    terms: int               # admissible divisors below p_{k+1}^2
-
-
-def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> list[LegendreScanRow]:
-    """Full vs truncated vs exact ratios, one row per k in [k_from, k_to].
-
-    The rows whose bound p_{k+1}^2 is enumerated (k <= 171, where
-    p_{k+1}^2 <= 2^20) take their truncated sum and term count from one
-    _enumerated_rows call, built and dropped before the context's prime
-    list exists. pi_k is counted on that list, which holds every prime
-    up to p_{k_to+1}^2.
+    Each ratio is a mean over the base l_k / log p_{k+1}^2: ``ratio_full``
+    of l_k prod(1 - 1/p), ``ratio_truncated`` of the truncated expansion,
+    ``pi_ratio`` of the exact pi_k; ``terms`` counts the admissible
+    divisors below p_{k+1}^2, and ``length`` is l_k. The rows whose bound
+    p_{k+1}^2 is enumerated (k <= 171, where p_{k+1}^2 <= 2^20) take their
+    truncated sum and term count from one _enumerated_rows call, built and
+    dropped before the context's prime list exists. pi_k is counted on
+    that list, which holds every prime up to p_{k_to+1}^2.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
-    listed = [(k, table.nth(k + 1) ** 2) for k in range(k_from, k_to + 1)]
+    ks = range(k_from, k_to + 1)
+    listed = [(k, table.nth(k + 1) ** 2) for k in ks]
     listed = [row for row in listed if _enumerated(*row, table)]  # a prefix of the rows
-    enumerated = _enumerated_rows(listed, table) if listed else []
+    rows = _enumerated_rows(listed, table) if listed else []  # (sum, terms) per k
     context = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
-    products = analytic.mertens_products(k_to, table)
-    rows = []
-    for k in range(k_from, k_to + 1):
-        p, p_next = table.nth(k), table.nth(k + 1)
-        length = p_next * p_next - p * p
-        log_hi = math.log(p_next * p_next)
-        base = length / log_hi
-        if k - k_from < len(enumerated):
-            tsum, terms = enumerated[k - k_from]
-        else:
-            tsum = truncated_moebius_sum(k, table, context=context)
-            terms = legendre_term_count(k, table, p_next * p_next, context=context)
-        pi_k = int(np.searchsorted(context.primes, p_next * p_next)
-                   - np.searchsorted(context.primes, p * p))
-        rows.append(LegendreScanRow(
-            k=k,
-            length=length,
-            ratio_full=products[k] * log_hi,
-            ratio_truncated=tsum * log_hi,
-            pi_ratio=pi_k / base,
-            terms=terms,
-        ))
-    return rows
+    for k in ks[len(rows):]:
+        rows.append((truncated_moebius_sum(k, table, context=context),
+                     legendre_term_count(k, table, table.nth(k + 1) ** 2, context=context)))
+    tsums, terms = zip(*rows)
+    lo, hi = (table.primes[k_from - 1 + i : k_to + i] ** 2 for i in (0, 1))
+    log_hi = np.array([math.log(x) for x in hi])  # math.log: np.log may differ in the last bit
+    pi_k = np.searchsorted(context.primes, hi) - np.searchsorted(context.primes, lo)
+    return ScanSeries(label="legendre_scan", columns={
+        "k": np.array(ks), "length": hi - lo,
+        "ratio_full": analytic.mertens_products(k_to, table)[k_from:] * log_hi,
+        "ratio_truncated": np.array(tsums) * log_hi,
+        "pi_ratio": pi_k / ((hi - lo) / log_hi),
+        "terms": np.array(terms, dtype=np.int64)})
 
 
 def first_appearance_positions(i: int, table: PrimeTable,

@@ -1,10 +1,10 @@
 """Empirical analyses over the interval decomposition.
 
-Everything here transforms already-computed interval data into the
-labeled (x, value) series that back the dataset CSVs: density scans
-over Maier windows [x, x + (log x)^lambda], moving averages of gap
-sequences, moment-fitted empirical densities, lag correlations of the
-deviation sequence pi_k - li_k, and the normalized bias curves.
+Everything here transforms already-computed interval data into labeled
+sets of numpy columns (``ScanSeries``) that back the dataset CSVs:
+density scans over Maier windows [x, x + (log x)^lambda], moving averages
+of gap sequences, moment-fitted empirical densities, lag correlations of
+the deviation sequence pi_k - li_k, and the normalized bias curves.
 """
 
 from __future__ import annotations
@@ -16,30 +16,34 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _read_only
 from .sieve_core import PrimeTable, _primes_below
 
 
 @dataclass
 class ScanSeries:
-    """A labeled (x, value) series backing one figure or CSV."""
+    """A labeled set of columns backing one figure or CSV.
+
+    ``columns`` maps each name (the CSV header, where the series is
+    written) to an equal-length, read-only 1-D numpy array; the first
+    column is strictly increasing and no float column holds a non-finite
+    value. ``metadata`` holds scalars and small objects only.
+    """
 
     label: str
-    points: list            # [(x, value), ...] with x strictly increasing
+    columns: dict
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        xs = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError(f"series '{self.label}' x values not strictly increasing")
-        if not all(math.isfinite(p[0]) and math.isfinite(p[1]) for p in self.points):
-            raise DomainError(f"series '{self.label}' contains non-finite points")
-
-    def xs(self) -> np.ndarray:
-        return np.array([p[0] for p in self.points])
-
-    def values(self) -> np.ndarray:
-        return np.array([p[1] for p in self.points])
+        self.columns = {name: _read_only(np.asarray(values).view())
+                        for name, values in self.columns.items()}
+        arrays = list(self.columns.values())
+        if not arrays or any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+            raise DomainError(f"series '{self.label}' needs 1-D columns of one length")
+        if any(a.dtype.kind == "f" and not np.isfinite(a).all() for a in arrays):
+            raise DomainError(f"series '{self.label}' contains non-finite values")
+        if np.any(arrays[0][1:] <= arrays[0][:-1]):
+            raise DomainError(f"series '{self.label}' first column not strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,8 @@ def fit_gaussian(samples) -> GaussianFit:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size < 1:
         raise DomainError("cannot fit an empty sample")
+    if not np.isfinite(arr).all():
+        raise DomainError("cannot fit a sample with non-finite values")
     mean = float(np.mean(arr))
     stdev = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
     return GaussianFit(mean=mean, stdev=stdev, sample_count=int(arr.size))
@@ -66,7 +72,7 @@ class MaierScan:
 
     k: int
     lam: float
-    ratios: ScanSeries      # x -> [pi(x + (log x)^lam) - pi(x)] / (log x)^(lam-1)
+    ratios: ScanSeries      # x, ratio = count / (log x)^(lam-1), count in (x, x + (log x)^lam]
     whole_interval_ratio: float  # pi_k / (l_k / log p_{k+1}^2)
     up_deviation: float     # max ratio - 1
     down_deviation: float   # 1 - min ratio
@@ -110,20 +116,13 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
     below[order] = _primes_below(lo, below[order], table.first(k))
     counts = below[len(xs) : 2 * len(xs)] - below[: len(xs)]
     ratios = counts / logs ** (lam - 1.0)
-
-    pi_k = int(below[-1])
-    series = ScanSeries(
-        label=f"maier_k{k}",
-        points=[(float(x), float(r)) for x, r in zip(xs, ratios)],
-        metadata={"k": k, "lambda": lam, "step": step,
-                  "phi_start": phi_lo, "phi_end": math.log(hi) ** lam,
-                  "counts": counts.tolist()},
-    )
-    up = float(np.max(ratios) - 1.0)
-    down = float(1.0 - np.min(ratios))
+    series = ScanSeries(label=f"maier_k{k}", columns={"x": xs, "ratio": ratios, "count": counts},
+                        metadata={"k": k, "lambda": lam, "step": step,
+                                  "phi_start": phi_lo, "phi_end": math.log(hi) ** lam})
+    up, down = float(np.max(ratios) - 1.0), float(1.0 - np.min(ratios))
     return MaierScan(
         k=k, lam=lam, ratios=series,
-        whole_interval_ratio=pi_k / ((hi - lo + 1) / math.log(p_next * p_next)),
+        whole_interval_ratio=int(below[-1]) / ((hi - lo + 1) / math.log(p_next * p_next)),
         up_deviation=up, down_deviation=down, delta=min(up, down),
     )
 
@@ -151,17 +150,19 @@ def phi_vs_lengths(x_max: int, lam: float, table: PrimeTable, g_max: int = 40) -
     """Where (log x)^lam stops covering the length curve l_g(x) = 2 sqrt(x) g - g^2.
 
     For each even gap class g <= g_max the series holds the largest x
-    below x_max where the window length crosses below the curve; beyond
-    the largest listed crossing, every interval length beats the window.
-    Gap classes with no crossing inside [8, x_max] are skipped.
+    (``crossing``) below x_max where the window length crosses below the
+    curve; beyond the largest listed crossing, every interval length beats
+    the window. Gap classes with no crossing inside [8, x_max] are skipped.
+    A non-finite lam raises DomainError.
     """
+    if not math.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     if x_max < 16:
         raise DomainError("x_max too small")
     grid = np.exp(np.linspace(math.log(8.0), math.log(float(x_max)), 400))
     log_pow = np.log(grid) ** lam
     roots = np.sqrt(grid)
-    points = []
-    lowers = {}
+    gs, crossings, lowers = [], [], {}
     for g in range(2, g_max + 1, 2):
         def h(x, g=g):
             return math.log(x) ** lam - (2.0 * math.sqrt(x) * g - g * g)
@@ -171,12 +172,13 @@ def phi_vs_lengths(x_max: int, lam: float, table: PrimeTable, g_max: int = 40) -
         if len(sign_changes) == 0:
             continue
         i = sign_changes[-1]
-        crossing = _bisect_crossing(h, float(grid[i]), float(grid[i + 1]))
-        points.append((float(g), crossing))
+        gs.append(g)
+        crossings.append(_bisect_crossing(h, float(grid[i]), float(grid[i + 1])))
         if len(sign_changes) > 1:
             j = sign_changes[0]
             lowers[g] = _bisect_crossing(h, float(grid[j]), float(grid[j + 1]))
-    return ScanSeries(label="phi_vs_lengths", points=points,
+    return ScanSeries(label="phi_vs_lengths",
+                      columns={"g": np.array(gs, dtype=np.int64), "crossing": np.array(crossings)},
                       metadata={"lambda": lam, "x_max": x_max, "lower_crossings": lowers})
 
 
@@ -198,7 +200,11 @@ def moving_average(series, run: int):
 
 
 def empirical_pdf(samples, bins: int) -> tuple[ScanSeries, GaussianFit]:
-    """Density-normalized histogram (unit integral) plus a moment fit."""
+    """Density-normalized histogram (unit integral) plus a moment fit.
+
+    The series holds the bin ``center`` and ``density`` columns; samples
+    that are all equal give one bin of density 1.
+    """
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size < 2:
         raise DomainError("empirical_pdf needs at least 2 samples")
@@ -206,23 +212,25 @@ def empirical_pdf(samples, bins: int) -> tuple[ScanSeries, GaussianFit]:
         raise DomainError("bins must be >= 1")
     fit = fit_gaussian(arr)
     if np.all(arr == arr[0]):
-        series = ScanSeries(label="pdf", points=[(float(arr[0]), 1.0)],
+        series = ScanSeries(label="pdf", columns={"center": arr[:1], "density": [1.0]},
                             metadata={"bins": 1, "bin_width": 1.0, "degenerate": True})
         return series, fit
     density, edges = np.histogram(arr, bins=bins, density=True)
-    centers = 0.5 * (edges[:-1] + edges[1:])
     series = ScanSeries(
         label="pdf",
-        points=[(float(c), float(d)) for c, d in zip(centers, density)],
+        columns={"center": 0.5 * (edges[:-1] + edges[1:]), "density": density},
         metadata={"bins": bins, "bin_width": float(edges[1] - edges[0])},
     )
     return series, fit
 
 
 def check_lag_arguments(n: int, max_lag: int, block: int = 0) -> None:
-    """Raise DomainError unless 0 <= max_lag < n and block is 0 or in (max_lag, n]."""
+    """Raise DomainError unless 0 <= max_lag < n and block is 0, or
+    1 <= max_lag < block <= n (a block series holds lag 1)."""
     if max_lag < 0:
         raise DomainError(f"max_lag must be >= 0, got {max_lag}")
+    if block and max_lag < 1:
+        raise DomainError("block mode needs max_lag >= 1")
     if n <= max_lag:
         raise DomainError("deviation sequence shorter than max_lag")
     if block < 0:
@@ -238,11 +246,12 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
 
     The normalization is asymmetric (the denominator is the mean square
     of the full averaging range, not a per-lag variance product); lag 0
-    is exactly 1 by construction. With block > 0 the statistic is
-    computed per non-overlapping block and the series maps block number
-    to the lag-1 value, with all lags kept in metadata. Arguments that
-    check_lag_arguments refuses, and a sequence or block whose mean square
-    is 0, raise DomainError.
+    is exactly 1 by construction. The series maps ``lag_or_block`` to
+    ``value``: each lag 0..max_lag, or with block > 0 each non-overlapping
+    block 1..n to its lag-1 value, with columns ``lag_1``..``lag_<max_lag>``
+    holding every lag of each block. Arguments that check_lag_arguments
+    refuses, and a sequence or block whose mean square is 0, raise
+    DomainError.
     """
     d = np.asarray(deviations, dtype=np.float64)
     check_lag_arguments(d.size, max_lag, block)
@@ -253,28 +262,19 @@ def lag_correlation(deviations, max_lag: int, block: int = 0) -> ScanSeries:
             raise DomainError("lag correlation of an all-zero " + ("block" if block else "sequence"))
         return [float(np.mean(seg[: seg.size - j] * seg[j:])) / den for j in lags]
 
+    meta = {"normalization": "asymmetric", "n": int(d.size), "block": block}
     if block == 0:
-        lags = list(range(0, max_lag + 1))
-        vals = corr_range(d, lags)
-        return ScanSeries(
-            label="lag_correlation",
-            points=[(float(j), v) for j, v in zip(lags, vals)],
-            metadata={"normalization": "asymmetric", "n": int(d.size)},
-        )
+        return ScanSeries(label="lag_correlation", metadata=meta, columns={
+            "lag_or_block": np.arange(max_lag + 1),
+            "value": np.array(corr_range(d, range(max_lag + 1)))})
 
+    lags = range(1, max_lag + 1)
     n_blocks = d.size // block
-    lags = list(range(1, max_lag + 1))
-    per_lag = {j: [] for j in lags}
-    for b in range(n_blocks):
-        seg = d[b * block : (b + 1) * block]
-        for j, v in zip(lags, corr_range(seg, lags)):
-            per_lag[j].append(v)
-    return ScanSeries(
-        label="lag_correlation_blocks",
-        points=[(float(b + 1), per_lag[1][b]) for b in range(n_blocks)],
-        metadata={"normalization": "asymmetric", "block": block,
-                  "per_lag": {str(j): per_lag[j] for j in lags}},
-    )
+    blocks = d[: n_blocks * block].reshape(n_blocks, block)
+    vals = np.array([corr_range(seg, lags) for seg in blocks])  # row per block, column per lag
+    return ScanSeries(label="lag_correlation_blocks", metadata=meta, columns={
+        "lag_or_block": np.arange(1, n_blocks + 1), "value": vals[:, 0],
+        **{f"lag_{j}": vals[:, j - 1] for j in lags}})
 
 
 def bias_series(interval_set: IntervalSet) -> ScanSeries:
@@ -282,30 +282,16 @@ def bias_series(interval_set: IntervalSet) -> ScanSeries:
 
     (a) pi(x) - li(x); (b) running sum of l_j/log p_j^2 - li_j;
     (c) running sum of l_j/log p_{j+1}^2 - li_j; each also divided by
-    the spread normalizer Delta_k (``analytic.delta_normalizer``). pi and
-    li are the interval set's running sums ``pi_cum`` and ``li_cum``.
+    the spread normalizer Delta_k (``analytic.delta_normalizer``, column
+    ``delta``). pi and li are the interval set's running sums ``pi_cum``
+    and ``li_cum``. The metadata's ``fit`` is the moment fit of a_norm.
     """
     s = interval_set
     over_lo, over_hi, delta = analytic._spread_columns(s.p_k, s.p_next)
-    upper = np.cumsum(over_lo - s.li_k)                    # curve (b)
-    lower = np.cumsum(over_hi - s.li_k)                    # curve (c)
     a = s.pi_cum - s.li_cum
-    xs = (s.p_next * s.p_next).astype(np.float64)
-
-    fit = fit_gaussian(a / delta)
-    return ScanSeries(
-        label="bias",
-        points=[(float(x), float(v)) for x, v in zip(xs, a)],
-        metadata={
-            "k": list(range(1, len(s) + 1)),
-            "b": upper.tolist(),
-            "c": lower.tolist(),
-            "a_norm": (a / delta).tolist(),
-            "b_norm": (upper / delta).tolist(),
-            "c_norm": (lower / delta).tolist(),
-            "delta": delta.tolist(),
-            "fit": fit,
-            "pi_cum": s.pi_cum.tolist(),
-            "li_cum": s.li_cum.tolist(),
-        },
-    )
+    b = np.cumsum(over_lo - s.li_k)
+    c = np.cumsum(over_hi - s.li_k)
+    a_norm = a / delta
+    return ScanSeries(label="bias", metadata={"fit": fit_gaussian(a_norm)}, columns={
+        "k": np.arange(1, len(s) + 1), "x": s.p_next * s.p_next, "a": a, "b": b, "c": c,
+        "a_norm": a_norm, "b_norm": b / delta, "c_norm": c / delta, "delta": delta})

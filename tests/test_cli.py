@@ -382,7 +382,8 @@ def test_corr_negative_block_is_domain_error(tmp_path, capsys):
     (["--max-lag", 80], "deviation sequence shorter than max_lag"),
     (["--max-lag", 5, "--block", 5], "block must exceed max_lag"),
     (["--max-lag", 5, "--block", 81], "deviation sequence shorter than one block"),
-], ids=["max-lag<0", "max-lag>=kmax", "block<=max-lag", "block>kmax"])
+    (["--max-lag", 0, "--block", 10], "block mode needs max_lag >= 1"),
+], ids=["max-lag<0", "max-lag>=kmax", "block<=max-lag", "block>kmax", "block-with-max-lag-0"])
 def test_corr_bad_flags_refused_before_scan(tmp_path, capsys, flags, message):
     out, ck = tmp_path / "o", tmp_path / "scan.ckpt"
     assert run(["corr", "--kmax", 80, *flags, "--out", out, "--checkpoint", ck]) == 2

@@ -228,10 +228,12 @@ def test_poisson_binomial_ratio_tends_to_one(table):
 
 def test_variance_comparison_exhaustive(table_small):
     series = variance_comparison(range(1, 7), table_small, budget=10 ** 9, seed=0)
-    assert [x for x, _ in series.points] == [1, 2, 3, 4, 5, 6]
-    assert all(v > 0 for _, v in series.points)  # binomial stdev always larger
-    assert series.metadata["violations"] == []
-    assert series.metadata["modes"] == ["exhaustive"] * 6
+    cols = series.columns
+    assert cols["k"].tolist() == [1, 2, 3, 4, 5, 6]
+    assert np.all(cols["margin"] > 0)  # binomial stdev always larger
+    assert series.metadata["violations"] == 0
+    assert cols["mode"].tolist() == ["exhaustive"] * 6
+    assert np.array_equal(cols["margin"], cols["binom_stdev"] - cols["model_stdev"])
 
 
 def test_variance_gap_widens_on_gap6_subsequence(table, set1000):
@@ -263,11 +265,11 @@ def test_sum_model_bounds(table_small, set200):
 
 def test_conjecture_check(set200):
     series = conjecture_check(set200)
-    meta = series.metadata
-    assert meta["violations"] == []
-    values = series.values()
-    assert np.all(values < 0)  # pi(x) - li(x) stays negative at desk scale
+    cols = series.columns
+    assert series.metadata["violations"] == 0
+    assert np.all(cols["pi_minus_li"] < 0)  # pi(x) - li(x) stays negative at desk scale
     # k = 1 point: pi(9) = 4 against li(9).
-    assert series.points[0][0] == 9.0
-    assert series.points[0][1] == pytest.approx(4 - li(9), rel=1e-12)
-    assert abs(series.points[0][1]) < math.sqrt(li(9))
+    assert (cols["k"][0], cols["x"][0]) == (1, 9)
+    assert cols["pi_minus_li"][0] == pytest.approx(4 - li(9), rel=1e-12)
+    assert abs(cols["pi_minus_li"][0]) < math.sqrt(li(9))
+    assert cols["sqrt_li"][0] == pytest.approx(math.sqrt(li(9)), rel=1e-12)

@@ -251,17 +251,18 @@ def test_first_appearance_within_theoretical(table):
 
 
 def test_legendre_scan_columns(table):
-    rows = legendre_scan(1, 30, table)
-    by_k = {r.k: r for r in rows}
-    assert by_k[3].pi_ratio == pytest.approx(6 / (24 / math.log(49)), rel=1e-13)
+    cols = legendre_scan(1, 30, table).columns
+    assert list(cols) == ["k", "length", "ratio_full", "ratio_truncated", "pi_ratio", "terms"]
+    assert cols["k"].tolist() == list(range(1, 31))
+    assert cols["pi_ratio"][2] == pytest.approx(6 / (24 / math.log(49)), rel=1e-13)
+    assert cols["length"][2] == 24
     for k in (5, 12, 25):
-        r = by_k[k]
         bound = table.nth(k + 1) ** 2
         ps = [int(p) for p in table.first(k)]
-        assert r.terms == count_squarefree_products(ps, bound)
+        assert cols["terms"][k - 1] == count_squarefree_products(ps, bound)
         ref = float(fraction_truncated_moebius(ps, bound))
-        assert r.ratio_truncated == pytest.approx(ref * math.log(bound), rel=1e-12)
-        assert r.ratio_full > r.ratio_truncated > 0
+        assert cols["ratio_truncated"][k - 1] == pytest.approx(ref * math.log(bound), rel=1e-12)
+        assert cols["ratio_full"][k - 1] > cols["ratio_truncated"][k - 1] > 0
 
 
 def test_bound_one_has_no_terms(table_small):
@@ -429,21 +430,27 @@ def test_legendre_scan_rows_equal_per_k_calls(table, k_from, k_to):
     # One enumeration serves every depth-first row (k <= 171, where p_{k+1}^2
     # <= 2^20).
     ctx = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
-    rows = legendre_scan(k_from, k_to, table)
-    assert [r.k for r in rows] == list(range(k_from, k_to + 1))
-    for r in rows:
-        bound = table.nth(r.k + 1) ** 2
-        assert r.ratio_truncated == truncated_moebius_sum(r.k, table, context=ctx) * math.log(bound)
-        assert r.terms == legendre_term_count(r.k, table, bound, context=ctx)
+    cols = legendre_scan(k_from, k_to, table).columns
+    assert cols["k"].tolist() == list(range(k_from, k_to + 1))
+    for k, ratio, terms in zip(*(cols[n].tolist() for n in ("k", "ratio_truncated", "terms"))):
+        bound = table.nth(k + 1) ** 2
+        assert ratio == truncated_moebius_sum(k, table, context=ctx) * math.log(bound)
+        assert terms == legendre_term_count(k, table, bound, context=ctx)
 
 
 def test_legendre_scan_row_depends_on_k_alone(table):
     # M(y) is summed on one grid of interval ends, so neither the scan's
     # first k nor its last moves the bits of a row.
-    full = legendre_scan(1, 300, table)
+    full = legendre_scan(1, 300, table).columns
+
+    def same_rows(part, k_from):
+        n = len(part.columns["k"])
+        return all(np.array_equal(col, full[name][k_from - 1 : k_from - 1 + n])
+                   for name, col in part.columns.items())
+
     for k in (179, 193, 200, 270, 300):
-        assert legendre_scan(k, k, table) == [full[k - 1]], k
-    assert legendre_scan(172, 300, table) == full[171:]
+        assert same_rows(legendre_scan(k, k, table), k), k
+    assert same_rows(legendre_scan(172, 300, table), 172)
 
 
 # y on the grid (p_j^2 - 1, j >= 27, from 10608) and off it: below the first
@@ -577,9 +584,10 @@ def test_truncated_sum_holds_no_term_array(table):
 @pytest.mark.parametrize("k_to", [25, 200])
 def test_legendre_scan_pi_k_from_context(table, set200, k_to):
     # pi_k, counted on the context's primes, is the interval scan's count.
-    for r in legendre_scan(1, k_to, table):
-        log_hi = math.log(table.nth(r.k + 1) ** 2)
-        assert round(r.pi_ratio * r.length / log_hi) == set200.pi_k[r.k - 1], r.k
+    cols = legendre_scan(1, k_to, table).columns
+    for k, pi_ratio, length in zip(*(cols[n].tolist() for n in ("k", "pi_ratio", "length"))):
+        log_hi = math.log(table.nth(k + 1) ** 2)
+        assert round(pi_ratio * length / log_hi) == set200.pi_k[k - 1], k
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,19 +16,32 @@ from sievelab import (
     moving_average,
     phi_vs_lengths,
 )
+from sievelab.randmodel import conjecture_check, variance_comparison
+from sievelab.residue_legendre import legendre_scan
 from sievelab.stats_lab import ScanSeries
 
 from _oracles import bisect_root
 
 
 def test_scan_series_validation():
-    with pytest.raises(DomainError):
-        ScanSeries(label="bad", points=[(1.0, 0.0), (1.0, 1.0)])
-    with pytest.raises(DomainError):
-        ScanSeries(label="bad", points=[(0.0, float("nan"))])
-    s = ScanSeries(label="ok", points=[(0.0, 1.0), (2.0, 3.0)])
-    assert list(s.xs()) == [0.0, 2.0]
-    assert list(s.values()) == [1.0, 3.0]
+    with pytest.raises(DomainError, match="strictly increasing"):
+        ScanSeries(label="bad", columns={"x": [1.0, 1.0], "y": [0.0, 1.0]})
+    with pytest.raises(DomainError, match="non-finite"):
+        ScanSeries(label="bad", columns={"x": [0.0], "y": [float("nan")]})
+    with pytest.raises(DomainError, match="one length"):
+        ScanSeries(label="bad", columns={"x": [0.0, 2.0], "y": [1.0]})
+    with pytest.raises(DomainError, match="one length"):
+        ScanSeries(label="bad", columns={"x": [[0.0, 2.0]]})
+    with pytest.raises(DomainError, match="one length"):
+        ScanSeries(label="bad", columns={})
+    s = ScanSeries(label="ok", columns={"x": [0, 2], "y": [1.0, 3.0], "mode": ["a", "b"]})
+    assert list(s.columns) == ["x", "y", "mode"]
+    assert s.columns["x"].tolist() == [0, 2]
+    assert s.columns["y"].tolist() == [1.0, 3.0]
+    # A column is a read-only view: the caller's array keeps its flags.
+    y = np.array([1.0, 3.0])
+    s = ScanSeries(label="ok", columns={"x": [0, 2], "y": y})
+    assert y.flags.writeable and not s.columns["y"].flags.writeable
 
 
 def test_moving_average_basics():
@@ -47,7 +60,7 @@ def test_empirical_pdf_integrates_to_one():
     samples = rng.normal(0.0, 1.0, size=20_000)
     series, fit = empirical_pdf(samples, bins=60)
     width = series.metadata["bin_width"]
-    integral = sum(v for _, v in series.points) * width
+    integral = sum(series.columns["density"]) * width
     assert integral == pytest.approx(1.0, abs=1e-9)
     assert fit.mean == pytest.approx(0.0, abs=0.05)
     assert fit.stdev == pytest.approx(1.0, abs=0.05)
@@ -63,20 +76,33 @@ def test_empirical_pdf_two_point_convention():
 def test_empirical_pdf_degenerate():
     series, fit = empirical_pdf([3.0, 3.0, 3.0], bins=10)
     assert fit.stdev == 0.0
-    assert series.points == [(3.0, 1.0)]
+    assert series.columns["center"].tolist() == [3.0]
+    assert series.columns["density"].tolist() == [1.0]
     assert series.metadata["degenerate"] is True
 
 
 def test_fit_gaussian_errors():
     with pytest.raises(DomainError):
         fit_gaussian([])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="non-finite"):
+            fit_gaussian([1.0, bad])
+
+
+def test_empirical_pdf_rejects_non_finite_samples():
+    # Checked by the moment fit, before numpy's histogram sees the range.
+    with pytest.raises(DomainError, match="non-finite"):
+        empirical_pdf([1.0, float("nan"), 2.0], 4)
+    with pytest.raises(DomainError, match="non-finite"):
+        empirical_pdf([1.0, float("-inf")], 4)
 
 
 def test_lag_correlation_lag0_is_one():
     rng = np.random.default_rng(3)
     d = rng.normal(size=500)
     series = lag_correlation(d, max_lag=5)
-    assert series.points[0] == (0.0, 1.0)
+    assert series.columns["lag_or_block"].tolist() == [0, 1, 2, 3, 4, 5]
+    assert series.columns["value"][0] == 1.0
 
 
 def test_lag_correlation_white_noise():
@@ -84,20 +110,28 @@ def test_lag_correlation_white_noise():
     n = 4000
     d = rng.normal(size=n)
     series = lag_correlation(d, max_lag=10)
-    for x, v in series.points[1:]:
-        assert abs(v) < 4 / math.sqrt(n)
+    assert np.all(np.abs(series.columns["value"][1:]) < 4 / math.sqrt(n))
 
 
 def test_lag_correlation_blocks():
     rng = np.random.default_rng(13)
     d = rng.normal(size=1000)
     series = lag_correlation(d, max_lag=3, block=200)
-    assert [x for x, _ in series.points] == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert set(series.metadata["per_lag"]) == {"1", "2", "3"}
+    assert series.columns["lag_or_block"].tolist() == [1, 2, 3, 4, 5]
+    assert list(series.columns) == ["lag_or_block", "value", "lag_1", "lag_2", "lag_3"]
+    assert np.array_equal(series.columns["value"], series.columns["lag_1"])
+    # Each lag_j column is the whole-sequence statistic of its block at lag j.
+    for b in range(5):
+        whole = lag_correlation(d[b * 200 : (b + 1) * 200], max_lag=3).columns["value"]
+        for j in (1, 2, 3):
+            assert series.columns[f"lag_{j}"][b] == whole[j], (b, j)
     with pytest.raises(DomainError):
         lag_correlation(d, max_lag=10, block=5)
     with pytest.raises(DomainError):
         lag_correlation(d, max_lag=3, block=-1)
+    # A block series holds lag 1, so it needs max_lag >= 1.
+    with pytest.raises(DomainError, match="max_lag >= 1"):
+        lag_correlation(d, max_lag=0, block=200)
 
 
 def test_lag_correlation_of_all_zero_sequence():
@@ -129,11 +163,12 @@ def test_maier_scan_phi_values(table):
 
 def test_maier_scan_round_trip(table):
     s = maier_scan(50, 3.0, table, step=7)
-    counts = s.ratios.metadata["counts"]
-    for (x, ratio), count in zip(s.ratios.points, counts):
+    cols = s.ratios.columns
+    assert list(cols) == ["x", "ratio", "count"]
+    assert cols["count"].dtype == np.int64
+    for x, ratio, count in zip(cols["x"].tolist(), cols["ratio"].tolist(), cols["count"].tolist()):
         back = ratio * math.log(x) ** 2
         assert back == pytest.approx(count, abs=1e-8)
-        assert float(count).is_integer()
 
 
 def test_maier_scan_whole_ratio(table, set1000):
@@ -165,7 +200,11 @@ def test_maier_scan_negative_step(table):
     with pytest.raises(DomainError, match="step must be >= 0"):
         maier_scan(30, 3.0, table, step=-5)
     # 0 still selects the default stride.
-    assert maier_scan(30, 3.0, table, step=0) == maier_scan(30, 3.0, table)
+    a, b = maier_scan(30, 3.0, table, step=0), maier_scan(30, 3.0, table)
+    assert a.ratios.metadata == b.ratios.metadata and a.delta == b.delta
+    assert a.ratios.columns.keys() == b.ratios.columns.keys()
+    for name in a.ratios.columns:
+        assert np.array_equal(a.ratios.columns[name], b.ratios.columns[name]), name
 
 
 def test_extract_delta(table):
@@ -182,14 +221,20 @@ def test_phi_vs_lengths_identity(set1000):
 
 def test_phi_vs_lengths_crossing_matches_root_oracle(table):
     series = phi_vs_lengths(10 ** 7, 3.0, table)
-    by_g = dict(series.points)
+    by_g = dict(zip(series.columns["g"].tolist(), series.columns["crossing"].tolist()))
     root = bisect_root(lambda x: math.log(x) ** 3 - (4 * math.sqrt(x) - 4), 1e4, 1e7)
-    assert by_g[2.0] == pytest.approx(root, rel=1e-6)
+    assert by_g[2] == pytest.approx(root, rel=1e-6)
+
+
+def test_phi_vs_lengths_rejects_non_finite_lambda(table):
+    for lam in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            phi_vs_lengths(10 ** 6, lam, table)
 
 
 def test_phi_vs_lengths_beyond_crossing(table, set1000):
     series = phi_vs_lengths(10 ** 7, 3.0, table)
-    x_star = max(x for _, x in series.points)
+    x_star = float(series.columns["crossing"].max())
     for x in (x_star * 1.01, x_star * 2, x_star * 10):
         phi = math.log(x) ** 3
         assert np.all(phi < set1000.length[set1000.p_next ** 2 > x])
@@ -210,31 +255,59 @@ def test_moving_average_of_gap_series(table, set1000):
 def test_lag_correlation_of_interval_deviations(set1000):
     d = set1000.pi_k - set1000.li_k
     series = lag_correlation(d, max_lag=3)
-    lag1 = series.points[1][1]
+    lag1 = series.columns["value"][1]
     assert lag1 < 0  # near neighbours are mildly anti-correlated
     assert abs(lag1) < 0.5
 
 
 def test_bias_delta_is_delta_normalizer(table, set200):
-    delta = bias_series(set200).metadata["delta"]
+    delta = bias_series(set200).columns["delta"]
     for k in (1, 2, 50, 200):
         assert delta[k - 1] == delta_normalizer(k, table)
 
 
 def test_bias_series_ordering_and_normalized_lines(set1000):
     series = bias_series(set1000)
-    meta = series.metadata
-    b = np.array(meta["b"])
-    c = np.array(meta["c"])
+    cols = series.columns
+    b, c = cols["b"], cols["c"]
     # Strict ordering at every k: sum l/log p_{j+1}^2 < li(x) - li(4) < sum l/log p_j^2.
     assert np.all(c < 0) and np.all(b > 0)
     # Normalized curves sit near -1 and +1 from k >= 100 on.
-    b_norm = np.array(meta["b_norm"])[99:]
-    c_norm = np.array(meta["c_norm"])[99:]
+    b_norm = cols["b_norm"][99:]
+    c_norm = cols["c_norm"][99:]
     assert np.all((0.8 <= b_norm) & (b_norm <= 1.2))
     assert np.all((-1.2 <= c_norm) & (c_norm <= -0.8))
     # pi(x) - li(x) negative throughout, and the fit is recorded.
-    assert np.all(series.values() < 0)
-    fit = meta["fit"]
-    assert fit.sample_count == len(series.points)
+    assert np.all(cols["a"] < 0)
+    fit = series.metadata["fit"]
+    assert fit.sample_count == len(cols["k"])
     assert -1.0 < fit.mean < 0.0
+
+
+# Every builder of a ScanSeries, called on small inputs.
+BUILDERS = {
+    "maier_scan": lambda t, s: maier_scan(50, 3.0, t, step=7).ratios,
+    "phi_vs_lengths": lambda t, s: phi_vs_lengths(10 ** 6, 3.0, t),
+    "empirical_pdf": lambda t, s: empirical_pdf(s.pi_k - s.li_k, 20)[0],
+    "lag_correlation": lambda t, s: lag_correlation(s.pi_k - s.li_k, max_lag=4),
+    "lag_correlation_blocks": lambda t, s: lag_correlation(s.pi_k - s.li_k, max_lag=4, block=50),
+    "bias_series": lambda t, s: bias_series(s),
+    "conjecture_check": lambda t, s: conjecture_check(s),
+    "variance_comparison": lambda t, s: variance_comparison(range(1, 5), t, budget=10 ** 4),
+    "legendre_scan": lambda t, s: legendre_scan(1, 30, t),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builder_returns_read_only_columns(name, table, set200):
+    series = BUILDERS[name](table, set200)
+    assert isinstance(series, ScanSeries)
+    lengths = {len(col) for col in series.columns.values()}
+    assert len(lengths) == 1 and lengths.pop() > 0
+    for col in series.columns.values():
+        assert col.ndim == 1
+        with pytest.raises(ValueError):
+            col[0] = col[0]
+    first = next(iter(series.columns.values()))
+    assert np.all(first[1:] > first[:-1])
+    assert not any(isinstance(v, list) for v in series.metadata.values())
