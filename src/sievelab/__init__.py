@@ -37,12 +37,10 @@ from .analytic import (
     pnt_interval_estimate,
 )
 from .intervals import (
-    GapSeries,
     IntervalRecord,
     IntervalSet,
     build_intervals,
     compute_interval_records,
-    gap_series,
     partial_counts,
 )
 from .residue_legendre import (
@@ -72,6 +70,7 @@ from .stats_lab import (
     empirical_pdf,
     extract_delta,
     fit_gaussian,
+    gap_series,
     lag_correlation,
     maier_scan,
     moving_average,

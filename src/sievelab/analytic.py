@@ -94,11 +94,11 @@ def li_between(a: float, b: float, tol: float = 1e-12) -> float:
     return total
 
 
-def li(x: float, tol: float = 1e-10) -> float:
+def li(x: float) -> float:
     """Offset logarithmic integral with li(2) = 0.
 
     The range [2, x] is split at integer powers of 10 and each panel is
-    integrated adaptively, bounding the subinterval error uniformly.
+    integrated adaptively to an equal share of an absolute 1e-10.
     """
     if x < 2:
         raise DomainError(f"li(x) defined for x >= 2, got {x}")
@@ -110,16 +110,16 @@ def li(x: float, tol: float = 1e-10) -> float:
         cuts.append(power)
         power *= 10.0
     cuts.append(float(x))
-    per_panel = tol / len(cuts)
+    per_panel = 1e-10 / len(cuts)
     return math.fsum(li_between(a, b, per_panel) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
-def li_k(k: int, table: PrimeTable, tol: float = 1e-12) -> float:
+def li_k(k: int, table: PrimeTable) -> float:
     """li over s_k: li(p_{k+1}^2) - li(p_k^2), integrated directly."""
     if k < 1:
         raise DomainError(f"interval index must be >= 1, got {k}")
     p, p_next = table.nth(k), table.nth(k + 1)
-    return li_between(p * p, p_next * p_next, tol)
+    return li_between(p * p, p_next * p_next)
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,6 @@ class MertensEvaluation:
 
     k: int
     product: float
-    gamma: float
     delta_bound: float
 
 
@@ -158,7 +157,7 @@ def mertens_product(k: int, table: PrimeTable) -> MertensEvaluation:
         raise DomainError(f"k must be >= 1, got {k}")
     x = table.nth(k + 1) ** 2 - 1
     return MertensEvaluation(k=k, product=float(mertens_products(k, table)[k]),
-                             gamma=EULER_GAMMA, delta_bound=mertens_delta_bound(x))
+                             delta_bound=mertens_delta_bound(x))
 
 
 def mertens_products(k_max: int, table: PrimeTable) -> np.ndarray:

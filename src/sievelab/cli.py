@@ -274,11 +274,9 @@ def _cmd_maier(args):
     table = _table_for(max(k_list) + 1)
     scans = [stats_lab.maier_scan(k, args.lam, table, step=args.step) for k in k_list]
     ratios = [s.ratios for s in scans]
-    summary = {"k": k_list,
-               "phi_start": [r.metadata["phi_start"] for r in ratios],
-               "phi_end": [r.metadata["phi_end"] for r in ratios]}
-    for name in ("whole_interval_ratio", "up_deviation", "down_deviation", "delta"):
-        summary[name] = [getattr(s, name) for s in scans]
+    summary = {name: [getattr(s, name) for s in scans] for name in (
+        "k", "phi_start", "phi_end", "whole_interval_ratio", "up_deviation", "down_deviation",
+        "delta")}
     return {
         "maier_scan.csv": {"k": np.repeat(k_list, [len(r.columns["x"]) for r in ratios]),
                            **{name: np.concatenate([r.columns[name] for r in ratios])
@@ -321,7 +319,7 @@ def _cmd_bias(args):
     if args.count_offset:
         columns["a"] = columns["a"] + 2.0
         columns["a_norm"] = columns["a"] / series.columns["delta"]
-    fit = series.metadata["fit"]
+    fit = stats_lab.fit_gaussian(columns["a_norm"])  # of the a_norm written
     return {"bias.csv": columns}, args.kmax, {
         "count_offset": args.count_offset, "fit_mean": fit.mean, "fit_stdev": fit.stdev}
 

@@ -21,9 +21,7 @@ carries it. A 2^25-integer chunk at k = 5000 then strikes with about
 200 primes instead of 5000. The primes 2 and 3 lie in no s_k (s_1
 starts at 4); 5, which has no wheel row, lies in s_1, where the counter
 adds it. ``partial_counts`` asks the same counter, striking with every
-base prime, for one bound, and ``gap_series`` reads the primes of s_k
-from ``sieve_core._prime_list``, which merges the same rows into one
-sorted array.
+base prime, for one bound.
 
 Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers: the unit of work handed to one worker and of one
@@ -43,23 +41,22 @@ read-only numpy columns.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import (PrimeTable, _pool_size, _prime_list, _primes_below, _semiprime_lookup,
-                         _worker_map)
+from .sieve_core import PrimeTable, _pool_size, _primes_below, _semiprime_lookup, _worker_map
 
 # Target chunk span in integers: the task granularity of a scan.
 DEFAULT_CHUNK_ENTRIES = 1 << 25
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class IntervalRecord:
     """One row of the decomposition: geometry plus exact and estimated counts."""
 
@@ -71,16 +68,6 @@ class IntervalRecord:
     pi_k: int           # exact prime count of s_k
     li_k: float         # integral of dt/log t over s_k
     pnt_estimate: float  # l_k / log p_{k+1}^2
-
-
-@dataclass
-class GapSeries:
-    """Consecutive prime gaps inside one interval s_k."""
-
-    k: int
-    pairs: list          # [(p_i, g_i), ...] with p_i and p_i + g_i both in s_k
-    mean_gap: float
-    expected_gap: float  # log p_{k+1}^2
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -96,9 +83,9 @@ class IntervalSet:
     (the primes 2, 3 and li(4) lie below s_1).
     """
 
-    # Column name -> dtype, in IntervalRecord field order.
-    COLUMNS = {"p_k": np.int64, "p_next": np.int64, "gap": np.int64, "length": np.int64,
-               "pi_k": np.int64, "li_k": np.float64, "pnt_estimate": np.float64}
+    # Column name -> dtype for every IntervalRecord field after k, in field order.
+    COLUMNS = {f.name: {"int": np.int64, "float": np.float64}[f.type]
+               for f in dataclasses.fields(IntervalRecord)[1:]}
 
     def __init__(self, columns):
         for name, dtype in self.COLUMNS.items():
@@ -255,14 +242,3 @@ def partial_counts(x: int, interval_set: IntervalSet, table: PrimeTable) -> tupl
     if x == lo:
         return 0, 0.0
     return int(_primes_below(lo, [x + 1], table.first(k))[0]), analytic.li_between(lo, x)
-
-
-def gap_series(k: int, interval_set: IntervalSet, table: PrimeTable) -> GapSeries:
-    """All consecutive prime gaps with both endpoints inside s_k."""
-    rec = interval_set.record(k)
-    primes = _prime_list(rec.p_k ** 2, rec.p_next ** 2, table.first(k))
-    gaps = np.diff(primes)
-    pairs = [(int(p), int(g)) for p, g in zip(primes[:-1], gaps)]
-    mean_gap = float(np.mean(gaps)) if len(gaps) else float("nan")
-    return GapSeries(k=k, pairs=pairs, mean_gap=mean_gap,
-                     expected_gap=math.log(rec.p_next ** 2))

@@ -16,7 +16,7 @@ Two marking disciplines live here and must not be confused:
   square root of the window's end, exactly its primes. Every primality
   count and prime list in the package comes from this one kernel.
   ``_prime_list`` turns the rows into one sorted array of primes, for
-  ``build_prime_table``, ``gap_series`` in ``intervals`` and
+  ``build_prime_table``, ``gap_series`` in ``stats_lab`` and
   ``MoebiusContext``.
   ``_primes_below`` sums them into the primes below a list of bounds:
   struck with every base prime for ``partial_counts`` in ``intervals``

@@ -2,9 +2,11 @@
 
 Everything here transforms already-computed interval data into labeled
 sets of numpy columns (``ScanSeries``) that back the dataset CSVs:
-density scans over Maier windows [x, x + (log x)^lambda], moving averages
-of gap sequences, moment-fitted empirical densities, lag correlations of
-the deviation sequence pi_k - li_k, and the normalized bias curves.
+density scans over Maier windows [x, x + (log x)^lambda], the prime gaps
+inside one s_k (``gap_series``, read from ``sieve_core._prime_list``) and
+their moving averages, moment-fitted empirical densities, lag
+correlations of the deviation sequence pi_k - li_k, and the normalized
+bias curves.
 """
 
 from __future__ import annotations
@@ -17,7 +19,10 @@ import numpy as np
 from . import analytic
 from .errors import DomainError
 from .intervals import IntervalSet, _read_only
-from .sieve_core import PrimeTable, _primes_below
+from .sieve_core import PrimeTable, _prime_list, _primes_below
+
+# Halvings per crossing in phi_vs_lengths.
+_BISECT_ITERS = 80
 
 
 @dataclass
@@ -72,6 +77,9 @@ class MaierScan:
 
     k: int
     lam: float
+    step: int               # stride of x
+    phi_start: float        # window length (log p_k^2)^lam
+    phi_end: float          # window length (log (p_{k+1}^2 - 1))^lam
     ratios: ScanSeries      # x, ratio = count / (log x)^(lam-1), count in (x, x + (log x)^lam]
     whole_interval_ratio: float  # pi_k / (l_k / log p_{k+1}^2)
     up_deviation: float     # max ratio - 1
@@ -116,12 +124,10 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
     below[order] = _primes_below(lo, below[order], table.first(k))
     counts = below[len(xs) : 2 * len(xs)] - below[: len(xs)]
     ratios = counts / logs ** (lam - 1.0)
-    series = ScanSeries(label=f"maier_k{k}", columns={"x": xs, "ratio": ratios, "count": counts},
-                        metadata={"k": k, "lambda": lam, "step": step,
-                                  "phi_start": phi_lo, "phi_end": math.log(hi) ** lam})
+    series = ScanSeries(label=f"maier_k{k}", columns={"x": xs, "ratio": ratios, "count": counts})
     up, down = float(np.max(ratios) - 1.0), float(1.0 - np.min(ratios))
     return MaierScan(
-        k=k, lam=lam, ratios=series,
+        k=k, lam=lam, step=step, phi_start=phi_lo, phi_end=math.log(hi) ** lam, ratios=series,
         whole_interval_ratio=int(below[-1]) / ((hi - lo + 1) / math.log(p_next * p_next)),
         up_deviation=up, down_deviation=down, delta=min(up, down),
     )
@@ -134,22 +140,21 @@ def extract_delta(scans) -> float:
     return min(s.delta for s in scans)
 
 
-def _bisect_crossing(f, a: float, b: float, iters: int = 80) -> float:
-    fa = f(a)
-    for _ in range(iters):
+def _bisect_crossing(f, a: float, b: float) -> float:
+    positive = f(a) > 0
+    for _ in range(_BISECT_ITERS):
         m = 0.5 * (a + b)
-        if (f(m) > 0) == (fa > 0):
+        if (f(m) > 0) == positive:
             a = m
-            fa = f(m)
         else:
             b = m
     return 0.5 * (a + b)
 
 
-def phi_vs_lengths(x_max: int, lam: float, table: PrimeTable, g_max: int = 40) -> ScanSeries:
+def phi_vs_lengths(x_max: int, lam: float, table: PrimeTable) -> ScanSeries:
     """Where (log x)^lam stops covering the length curve l_g(x) = 2 sqrt(x) g - g^2.
 
-    For each even gap class g <= g_max the series holds the largest x
+    For each even gap class g <= 40 the series holds the largest x
     (``crossing``) below x_max where the window length crosses below the
     curve; beyond the largest listed crossing, every interval length beats
     the window. Gap classes with no crossing inside [8, x_max] are skipped.
@@ -163,7 +168,7 @@ def phi_vs_lengths(x_max: int, lam: float, table: PrimeTable, g_max: int = 40) -
     log_pow = np.log(grid) ** lam
     roots = np.sqrt(grid)
     gs, crossings, lowers = [], [], {}
-    for g in range(2, g_max + 1, 2):
+    for g in range(2, 41, 2):
         def h(x, g=g):
             return math.log(x) ** lam - (2.0 * math.sqrt(x) * g - g * g)
 
@@ -180,6 +185,21 @@ def phi_vs_lengths(x_max: int, lam: float, table: PrimeTable, g_max: int = 40) -
     return ScanSeries(label="phi_vs_lengths",
                       columns={"g": np.array(gs, dtype=np.int64), "crossing": np.array(crossings)},
                       metadata={"lambda": lam, "x_max": x_max, "lower_crossings": lowers})
+
+
+def gap_series(k: int, interval_set: IntervalSet, table: PrimeTable) -> ScanSeries:
+    """The consecutive prime gaps inside s_k.
+
+    Column ``p`` holds each prime of s_k but the last and ``g`` the gap to
+    the next one. The metadata holds k, their ``mean_gap`` (NaN with no
+    gap) and the ``expected_gap`` log p_{k+1}^2.
+    """
+    rec = interval_set.record(k)
+    primes = _prime_list(rec.p_k ** 2, rec.p_next ** 2, table.first(k))
+    gaps = np.diff(primes)
+    return ScanSeries(label=f"gaps_k{k}", columns={"p": primes[:-1], "g": gaps}, metadata={
+        "k": k, "mean_gap": float(np.mean(gaps)) if len(gaps) else float("nan"),
+        "expected_gap": math.log(rec.p_next ** 2)})
 
 
 def moving_average(series, run: int):

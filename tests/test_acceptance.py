@@ -7,6 +7,7 @@ criteria that follow. Expect a few minutes of wall time in total.
 
 import hashlib
 import math
+import os
 import random
 import time
 from pathlib import Path
@@ -208,7 +209,8 @@ def test_criterion_09_variance_bound(table):
     ok = exhaustive.metadata["violations"] == 0
     details = ["exhaustive k<=6 ok"]
     for k in (50, 100, 200):
-        summary = sl.shift_model(k, table, budget=100_000, seed=20240902)
+        summary = sl.shift_model(k, table, budget=100_000, seed=20240902,
+                                 threads=len(os.sched_getaffinity(0)))
         binom = sl.binomial_reference(k, table)
         se = summary.rescaled_variance * math.sqrt(2.0 / (summary.samples - 1))
         margin = binom.variance - summary.rescaled_variance

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import shlex
+import statistics
 
 import pytest
 
@@ -651,8 +652,8 @@ PINNED_MANIFESTS = {
         "fit_stdev": 0.1280241615437914,
         "outputs": {"bias.csv": "40798441402433e3e866b3139d0ec8919df9a3680f07283714da8d088e9906ce"}},
     "bias --kmax 40 --count-offset": {
-        "k_max": 40, "count_offset": True, "fit_mean": -0.9109505636557633,
-        "fit_stdev": 0.1280241615437914,
+        "k_max": 40, "count_offset": True, "fit_mean": -0.6452159893924353,
+        "fit_stdev": 0.4973758982047386,
         "outputs": {"bias.csv": "df4d23bb17f0dc47cfd22a4abd6b5709ddb5fc65096a7e6f7ec78158ab1b1b57"}},
     "corr --kmax 40 --max-lag 5": {
         "k_max": 40, "max_lag": 5, "block": 0,
@@ -677,6 +678,18 @@ def test_manifest_pinned(tmp_path, command_line):
     del manifest["run"], manifest["command_line"]
     assert manifest == {"command": argv[0], "version": "0.1.0", "seed": None,
                         **PINNED_MANIFESTS[command_line]}
+
+
+@pytest.mark.parametrize("flags", [[], ["--count-offset"]], ids=["plain", "count-offset"])
+def test_bias_fit_is_of_the_written_column(tmp_path, flags):
+    out = tmp_path / "o"
+    assert run(["bias", "--kmax", 40, "--out", out, *flags]) == 0
+    manifest = json.loads((out / "bias.manifest.json").read_text())
+    lines = read_lines(out / "bias.csv")
+    col = lines[0].split(",").index("a_norm")
+    a_norm = [float(line.split(",")[col]) for line in lines[1:]]
+    assert manifest["fit_mean"] == pytest.approx(statistics.fmean(a_norm), rel=1e-12)
+    assert manifest["fit_stdev"] == pytest.approx(statistics.stdev(a_norm), rel=1e-12)
 
 
 @pytest.mark.parametrize("flags, violations, digest", [

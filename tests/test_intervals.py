@@ -126,12 +126,15 @@ def test_partial_counts(table_small, set200):
 
 def test_gap_series(table, set1000):
     g3 = gap_series(3, set1000, table)
-    assert g3.pairs == [(29, 2), (31, 6), (37, 4), (41, 2), (43, 4)]
+    assert list(g3.columns) == ["p", "g"]
+    assert g3.columns["p"].tolist() == [29, 31, 37, 41, 43]
+    assert g3.columns["g"].tolist() == [2, 6, 4, 2, 4]
     g1 = gap_series(1, set1000, table)
-    assert g1.pairs == [(5, 2)]
-    g500 = gap_series(500, set1000, table)
-    assert g500.expected_gap == pytest.approx(2 * math.log(3581), rel=1e-15)
-    assert abs(g500.mean_gap - g500.expected_gap) / g500.expected_gap < 0.1
+    assert (g1.columns["p"].tolist(), g1.columns["g"].tolist()) == ([5], [2])
+    meta = gap_series(500, set1000, table).metadata
+    assert meta["k"] == 500
+    assert meta["expected_gap"] == pytest.approx(2 * math.log(3581), rel=1e-15)
+    assert abs(meta["mean_gap"] - meta["expected_gap"]) / meta["expected_gap"] < 0.1
 
 
 def test_contiguity(set200):
@@ -246,7 +249,8 @@ def test_prime_lists_and_counts_at_window_starts(table_small, set200, small_bloc
         r = set200.record(k)
         lo, end = r.p_k ** 2, r.p_next ** 2
         inside = primes[(lo <= primes) & (primes < end)].tolist()
-        assert gap_series(k, set200, table_small).pairs == list(zip(inside, np.diff(inside)))
+        gaps = gap_series(k, set200, table_small).columns
+        assert gaps["p"].tolist() == inside[:-1] and gaps["g"].tolist() == np.diff(inside).tolist()
         for x in {lo + 1, lo + 2, lo + 29, lo + 30, lo + 31, (lo + end) // 2, end - 2, end - 1}:
             if x < end:
                 expected = np.count_nonzero((lo <= primes) & (primes <= x))

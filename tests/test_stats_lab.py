@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from sievelab import (
     moving_average,
     phi_vs_lengths,
 )
+from sievelab import stats_lab
 from sievelab.randmodel import conjecture_check, variance_comparison
 from sievelab.residue_legendre import legendre_scan
 from sievelab.stats_lab import ScanSeries
@@ -156,9 +158,9 @@ def test_lag_correlation_errors():
 
 def test_maier_scan_phi_values(table):
     s = maier_scan(500, 3.0, table)
-    assert round(s.ratios.metadata["phi_start"]) == 4380
-    assert round(s.ratios.metadata["phi_end"]) == 4384
-    assert s.ratios.metadata["step"] == math.ceil(s.ratios.metadata["phi_start"] / 100)
+    assert round(s.phi_start) == 4380
+    assert round(s.phi_end) == 4384
+    assert s.step == math.ceil(s.phi_start / 100)
 
 
 def test_maier_scan_round_trip(table):
@@ -201,7 +203,7 @@ def test_maier_scan_negative_step(table):
         maier_scan(30, 3.0, table, step=-5)
     # 0 still selects the default stride.
     a, b = maier_scan(30, 3.0, table, step=0), maier_scan(30, 3.0, table)
-    assert a.ratios.metadata == b.ratios.metadata and a.delta == b.delta
+    assert (a.step, a.phi_start, a.phi_end, a.delta) == (b.step, b.phi_start, b.phi_end, b.delta)
     assert a.ratios.columns.keys() == b.ratios.columns.keys()
     for name in a.ratios.columns:
         assert np.array_equal(a.ratios.columns[name], b.ratios.columns[name]), name
@@ -232,6 +234,37 @@ def test_phi_vs_lengths_rejects_non_finite_lambda(table):
             phi_vs_lengths(10 ** 6, lam, table)
 
 
+def test_phi_vs_lengths_bisection_calls_and_crossings(table, monkeypatch):
+    # One call of h per halving plus one at the left end: 60 bisections over
+    # these three scans take 60 * 81 = 4860 calls, where a second call per
+    # same-sign step took 7136. The digest is of every crossing and lower
+    # crossing's float.hex, as the two-call bisection computed them.
+    bisect, calls = stats_lab._bisect_crossing, []
+
+    def counted(f, a, b):
+        n = 0
+
+        def g(x):
+            nonlocal n
+            n += 1
+            return f(x)
+
+        x = bisect(g, a, b)
+        calls.append(n)
+        return x
+
+    monkeypatch.setattr(stats_lab, "_bisect_crossing", counted)
+    hexes = []
+    for x_max, lam in ((10 ** 7, 3.0), (10 ** 6, 2.5), (10 ** 9, 3.5)):
+        series = phi_vs_lengths(x_max, lam, table)
+        hexes += [c.hex() for c in series.columns["crossing"].tolist()]
+        hexes += [f"{g}:{c.hex()}" for g, c in sorted(series.metadata["lower_crossings"].items())]
+    assert len(calls) == 60 and max(calls) <= stats_lab._BISECT_ITERS + 1
+    assert sum(calls) == 4860
+    assert hashlib.sha256(" ".join(hexes).encode()).hexdigest() == (
+        "6f0871f54335ab20493d98fb23c3fde75e6c5d84874ef04c827561a8e4cd523d")
+
+
 def test_phi_vs_lengths_beyond_crossing(table, set1000):
     series = phi_vs_lengths(10 ** 7, 3.0, table)
     x_star = float(series.columns["crossing"].max())
@@ -244,11 +277,11 @@ def test_moving_average_of_gap_series(table, set1000):
     from sievelab import gap_series
 
     g500 = gap_series(500, set1000, table)
-    gaps = [g for _, g in g500.pairs]
+    gaps = g500.columns["g"]
     smoothed = moving_average(gaps, 25)
     assert len(smoothed) == len(gaps)
     # Smoothing keeps the overall level but shrinks the spread.
-    assert np.mean(smoothed) == pytest.approx(g500.mean_gap, rel=0.02)
+    assert np.mean(smoothed) == pytest.approx(g500.metadata["mean_gap"], rel=0.02)
     assert np.std(smoothed) < np.std(gaps)
 
 
