@@ -10,28 +10,29 @@ then the JSON run manifest carrying the command line, seed (null except
 for randmodel), and the sha256 of the bytes written per output. The
 manifest's shell-quoted ``command_line`` is the run's complete input: no
 setting comes from the environment, and a command accepts no flag it
-does not read, save ``--threads``, which maier and legendre accept
-unread so that one flag set drives all seven commands. ``--threads``
-sets the worker processes of the interval scan and of randmodel's
-sampled draws, and defaults to the CPUs this process may use
-(``os.sched_getaffinity``); ``main`` runs OpenBLAS on one thread, as
-each worker does. So re-running it reproduces every output byte for the
-same version, regardless of thread count. Outputs are renamed into place
-from a temp file. The interval commands run one scan from the first k
-missing in ``--checkpoint``, appending each sieve chunk to it as it
-arrives. Progress goes to stderr, one line per chunk; stdout stays
-quiet.
+does not read, save ``--threads``, which maier accepts unread so that
+one flag set drives all seven commands. ``--threads`` sets the worker
+processes of the interval scan, of legendre's context rows (k >= 172)
+and of randmodel's sampled draws, and defaults to the CPUs this process
+may use (``os.sched_getaffinity``); ``main`` runs OpenBLAS on one
+thread, as each worker does. So re-running it reproduces every output
+byte for the same version, regardless of thread count. Outputs are
+renamed into place from a temp file. The interval commands run one scan
+from the first k missing in ``--checkpoint``, appending each sieve chunk
+to it as it arrives. Progress goes to stderr, one line per chunk; stdout
+stays quiet.
 
 The manifest's ``run`` block says where the run's time and memory went:
 wall and CPU seconds per stage (``scan``, the interval scan with its
 checkpoint load, and ``command``, everything up to the manifest), the
-integers the scan sieved, the worker count of the scan or of
-randmodel's sampled draws (0 when no scan or draws ran), the OpenBLAS
-thread count (null where it cannot be read), the k it resumed from (null
-when no checkpoint record was loaded), peak RSS of the process and of
-its largest waited-for child, and the Python, numpy and sievelab
-versions. It is the only part of a manifest that varies between runs;
-no CSV byte and no ``outputs`` digest depends on it.
+integers the scan sieved, the worker count of the scan, of legendre's
+context rows or of randmodel's sampled draws (0 when none of them ran,
+as in legendre at k_max <= 171), the OpenBLAS thread count (null where
+it cannot be read), the k it resumed from (null when no checkpoint
+record was loaded), peak RSS of the process and of its largest
+waited-for child, and the Python, numpy and sievelab versions. It is
+the only part of a manifest that varies between runs; no CSV byte and
+no ``outputs`` digest depends on it.
 
 Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error.
 """
@@ -286,7 +287,10 @@ def _cmd_maier(args):
 
 
 def _cmd_legendre(args):
-    scan = residue_legendre.legendre_scan(1, args.kmax, _table_for(args.kmax + 1)).columns
+    table = _table_for(args.kmax + 1)
+    scan = residue_legendre.legendre_scan(1, args.kmax, table, threads=args.threads).columns
+    tasks = residue_legendre._context_tasks(1, args.kmax, table)
+    args.run.workers = _pool_size(args.threads, len(tasks)) if tasks else 0
     header = ("k", "ratio_full", "ratio_truncated", "pi_ratio")
     return {
         "legendre_scan.csv": {name: scan[name] for name in header},

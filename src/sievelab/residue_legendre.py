@@ -77,11 +77,22 @@ terms with largest prime index <= k and d < bound are k's own
 enumeration, term for term; each row adds its mu(d)/d one at a time in
 that order. legendre_scan takes the sums and counts of all its
 enumerated rows (k <= 171, where p_{k+1}^2 <= 2^20) from one call.
+
+legendre_scan builds the enumerated rows, then the context, in the
+calling process. Its context rows (k >= 172) then go, in k-order tasks
+of _SCAN_BLOCK k, to at most ``threads`` workers forked by
+``sieve_core._worker_map``, which share the context's pages.
+truncated_sum is M(y) plus prime_sum's tail, and only M reads the grid:
+a worker returns each k's (y, tail, term count), while the parent sums
+M's grid, the one full-range pass, and then adds M(y) + tail in k order.
+Each float comes from the same operations in the same order as in one
+process, so no bit of a column depends on ``threads``.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -90,7 +101,8 @@ import numpy as np
 
 from . import analytic
 from .errors import DomainError, ResourceError
-from .sieve_core import _INT64_MAX, DEFAULT_MEMORY_BUDGET, PrimeTable, _prime_list, sieve_window
+from .sieve_core import (_INT64_MAX, DEFAULT_MEMORY_BUDGET, PrimeTable, _pool_size, _prime_list,
+                         _worker_map, sieve_window)
 from .stats_lab import ScanSeries
 
 # Abort inclusion-exclusion enumerations beyond this many terms.
@@ -483,13 +495,23 @@ class MoebiusContext:
         return self._last_lattice[1]
 
     def truncated_sum(self, k: int, bound: int, table: PrimeTable) -> float:
-        """sum of mu(d)/d over squarefree P_k-smooth d < bound.
+        """sum of mu(d)/d over squarefree P_k-smooth d < bound: M(y) plus prime_sum's tail.
 
         Requires bound <= p_{k+1}^2 so no admissible d carries two prime
-        factors above p_k. The correction adds M(y//q)/q over the ascending
-        q in np.sum's pairwise order, a leaf of at most _SUM_LEAF terms at
-        a time: M is read once per lattice point, and a point with
+        factors above p_k.
+        """
+        y, tail = self.prime_sum(k, bound, table)
+        return self.m_full(y) + tail
+
+    def prime_sum(self, k: int, bound: int, table: PrimeTable) -> tuple[int, float]:
+        """(y, tail): y = bound - 1 and the correction sum of M(y//q)/q over the primes
+        q in [p_{k+1}, y], which truncated_sum adds to M(y).
+
+        The terms are added over the ascending q in np.sum's pairwise order,
+        a leaf of at most _SUM_LEAF terms at a time: M is read once per
+        lattice point from the small prefix table, and a point with
         _DENSE_COUNT primes or more divides it by its slice of q directly.
+        It never reads M's grid, so a forked worker can run it alone.
         """
         y, ts, counts, i0, i1 = self._lattice(k, bound, table)
         qs, m_t, ends = self.primes[i0:i1], self._m_small[ts], np.cumsum(counts)
@@ -513,7 +535,7 @@ class MoebiusContext:
                 pos = end
             return self._leaf[:n]
 
-        return self.m_full(y) + _pairwise_sum(leaf, 0, len(qs))
+        return y, _pairwise_sum(leaf, 0, len(qs))
 
     def term_count(self, k: int, bound: int, table: PrimeTable) -> int:
         """Number of squarefree P_k-smooth d < bound (counting d = 1)."""
@@ -593,7 +615,36 @@ def legendre_term_count(k: int, table: PrimeTable, bound: Optional[int] = None,
     return context.term_count(k, bound, table)
 
 
-def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> ScanSeries:
+# The Moebius context and prime table of the legendre_scan in progress:
+# legendre_scan sets them before its pool forks, so the workers share the
+# context's pages and a task carries only its k range.
+_scan_context = None
+
+# Consecutive k per task of legendre_scan's pool.
+_SCAN_BLOCK = 8
+
+
+def _context_tasks(k_from: int, k_to: int, table: PrimeTable) -> list:
+    """The k in [k_from, k_to] that legendre_scan takes from the context (k >= 172,
+    where p_{k+1}^2 > 2^20), in ascending ranges of _SCAN_BLOCK: one pool task each."""
+    k0 = k_from
+    while k0 <= k_to and _enumerated(k0, table.nth(k0 + 1) ** 2, table):
+        k0 += 1
+    return [range(k, min(k + _SCAN_BLOCK, k_to + 1)) for k in range(k0, k_to + 1, _SCAN_BLOCK)]
+
+
+def _context_prime_sums(ks: range) -> list:
+    """(y, prime_sum's tail, term count) at the bound p_{k+1}^2 for each k in ks,
+    on _scan_context."""
+    context, table = _scan_context
+    rows = []
+    for k in ks:
+        bound = table.nth(k + 1) ** 2
+        rows.append((*context.prime_sum(k, bound, table), context.term_count(k, bound, table)))
+    return rows
+
+
+def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -> ScanSeries:
     """Full vs truncated vs exact ratios for k in [k_from, k_to], as columns.
 
     Each ratio is a mean over the base l_k / log p_{k+1}^2: ``ratio_full``
@@ -604,23 +655,34 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable) -> ScanSeries:
     truncated sum and term count from one _enumerated_rows call, built and
     dropped before the context's prime list exists. pi_k is counted on
     that list, which holds every prime up to p_{k_to+1}^2.
+
+    The context rows run on at most ``threads`` forked workers (module
+    docstring); no bit depends on ``threads``.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad scan range [{k_from}, {k_to}]")
-    ks = range(k_from, k_to + 1)
-    listed = [(k, table.nth(k + 1) ** 2) for k in ks]
-    listed = [row for row in listed if _enumerated(*row, table)]  # a prefix of the rows
+    tasks = _context_tasks(k_from, k_to, table)
+    k0 = tasks[0].start if tasks else k_to + 1  # the first context row
+    listed = [(k, table.nth(k + 1) ** 2) for k in range(k_from, k0)]
     rows = _enumerated_rows(listed, table) if listed else []  # (sum, terms) per k
     context = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
-    for k in ks[len(rows):]:
-        rows.append((truncated_moebius_sum(k, table, context=context),
-                     legendre_term_count(k, table, table.nth(k + 1) ** 2, context=context)))
+    if tasks:
+        global _scan_context
+        _scan_context = (context, table)
+        try:
+            with _worker_map(_pool_size(threads, len(tasks))) as imap:
+                tails = imap(_context_prime_sums, tasks)
+                context.m_full(context.limit)  # sums M's grid, whose last end is the limit
+                for y, tail, terms in itertools.chain.from_iterable(tails):
+                    rows.append((context.m_full(y) + tail, terms))
+        finally:
+            _scan_context = None
     tsums, terms = zip(*rows)
     lo, hi = (table.primes[k_from - 1 + i : k_to + i] ** 2 for i in (0, 1))
     log_hi = np.array([math.log(x) for x in hi])  # math.log: np.log may differ in the last bit
     pi_k = np.searchsorted(context.primes, hi) - np.searchsorted(context.primes, lo)
     return ScanSeries(label="legendre_scan", columns={
-        "k": np.array(ks), "length": hi - lo,
+        "k": np.arange(k_from, k_to + 1), "length": hi - lo,
         "ratio_full": analytic.mertens_products(k_to, table)[k_from:] * log_hi,
         "ratio_truncated": np.array(tsums) * log_hi,
         "pi_ratio": pi_k / ((hi - lo) / log_hi),

@@ -591,6 +591,21 @@ def test_sampled_randmodel_reports_its_pool(tmp_path, pool_sizes):
     assert multiprocessing.active_children() == []
 
 
+def test_legendre_reports_its_pool(tmp_path, pool_sizes):
+    # k = 172..200 are the context rows: four tasks of at most 8 k. At
+    # --kmax 40 every row is enumerated and nothing forks.
+    digests = set()
+    for kmax, threads, workers in ((200, 1, 1), (200, 2, 2), (40, 2, 0)):
+        out = tmp_path / f"{kmax}_{threads}"
+        assert run(["legendre", "--kmax", kmax, "--threads", threads, "--out", out]) == 0
+        manifest = json.loads((out / "legendre.manifest.json").read_text())
+        assert manifest["run"]["workers"] == workers
+        if kmax == 200:
+            digests.add(tuple(manifest["outputs"].values()))
+    assert pool_sizes == [2] and len(digests) == 1
+    assert multiprocessing.active_children() == []
+
+
 def test_threads_default_to_the_usable_cpus():
     parser = cli.build_parser()
     for argv in (["intervals", "--kmax", "5"], ["maier", "--k", "30"], ["legendre", "--kmax", "5"],

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -438,9 +440,32 @@ def test_legendre_scan_rows_equal_per_k_calls(table, k_from, k_to):
         assert terms == legendre_term_count(k, table, bound, context=ctx)
 
 
+@pytest.mark.parametrize("k_from, k_to", [(1, 240), (180, 230)])
+def test_legendre_scan_columns_independent_of_threads(table, monkeypatch, pool_sizes,
+                                                      k_from, k_to):
+    # (1, 240) crosses the 171/172 seam between enumerated and context rows;
+    # (180, 230) starts inside the context. Only the parent reads M's grid.
+    parent, real_m_full = os.getpid(), MoebiusContext.m_full
+
+    def m_full_in_parent(self, y):
+        assert os.getpid() == parent, "a worker read M's grid"
+        return real_m_full(self, y)
+
+    monkeypatch.setattr(MoebiusContext, "m_full", m_full_in_parent)
+    one = legendre_scan(k_from, k_to, table).columns
+    two = legendre_scan(k_from, k_to, table, threads=2).columns
+    assert one.keys() == two.keys()
+    for name in one:
+        assert one[name].dtype == two[name].dtype
+        assert one[name].tobytes() == two[name].tobytes(), name
+    assert pool_sizes == [2]
+    assert residue_legendre._scan_context is None
+    assert multiprocessing.active_children() == []
+
+
 def test_legendre_scan_row_depends_on_k_alone(table):
     # M(y) is summed on one grid of interval ends, so neither the scan's
-    # first k nor its last moves the bits of a row.
+    # first k nor its last nor the thread count moves the bits of a row.
     full = legendre_scan(1, 300, table).columns
 
     def same_rows(part, k_from):
@@ -448,9 +473,11 @@ def test_legendre_scan_row_depends_on_k_alone(table):
         return all(np.array_equal(col, full[name][k_from - 1 : k_from - 1 + n])
                    for name, col in part.columns.items())
 
-    for k in (179, 193, 200, 270, 300):
-        assert same_rows(legendre_scan(k, k, table), k), k
-    assert same_rows(legendre_scan(172, 300, table), 172)
+    assert same_rows(legendre_scan(1, 300, table, threads=2), 1)
+    for threads in (1, 2):
+        for k in (179, 193, 200, 270, 300):
+            assert same_rows(legendre_scan(k, k, table, threads=threads), k), (k, threads)
+        assert same_rows(legendre_scan(172, 300, table, threads=threads), 172), threads
 
 
 # y on the grid (p_j^2 - 1, j >= 27, from 10608) and off it: below the first
