@@ -17,7 +17,10 @@ and of randmodel's sampled draws, and defaults to the CPUs this process
 may use (``os.sched_getaffinity``); ``main`` runs OpenBLAS on one
 thread, as each worker does. So re-running it reproduces every output
 byte for the same version, regardless of thread count. Outputs are
-renamed into place from a temp file. The interval commands run one scan
+renamed into place from a temp file. Each subcommand imports the modules
+it runs when it runs, and the program entry (``console_main``) freezes
+the start-up heap, so a short command pays for no analysis it skips and
+no collection of numpy's objects. The interval commands run one scan
 from the first k missing in ``--checkpoint``, appending each sieve chunk
 to it as it arrives. Progress goes to stderr, one line per chunk; stdout
 stays quiet.
@@ -40,8 +43,8 @@ Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
-import io
 import json
 import math
 import os
@@ -53,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, randmodel, residue_legendre, stats_lab
+from . import __version__
 from .errors import DomainError, ResourceError
 from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, compute_interval_records
 from .sieve_core import _blas_threads, _pin_blas_threads, _pool_size, build_prime_table
@@ -83,6 +86,25 @@ def _int_list(text: str) -> list:
     if not values:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
     return values
+
+
+class _BudgetAction(argparse.Action):
+    """randmodel's ``--budget``, whose default, ``randmodel.DEFAULT_BUDGET``,
+    is read only when the randmodel parser fills in its defaults: building
+    the parser imports no randmodel."""
+
+    @property
+    def default(self):
+        from .randmodel import DEFAULT_BUDGET
+
+        return DEFAULT_BUDGET
+
+    @default.setter
+    def default(self, value):  # argparse sets default=None; the getter answers instead
+        pass
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
 
 
 def _segment_size(text: str) -> int:
@@ -178,41 +200,49 @@ _FIELDS = ["k", *IntervalSet.COLUMNS]
 def _checkpoint_load(path: Path) -> dict:
     """Checkpoint columns for k = 1..n, repairing a torn tail in place.
 
-    The file is read in one pass into one list per column. An append cut
-    short leaves an unparseable last line: it is cut from the file with a
-    warning, so the scan resumes after the last complete record. A
-    complete last record missing only its newline gets one. Any other bad
-    line raises DomainError.
+    Only an append cut short leaves a bad line, and it is the last one,
+    so every line before the last non-blank one is parsed in one
+    ``json.loads`` of a single array and the last is parsed on its own.
+    If the array does not parse, or holds more values than lines, the
+    lines are parsed one at a time to find the first bad one. An
+    unparseable last line is cut from the file with a warning, so the
+    scan resumes after the last complete record. A complete last record
+    missing only its newline gets one. Any other bad line raises
+    DomainError naming it.
     """
-    columns = {name: [] for name in IntervalSet.COLUMNS}
-    torn = None  # byte offset of an unparseable line, which must be the last
-    n = offset = 0
-    with (path.open("rb") if path.exists() else io.BytesIO()) as fh:
-        for raw in fh:
-            start, offset = offset, offset + len(raw)
-            if not raw.strip():
-                continue
-            if torn is not None:
-                raise DomainError(f"checkpoint {path} corrupt at line {n}")
-            n += 1
-            try:
-                row = json.loads(raw)
-            except ValueError:
-                torn = start
-                continue
-            if not isinstance(row, dict) or row.keys() != set(_FIELDS) or row["k"] != n:
-                raise DomainError(f"checkpoint {path} corrupt at line {n}")
-            for name, values in columns.items():
-                values.append(row[name])
-    if torn is not None:
+    data = path.read_bytes() if path.exists() else b""
+    lines = [raw for raw in data.split(b"\n") if raw.strip()]
+    # Only whitespace follows the last line, so it is its text's last occurrence.
+    last_at, ended = (data.rfind(lines[-1]) if lines else 0), data.endswith(b"\n")
+    del data  # the lines hold its bytes, and the parse below is a reader's peak memory
+    body, tail = lines[:-1], lines[-1:]
+    try:
+        rows = json.loads(b"[%b]" % b",".join(body))
+    except ValueError:
+        rows = None
+    if rows is None or len(rows) != len(body):
+        rows, tail = [], lines
+    for raw in tail:
+        try:
+            rows.append(json.loads(raw))
+        except ValueError:
+            break
+    fields = set(_FIELDS)
+    for n, row in enumerate(rows, 1):
+        if not isinstance(row, dict) or row.keys() != fields or row["k"] != n:
+            raise DomainError(f"checkpoint {path} corrupt at line {n}")
+    n = len(rows)
+    if n < len(lines) - 1:
+        raise DomainError(f"checkpoint {path} corrupt at line {n + 1}")
+    if n < len(lines):
         with path.open("r+b") as fh:
-            fh.truncate(torn)
-        _progress(f"checkpoint: dropped torn line {n} of {path}, resuming after k={n - 1}")
-    elif n and not raw.endswith(b"\n"):
+            fh.truncate(last_at)
+        _progress(f"checkpoint: dropped torn line {n + 1} of {path}, resuming after k={n}")
+    elif n and not ended:
         with path.open("ab") as fh:
             fh.write(b"\n")
     try:
-        return {name: np.array(columns[name], dtype=dtype)
+        return {name: np.array([row[name] for row in rows], dtype=dtype)
                 for name, dtype in IntervalSet.COLUMNS.items()}
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"checkpoint {path} corrupt: a value is not a number") from None
@@ -271,6 +301,8 @@ def _cmd_intervals(args):
 
 
 def _cmd_maier(args):
+    from . import stats_lab
+
     k_list = args.k
     table = _table_for(max(k_list) + 1)
     scans = [stats_lab.maier_scan(k, args.lam, table, step=args.step) for k in k_list]
@@ -287,6 +319,8 @@ def _cmd_maier(args):
 
 
 def _cmd_legendre(args):
+    from . import residue_legendre
+
     table = _table_for(args.kmax + 1)
     scan = residue_legendre.legendre_scan(1, args.kmax, table, threads=args.threads).columns
     tasks = residue_legendre._context_tasks(1, args.kmax, table)
@@ -299,6 +333,8 @@ def _cmd_legendre(args):
 
 
 def _cmd_randmodel(args):
+    from . import randmodel
+
     table = _table_for(args.k + 1)
     summary = randmodel.shift_model(args.k, table, budget=args.budget, seed=args.seed,
                                     threads=args.threads)
@@ -317,6 +353,8 @@ def _cmd_randmodel(args):
 
 
 def _cmd_bias(args):
+    from . import stats_lab
+
     series = stats_lab.bias_series(_interval_set(args))
     header = ("k", "x", "a", "b", "c", "a_norm", "b_norm", "c_norm")  # all but delta
     columns = {name: series.columns[name] for name in header}
@@ -329,6 +367,8 @@ def _cmd_bias(args):
 
 
 def _cmd_corr(args):
+    from . import stats_lab
+
     stats_lab.check_lag_arguments(args.kmax, args.max_lag, args.block)  # before the scan
     s = _interval_set(args)
     series = stats_lab.lag_correlation(s.pi_k - s.li_k, args.max_lag, block=args.block)
@@ -337,6 +377,8 @@ def _cmd_corr(args):
 
 
 def _cmd_conjecture(args):
+    from . import randmodel
+
     series = randmodel.conjecture_check(_interval_set(args))
     columns, violations = dict(series.columns), series.metadata["violations"]
     if args.count_offset:
@@ -397,7 +439,7 @@ def build_parser() -> _Parser:
     _add_common(sp, kmax=False)
     sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=randmodel.DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=int, action=_BudgetAction,
                     help="exhaustive threshold / sampled draw count")
     sp.set_defaults(func=_cmd_randmodel)
 
@@ -454,5 +496,15 @@ def main(argv=None) -> int:
         return 4
 
 
+def console_main() -> int:
+    """The program entry of ``python -m sievelab.cli`` and of the
+    ``sievelab`` script: ``main`` over ``sys.argv`` once the start-up heap
+    (numpy and the modules imported so far) is frozen, so that later full
+    collections and the interpreter's exit skip it. ``main`` itself
+    freezes nothing: an in-process caller keeps its own collector."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(console_main())

@@ -35,7 +35,6 @@ from .errors import DomainError, ResourceError
 from .intervals import IntervalSet
 from .sieve_core import (_COPRIME_BATCH, DEFAULT_MEMORY_BUDGET, PrimeTable, _check_coprime_starts,
                          _coprime_counts, _period_counts, _pool_size, _worker_map)
-from .residue_legendre import primorial
 from .stats_lab import ScanSeries
 
 # Exhaustive evaluation threshold and default sampled draw count. At 10^5
@@ -154,6 +153,8 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
         raise DomainError(f"k must be >= 1, got {k}")
     if budget < 2:
         raise DomainError("budget must be >= 2")
+    from .residue_legendre import primorial  # here, so conjecture_check never loads it
+
     ps = [int(p) for p in table.first(k)]
     period = primorial(k, table).value
     p, p_next = table.nth(k), table.nth(k + 1)

@@ -102,7 +102,6 @@ import functools
 import glob
 import itertools
 import math
-import multiprocessing as mp
 import os
 from dataclasses import dataclass, field
 
@@ -170,7 +169,9 @@ def _worker_map(workers: int):
     if workers <= 1:
         yield map
         return
-    with mp.get_context("fork").Pool(workers, initializer=_pin_blas_threads) as pool:
+    import multiprocessing  # here, so a run that never forks never loads it
+
+    with multiprocessing.get_context("fork").Pool(workers, initializer=_pin_blas_threads) as pool:
         yield pool.imap
 
 
@@ -455,7 +456,9 @@ def _prefix_counts(block: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     if len(cuts) * _SPARSE_CUTS >= len(block):
         return np.searchsorted(np.flatnonzero(block), cuts)
     inner = np.unique(cuts[cuts > 0])
-    below = np.cumsum([np.count_nonzero(part) for part in np.split(block, inner)])
+    edges = inner.tolist()
+    below = np.cumsum([np.count_nonzero(block[a:b])
+                       for a, b in zip([0, *edges], [*edges, len(block)])])
     return np.concatenate(([0], below))[np.searchsorted(inner, cuts, side="right")]
 
 
@@ -500,8 +503,9 @@ def _semiprime_lookup(end: int, base_primes) -> tuple:
 def _pi_from(lookup: tuple, n: np.ndarray) -> np.ndarray:
     """The primes in [7, x] for every x of the int64 array ``n``, 0 <= x <= the lookup's limit."""
     prefix, mask = lookup
-    row, col = np.divmod(n, _WHEEL)
-    return prefix[row] + _ONES[mask[row] & _ROW_BITS_UPTO[col]]
+    row = n // _WHEEL
+    col = n - _WHEEL * row
+    return np.take(prefix, row) + np.take(_ONES, np.take(mask, row) & np.take(_ROW_BITS_UPTO, col))
 
 
 def _semiprimes_below(lo: int, bounds: np.ndarray, qs: np.ndarray, lookup: tuple) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -114,7 +115,14 @@ def test_checkpoint_missing_final_newline_is_kept(tmp_path):
     (10, lambda text: text[:20]),   # unparseable, not the last line
     (10, lambda text: '{"k": 10}'),  # parses, but is not a record
     (30, lambda text: '{"k": 30}'),  # a complete last line is never dropped
-], ids=["unparseable-middle", "not-a-record", "bad-last-record"])
+    # The lines before the last are parsed as one array; each of these
+    # still names its own line.
+    (10, lambda text: text + ", " + text),  # two values on one line
+    (10, lambda text: text[: text.index('"li_k"') + 3]),  # cut inside a string
+    (10, lambda text: text[:-12]),  # cut inside a number
+    (10, lambda text: "[1, 2"),  # an array left open
+], ids=["unparseable-middle", "not-a-record", "bad-last-record", "two-values-one-line",
+        "cut-in-a-string", "cut-in-a-number", "open-array"])
 def test_corrupt_checkpoint_line_is_domain_error(tmp_path, capsys, line, corrupt):
     ck = tmp_path / "scan.ckpt"
     assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part",
@@ -128,6 +136,70 @@ def test_corrupt_checkpoint_line_is_domain_error(tmp_path, capsys, line, corrupt
                 "--checkpoint", ck]) == 2
     assert f"corrupt at line {line}" in capsys.readouterr().err
     assert ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("damage, line", [
+    ({5: '{"k": 5}', 10: "{"}, 5),  # a bad record before an unparseable line
+    ({20: "{", 30: '{"k": 3'}, 20),  # an unparseable line before a torn last line
+], ids=["bad-record-first", "unparseable-before-torn-tail"])
+def test_checkpoint_error_names_the_first_bad_line(tmp_path, capsys, damage, line):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part",
+                "--checkpoint", ck]) == 0
+    lines = read_lines(ck)
+    for k, text in damage.items():
+        lines[k - 1] = text
+    ck.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = ck.read_bytes()
+    capsys.readouterr()
+    assert run(["bias", "--kmax", 60, "--out", tmp_path / "o", "--checkpoint", ck]) == 2
+    assert f"corrupt at line {line}\n" in capsys.readouterr().err
+    assert ck.read_bytes() == before
+
+
+def test_blank_checkpoint_lines_are_skipped(tmp_path):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["bias", "--kmax", 30, "--out", tmp_path / "clean", "--checkpoint", ck]) == 0
+    lines = read_lines(ck)
+    ck.write_text("\n".join(["", *lines[:10], "  ", "", *lines[10:], " \t"]) + "\n",
+                  encoding="utf-8")
+    before = ck.read_bytes()
+    assert run(["bias", "--kmax", 30, "--out", tmp_path / "o", "--checkpoint", ck]) == 0
+    assert ck.read_bytes() == before
+    assert sha(tmp_path / "o" / "bias.csv") == sha(tmp_path / "clean" / "bias.csv")
+
+
+def test_torn_tail_before_blank_lines_is_cut(tmp_path, capsys):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part",
+                "--checkpoint", ck]) == 0
+    lines = read_lines(ck)
+    ck.write_text("\n".join([*lines[:29], lines[29][:40], "", "  "]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["corr", "--kmax", 60, "--out", tmp_path / "full", "--checkpoint", ck]) == 0
+    assert "dropped torn line 30 of" in capsys.readouterr().err
+    assert ck.read_bytes().startswith("\n".join(lines[:29]).encode() + b"\n{")
+    assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, 61))
+    assert run(["corr", "--kmax", 60, "--out", tmp_path / "direct"]) == 0
+    assert sha(tmp_path / "full" / "corr.csv") == sha(tmp_path / "direct" / "corr.csv")
+
+
+def test_reader_gives_the_last_record_its_newline(tmp_path):
+    ck = tmp_path / "scan.ckpt"
+    assert run(["conjecture", "--kmax", 30, "--out", tmp_path / "a", "--checkpoint", ck]) == 0
+    data = ck.read_bytes()
+    ck.write_bytes(data[:-1])
+    assert run(["conjecture", "--kmax", 30, "--out", tmp_path / "b", "--checkpoint", ck]) == 0
+    assert ck.read_bytes() == data
+    assert sha(tmp_path / "b" / "conjecture.csv") == sha(tmp_path / "a" / "conjecture.csv")
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    # Only the program entry freezes the start-up heap; in-process callers
+    # of main keep every object collectable.
+    before = gc.get_freeze_count()
+    assert run(["bias", "--kmax", 30, "--out", tmp_path / "o"]) == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_non_numeric_checkpoint_value_is_domain_error(tmp_path, capsys):
