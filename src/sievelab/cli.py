@@ -28,12 +28,13 @@ stays quiet.
 The manifest's ``run`` block says where the run's time and memory went:
 wall and CPU seconds per stage (``scan``, the interval scan with its
 checkpoint load, and ``command``, everything up to the manifest), the
-integers the scan sieved, the worker count of the scan, of legendre's
-context rows or of randmodel's sampled draws (0 when none of them ran,
-as in legendre at k_max <= 171), the OpenBLAS thread count (null where
-it cannot be read), the k it resumed from (null when no checkpoint
-record was loaded), peak RSS of the process and of its largest
-waited-for child, and the Python, numpy and sievelab versions. It is
+integers the scan sieved, the size of the pool the command opened for
+the scan, legendre's context rows or randmodel's sampled draws (1 for
+one worker in the command's own process, 0 when none, as in legendre at
+k_max <= 171), the OpenBLAS thread count (null where it cannot be
+read), the k it resumed from (null when no checkpoint record was
+loaded), peak RSS of the process and of its largest waited-for child,
+and the Python, numpy and sievelab versions. It is
 the only part of a manifest that varies between runs; no CSV byte and
 no ``outputs`` digest depends on it.
 
@@ -56,10 +57,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sieve_core
 from .errors import DomainError, ResourceError
 from .intervals import DEFAULT_CHUNK_ENTRIES, IntervalSet, compute_interval_records
-from .sieve_core import _blas_threads, _pin_blas_threads, _pool_size, build_prime_table
+from .sieve_core import _blas_threads, _pin_blas_threads, build_prime_table
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,8 +152,8 @@ class _RunLog:
     def __init__(self):
         self.stages = {}
         self.sieve_entries = 0
-        self.workers = 0
         self.resumed_from_k = None
+        sieve_core._pool_workers = 0
         self._start = _clock()
 
     def record(self, stage: str, start: tuple) -> None:
@@ -167,7 +168,7 @@ class _RunLog:
         return {
             "stages": self.stages,
             "sieve_entries": self.sieve_entries,
-            "workers": self.workers,
+            "workers": sieve_core._pool_workers,
             "blas_threads": _blas_threads(),
             "resumed_from_k": self.resumed_from_k,
             "peak_rss_mb": {"self": round(own.ru_maxrss / 1024, 1),  # KiB on Linux
@@ -267,11 +268,8 @@ def _interval_set(args):
     if k_next > 1:
         run.resumed_from_k = k_next
         _progress(f"checkpoint: {k_next - 1} records loaded from {ck}")
-    chunks = 0
 
     def save(k_lo, block):
-        nonlocal chunks
-        chunks += 1
         if ck:
             _checkpoint_append(ck, k_lo, block)
         _progress(f"intervals k={k_lo}..{k_lo + len(block['pi_k']) - 1} done")
@@ -280,7 +278,6 @@ def _interval_set(args):
         blocks.append(compute_interval_records(k_next, args.kmax, table, threads=args.threads,
                                                chunk_entries=args.segment_size, progress=save))
         run.sieve_entries = table.nth(args.kmax + 1) ** 2 - table.nth(k_next) ** 2
-        run.workers = _pool_size(args.threads, chunks)
     run.record("scan", start)
     return IntervalSet({name: np.concatenate([b[name] for b in blocks])[: args.kmax]
                         for name in IntervalSet.COLUMNS})
@@ -323,8 +320,6 @@ def _cmd_legendre(args):
 
     table = _table_for(args.kmax + 1)
     scan = residue_legendre.legendre_scan(1, args.kmax, table, threads=args.threads).columns
-    tasks = residue_legendre._context_tasks(1, args.kmax, table)
-    args.run.workers = _pool_size(args.threads, len(tasks)) if tasks else 0
     header = ("k", "ratio_full", "ratio_truncated", "pi_ratio")
     return {
         "legendre_scan.csv": {name: scan[name] for name in header},
@@ -338,8 +333,6 @@ def _cmd_randmodel(args):
     table = _table_for(args.k + 1)
     summary = randmodel.shift_model(args.k, table, budget=args.budget, seed=args.seed,
                                     threads=args.threads)
-    if summary.mode == "sampled":
-        args.run.workers = len(randmodel._draw_ranges(args.budget, args.threads))
     values = np.flatnonzero(summary.histogram)
     return {
         "randmodel.csv": {

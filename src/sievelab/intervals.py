@@ -15,13 +15,13 @@ counts the survivors below each square and subtracts those semiprimes,
 which it counts instead of striking them: the P2 term of Meissel-Lehmer
 (D. H. Lehmer, Illinois J. Math. 3 (1959); M. Deleglise and J. Rivat,
 Math. Comp. 65 (1996)), read off one prime-count table up to about
-B^(2/3). ``compute_interval_records`` builds that table once per scan,
-before its pool forks, so the workers share its pages and no task
-carries it. A 2^25-integer chunk at k = 5000 then strikes with about
-200 primes instead of 5000. The primes 2 and 3 lie in no s_k (s_1
-starts at 4); 5, which has no wheel row, lies in s_1, where the counter
-adds it. ``partial_counts`` asks the same counter, striking with every
-base prime, for one bound.
+B^(2/3). ``compute_interval_records`` builds that table once per scan
+and hands it to its pool as ``sieve_core._shared``, so the workers share
+its pages and no task carries it. A 2^25-integer chunk at k = 5000 then
+strikes with about 200 primes instead of 5000. The primes 2 and 3 lie
+in no s_k (s_1 starts at 4); 5, which has no wheel row, lies in s_1,
+where the counter adds it. ``partial_counts`` asks the same counter,
+striking with every base prime, for one bound.
 
 Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers: the unit of work handed to one worker and of one
@@ -48,9 +48,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import analytic
+from . import analytic, sieve_core
 from .errors import DomainError, ResourceError
-from .sieve_core import PrimeTable, _pool_size, _primes_below, _semiprime_lookup, _worker_map
+from .sieve_core import PrimeTable, _primes_below, _semiprime_lookup, _worker_map
 
 # Target chunk span in integers: the task granularity of a scan.
 DEFAULT_CHUNK_ENTRIES = 1 << 25
@@ -141,23 +141,20 @@ def _chunk_bounds(k_from: int, k_to: int, table: PrimeTable, chunk_entries: int)
     return chunks
 
 
-# The semiprime lookup of the scan in progress: compute_interval_records sets
-# it before its pool forks, so the workers share its pages and no task
-# carries it.
-_scan_lookup = None
-
-
 def _chunk_counts(task) -> np.ndarray:
     """pi_j for each interval of one chunk; ``task`` is (k_lo, p_1..p_{k_hi+1}).
 
     pi_j is the difference of the primes below consecutive squares, which
     the wheel counter sums block by block, striking below the cube root of
-    the chunk's end and subtracting the semiprimes it leaves. Outside a
-    scan the chunk builds its own lookup.
+    the chunk's end and subtracting the semiprimes it leaves. In a scan
+    the lookup is the pool's shared input; outside one the chunk builds
+    its own.
     """
     k_lo, ps = task
     sq = ps[k_lo - 1 :] ** 2
-    lookup = _scan_lookup if _scan_lookup is not None else _semiprime_lookup(int(sq[-1]), ps)
+    lookup = sieve_core._shared
+    if lookup is None:
+        lookup = _semiprime_lookup(int(sq[-1]), ps)
     return np.diff(_primes_below(int(sq[0]), sq, ps, lookup))
 
 
@@ -203,18 +200,13 @@ def compute_interval_records(
         raise ResourceError("chunk_entries too small to hold an interval")
     chunks = _chunk_bounds(k_from, k_to, table, chunk_entries)
     tasks = [(k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks]
-    workers = _pool_size(threads, len(chunks))
     blocks = []
-    global _scan_lookup
-    _scan_lookup = _semiprime_lookup(table.nth(k_to + 1) ** 2, table.primes[: k_to + 1])
-    try:
-        with _worker_map(workers) as imap:
-            for (k_lo, _), pi_k in zip(chunks, imap(_chunk_counts, tasks)):
-                blocks.append(_block(k_lo, pi_k, table))
-                if progress:
-                    progress(k_lo, blocks[-1])
-    finally:
-        _scan_lookup = None
+    with _worker_map(threads, len(tasks), shared=_semiprime_lookup(
+            table.nth(k_to + 1) ** 2, table.primes[: k_to + 1])) as imap:
+        for (k_lo, _), pi_k in zip(chunks, imap(_chunk_counts, tasks)):
+            blocks.append(_block(k_lo, pi_k, table))
+            if progress:
+                progress(k_lo, blocks[-1])
     return {name: np.concatenate([b[name] for b in blocks]) for name in IntervalSet.COLUMNS}
 
 

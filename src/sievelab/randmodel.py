@@ -10,10 +10,11 @@ allocated. Sampled mode draws shifts with a derived per-sample seed, so
 results are independent of evaluation order and worker count; the
 drawn windows are counted in fixed batches by the coprime counter of
 ``sieve_core``, in contiguous ranges of draw indices, one per worker of
-a fork pool, whose integer histograms the parent adds. Both modes feed
-their counts into one histogram, off which the count sum, sum of
-squares, minimum and maximum are read in exact integer arithmetic, so
-memory does not grow with the draw count.
+the pool of ``sieve_core._worker_map``, whose integer histograms the
+parent adds; each task carries its whole input, so the pool shares
+none. Both modes feed their counts into one histogram, off which the
+count sum, sum of squares, minimum and maximum are read in exact
+integer arithmetic, so memory does not grow with the draw count.
 
 Rescaling the raw (coprimality) model by e^gamma / 2 moves its mean to
 the density-of-primes scale l_k / log p_{k+1}^2, where it is compared
@@ -153,10 +154,8 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
         raise DomainError(f"k must be >= 1, got {k}")
     if budget < 2:
         raise DomainError("budget must be >= 2")
-    from .residue_legendre import primorial  # here, so conjecture_check never loads it
-
     ps = [int(p) for p in table.first(k)]
-    period = primorial(k, table).value
+    period = math.prod(ps)  # p_k#
     p, p_next = table.nth(k), table.nth(k + 1)
     lo0 = p * p
     length = p_next * p_next - lo0
@@ -168,7 +167,7 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
         return _summarize(k, "exhaustive", _histogram(_period_counts(ps, length)), None)
     _check_coprime_starts(lo0 + period - 1, ps)
     tasks = [(draws, seed, k, lo0, period, length, ps) for draws in _draw_ranges(budget, threads)]
-    with _worker_map(len(tasks)) as imap:
+    with _worker_map(threads, len(tasks)) as imap:
         hist = functools.reduce(_add_histograms, imap(_draw_histogram, tasks))
     return _summarize(k, "sampled", hist, seed)
 

@@ -81,7 +81,8 @@ enumerated rows (k <= 171, where p_{k+1}^2 <= 2^20) from one call.
 legendre_scan builds the enumerated rows, then the context, in the
 calling process. Its context rows (k >= 172) then go, in k-order tasks
 of _SCAN_BLOCK k, to at most ``threads`` workers forked by
-``sieve_core._worker_map``, which share the context's pages.
+``sieve_core._worker_map``, which share the context's pages as the
+pool's shared input.
 truncated_sum is M(y) plus prime_sum's tail, and only M reads the grid:
 a worker returns each k's (y, tail, term count), while the parent sums
 M's grid, the one full-range pass, and then adds M(y) + tail in k order.
@@ -99,10 +100,10 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from . import analytic
+from . import analytic, sieve_core
 from .errors import DomainError, ResourceError
-from .sieve_core import (_INT64_MAX, DEFAULT_MEMORY_BUDGET, PrimeTable, _pool_size, _prime_list,
-                         _worker_map, sieve_window)
+from .sieve_core import (_INT64_MAX, DEFAULT_MEMORY_BUDGET, PrimeTable, _prime_list, _worker_map,
+                         sieve_window)
 from .stats_lab import ScanSeries
 
 # Abort inclusion-exclusion enumerations beyond this many terms.
@@ -615,11 +616,6 @@ def legendre_term_count(k: int, table: PrimeTable, bound: Optional[int] = None,
     return context.term_count(k, bound, table)
 
 
-# The Moebius context and prime table of the legendre_scan in progress:
-# legendre_scan sets them before its pool forks, so the workers share the
-# context's pages and a task carries only its k range.
-_scan_context = None
-
 # Consecutive k per task of legendre_scan's pool.
 _SCAN_BLOCK = 8
 
@@ -635,8 +631,8 @@ def _context_tasks(k_from: int, k_to: int, table: PrimeTable) -> list:
 
 def _context_prime_sums(ks: range) -> list:
     """(y, prime_sum's tail, term count) at the bound p_{k+1}^2 for each k in ks,
-    on _scan_context."""
-    context, table = _scan_context
+    on the (context, table) shared by legendre_scan's pool."""
+    context, table = sieve_core._shared
     rows = []
     for k in ks:
         bound = table.nth(k + 1) ** 2
@@ -667,16 +663,11 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -
     rows = _enumerated_rows(listed, table) if listed else []  # (sum, terms) per k
     context = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
     if tasks:
-        global _scan_context
-        _scan_context = (context, table)
-        try:
-            with _worker_map(_pool_size(threads, len(tasks))) as imap:
-                tails = imap(_context_prime_sums, tasks)
-                context.m_full(context.limit)  # sums M's grid, whose last end is the limit
-                for y, tail, terms in itertools.chain.from_iterable(tails):
-                    rows.append((context.m_full(y) + tail, terms))
-        finally:
-            _scan_context = None
+        with _worker_map(threads, len(tasks), shared=(context, table)) as imap:
+            tails = imap(_context_prime_sums, tasks)
+            context.m_full(context.limit)  # sums M's grid, whose last end is the limit
+            for y, tail, terms in itertools.chain.from_iterable(tails):
+                rows.append((context.m_full(y) + tail, terms))
     tsums, terms = zip(*rows)
     lo, hi = (table.primes[k_from - 1 + i : k_to + i] ** 2 for i in (0, 1))
     log_hi = np.array([math.log(x) for x in hi])  # math.log: np.log may differ in the last bit

@@ -83,10 +83,13 @@ two disciplines coincide, which is the property everything downstream
 leans on.
 
 ``_worker_map`` is the package's one process pool, for the interval
-scan and the sampled shift model: the builtin ``map`` for one worker,
+scan, legendre's context rows and the sampled shift model. It sizes the
+pool, one worker per task at most: the builtin ``map`` for one worker,
 else a fork pool whose workers each run OpenBLAS on one thread
 (``_pin_blas_threads``, through ``ctypes`` on numpy's bundled library; a
-no-op where that library or its symbol is missing).
+no-op where that library or its symbol is missing). It hands the tasks'
+shared inputs to the workers as ``_shared``, which they inherit at the
+fork, and records the size in ``_pool_workers``, which the CLI reports.
 
 Prime indexing is 1-based throughout: ``p_1 = 2``, ``p_2 = 3``,
 ``p_3 = 5``. Off-by-one here corrupts every downstream interval, so all
@@ -156,23 +159,38 @@ def _pool_size(threads: int, tasks: int) -> int:
     return max(1, min(threads, tasks))
 
 
+# The open pool's shared inputs (_worker_map's ``shared``), and the size of
+# the last pool opened, 0 until one is.
+_shared = None
+_pool_workers = 0
+
+
 @contextlib.contextmanager
-def _worker_map(workers: int):
-    """An ``imap`` over a fork pool of ``workers`` processes, or the builtin
-    ``map`` for one worker.
+def _worker_map(threads: int, tasks: int, shared=None):
+    """An ``imap`` over a fork pool of ``_pool_size(threads, tasks)``
+    processes, or the builtin ``map`` for one.
 
-    Results arrive in task order. Each worker is pinned to one BLAS thread
-    (``_pin_blas_threads``), and the pool is torn down when the block
-    exits, so no worker outlives it. Forked workers share the parent's
-    pages as they were at the fork.
+    Results arrive in task order. ``shared`` is ``_shared`` while the
+    block runs, here and in the workers, which inherit it at the fork, and
+    None once the block exits, also on an error. Each worker is pinned to
+    one BLAS thread (``_pin_blas_threads``), and the pool is torn down when
+    the block exits, so no worker outlives it. Forked workers share the
+    parent's pages as they were at the fork.
     """
-    if workers <= 1:
-        yield map
-        return
-    import multiprocessing  # here, so a run that never forks never loads it
+    global _shared, _pool_workers
+    _pool_workers = workers = _pool_size(threads, tasks)
+    _shared = shared
+    try:
+        if workers == 1:
+            yield map
+        else:
+            import multiprocessing  # here, so a run that never forks never loads it
 
-    with multiprocessing.get_context("fork").Pool(workers, initializer=_pin_blas_threads) as pool:
-        yield pool.imap
+            fork = multiprocessing.get_context("fork")
+            with fork.Pool(workers, initializer=_pin_blas_threads) as pool:
+                yield pool.imap
+    finally:
+        _shared = None
 
 
 @dataclass(frozen=True)

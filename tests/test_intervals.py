@@ -303,4 +303,4 @@ def test_scan_builds_one_lookup_before_the_pool(table_small, monkeypatch):
         assert _columns(build_intervals(80, table_small, threads=threads,
                                         chunk_entries=4096)) == reference
         assert ends == [table_small.nth(81) ** 2]
-        assert intervals._scan_lookup is None
+        assert sieve_core._shared is None

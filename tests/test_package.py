@@ -1,9 +1,11 @@
 """The package's public names, and the modules each CLI command loads."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -80,19 +82,34 @@ _BASE = ["sievelab", "sievelab.analytic", "sievelab.cli", "sievelab.errors",
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
     # One scan writes the checkpoint, and three readers load it, as in the
-    # paper's desk workflow. None forks, so none imports multiprocessing.
+    # paper's desk workflow; randmodel at k = 5 is exhaustive. None forks,
+    # so none imports multiprocessing.
     src = os.path.dirname(os.path.dirname(sievelab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
+    scan = ("--kmax", "300", "--checkpoint", str(tmp_path / "scan.ckpt"))
     expected = {
-        "intervals": _BASE,
-        "bias": sorted([*_BASE, "sievelab.stats_lab"]),
-        "corr": sorted([*_BASE, "sievelab.stats_lab"]),
-        "conjecture": sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"]),
+        ("intervals", *scan): _BASE,
+        ("bias", *scan): sorted([*_BASE, "sievelab.stats_lab"]),
+        ("corr", *scan): sorted([*_BASE, "sievelab.stats_lab"]),
+        ("conjecture", *scan): sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"]),
+        ("randmodel", "--k", "5"): sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"]),
     }
-    for command, modules in expected.items():
-        argv = [command, "--kmax", "300", "--threads", "1", "--out", str(tmp_path / "o"),
-                "--checkpoint", str(tmp_path / "scan.ckpt")]
-        out = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
-                             text=True, env=env, check=True)
+    for argv, modules in expected.items():
+        out = subprocess.run([sys.executable, "-c", _CHILD, *argv, "--threads", "1",
+                              "--out", str(tmp_path / "o")],
+                             capture_output=True, text=True, env=env, check=True)
         report = json.loads(out.stdout)
-        assert report == {"code": 0, "frozen": True, "modules": modules}, command
+        assert report == {"code": 0, "frozen": True, "modules": modules}, argv[0]
+
+
+def test_pool_state_lives_in_sieve_core():
+    # sieve_core._worker_map sizes every pool and hands its workers their
+    # shared inputs; no other module forks or rebinds a module global.
+    for path in sorted(Path(sievelab.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        declared = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+        if path.name != "sieve_core.py":
+            assert "multiprocessing" not in source and not declared, path.name
+        if path.name == "cli.py":
+            for name in ("_pool_size", "_context_tasks", "_draw_ranges"):
+                assert name not in source, name

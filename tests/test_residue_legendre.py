@@ -29,7 +29,7 @@ from sievelab import (
     theoretical_first_positions,
     truncated_moebius_sum,
 )
-from sievelab import residue_legendre
+from sievelab import residue_legendre, sieve_core
 from sievelab.residue_legendre import (_MOBIUS_BLOCK, _SUM_LEAF, _mobius_array, _pairwise_sum,
                                        _squarefree_products)
 from sievelab.sieve_core import _prime_list
@@ -459,7 +459,7 @@ def test_legendre_scan_columns_independent_of_threads(table, monkeypatch, pool_s
         assert one[name].dtype == two[name].dtype
         assert one[name].tobytes() == two[name].tobytes(), name
     assert pool_sizes == [2]
-    assert residue_legendre._scan_context is None
+    assert sieve_core._shared is None
     assert multiprocessing.active_children() == []
 
 

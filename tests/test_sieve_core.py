@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -15,12 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 from sievelab import (
     DomainError,
     ResourceError,
+    build_intervals,
     build_prime_table,
     count_primes_upto,
+    legendre_scan,
     sieve_window,
 )
 
-from sievelab import sieve_core
+from sievelab import randmodel, sieve_core
+from sievelab.residue_legendre import MoebiusContext
 from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _PRESIEVE_PRIMES, _RESIDUES,
                                  _check_coprime_starts, _chunk_digits, _coprime_counts,
                                  _digit_width, _fill_rotated, _icbrt, _pi_from,
@@ -689,7 +693,7 @@ def test_pool_workers_run_one_blas_thread():
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     set_threads(2)  # a worker inherits this unless its initializer pins it
     try:
-        with sieve_core._worker_map(2) as imap:
+        with sieve_core._worker_map(2, 4) as imap:
             assert list(imap(_worker_blas_threads, range(4))) == [1] * 4
     finally:
         set_threads(before)
@@ -704,5 +708,42 @@ def test_blas_pin_is_a_no_op_without_openblas(tmp_path, monkeypatch):
     assert sieve_core._blas_threads() is None
     (tmp_path / "libopenblas.so").unlink()
     assert sieve_core._blas_threads() is None
-    with sieve_core._worker_map(2) as imap:
+    with sieve_core._worker_map(2, 2) as imap:
         assert list(imap(_worker_blas_threads, range(2))) == [None, None]
+
+
+class _ParentFault(Exception):
+    pass
+
+
+def _failing_in_parent(real):
+    """``real``, except that a call in this process raises _ParentFault."""
+    parent = os.getpid()
+
+    def call(*args, **kwargs):
+        if os.getpid() == parent:
+            raise _ParentFault
+        return real(*args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("pool", ["interval scan", "legendre context rows", "sampled draws"])
+def test_parent_fault_tears_the_pool_down(table_small, monkeypatch, pool_sizes, pool):
+    # The parent raises while the pool is open: the error propagates, no
+    # worker outlives the pool and the shared inputs are dropped.
+    if pool == "interval scan":
+        run = functools.partial(build_intervals, 80, table_small, threads=2, chunk_entries=4096,
+                                progress=_failing_in_parent(None))
+    elif pool == "legendre context rows":
+        monkeypatch.setattr(MoebiusContext, "m_full", _failing_in_parent(MoebiusContext.m_full))
+        run = functools.partial(legendre_scan, 180, 230, table_small, threads=2)
+    else:
+        monkeypatch.setattr(randmodel, "_add_histograms",
+                            _failing_in_parent(randmodel._add_histograms))
+        run = functools.partial(randmodel.shift_model, 30, table_small, budget=1000, seed=7,
+                                threads=2)
+    with pytest.raises(_ParentFault):
+        run()
+    assert pool_sizes == [2]
+    assert multiprocessing.active_children() == []
+    assert sieve_core._shared is None
