@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import math
 import os
@@ -129,7 +128,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
 def _write_csv(path: Path, columns: dict) -> str:
     """Write equal-length ``columns`` under a header of their names; return
     the sha256 of the bytes written. A float column is written at 15
-    significant digits, any other column (ints, big ints, text) with str."""
+    significant digits, any other column (ints, big ints, text) with str.
+    ``hashlib`` maps OpenSSL, so it loads here, after the scan."""
+    import hashlib
+
     cells = []
     for values in map(np.asarray, columns.values()):
         fmt = "{:.15g}".format if values.dtype.kind == "f" else str

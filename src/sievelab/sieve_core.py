@@ -251,7 +251,7 @@ def build_prime_table(bound: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) ->
         memory_budget: limit on bound + 1, a flag per integer in bytes.
 
     Returns:
-        PrimeTable with a read-only int64 prime array.
+        PrimeTable with a read-only int64 array that owns exactly its primes.
     """
     if bound < 2:
         raise DomainError(f"prime table bound must be >= 2, got {bound}")
@@ -585,8 +585,9 @@ def _prime_list(lo: int, end: int, base_primes, dtype=np.int64) -> np.ndarray:
     sqrt(end - 1). Requires lo >= 0. Each row block of ``_wheel_rows``
     gives the primes 30*(m_lo + a + i) + r at its True flags i below
     ``end``, written straight into one array of ``_prime_count_bound``
-    entries after the primes 2, 3 and 5, which have no row; the filled
-    prefix is sorted in place and returned, a view of that array.
+    entries after the primes 2, 3 and 5, which have no row; that array is
+    shrunk in place to the primes found, sorted and returned, so it owns
+    exactly its primes.
     """
     out = np.empty(_prime_count_bound(lo, end), dtype=dtype)
     rowless = [q for q in _ROWLESS_PRIMES if lo <= q < end]
@@ -599,7 +600,7 @@ def _prime_list(lo: int, end: int, base_primes, dtype=np.int64) -> np.ndarray:
         primes += r
         out[n : n + len(primes)] = primes
         n += len(primes)
-    out = out[:n]
+    out.resize(n, refcheck=False)
     out.sort()
     return out
 

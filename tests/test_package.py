@@ -102,6 +102,20 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         assert report == {"code": 0, "frozen": True, "modules": modules}, argv[0]
 
 
+def test_cli_import_and_prime_table_load_no_openssl():
+    # perfbench's setup_s probe: import the CLI, then build a prime table.
+    # hashlib maps OpenSSL, and only the CSV writer takes digests, so
+    # neither it nor its extension module loads before a command writes.
+    src = os.path.dirname(os.path.dirname(sievelab.__file__))
+    probe = ("import sys, sievelab.cli\n"
+             "from sievelab import build_prime_table\n"
+             "build_prime_table(4421)\n"
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_pool_state_lives_in_sieve_core():
     # sieve_core._worker_map sizes every pool and hands its workers their
     # shared inputs; no other module forks or rebinds a module global.

@@ -330,6 +330,7 @@ def test_moebius_context_primes(table_small, limit):
     ctx = MoebiusContext(limit, table_small)
     assert ctx.primes.dtype == np.float64
     assert ctx.primes.tolist() == np.flatnonzero(mark_primality(0, limit, base)).tolist()
+    assert ctx.primes.base is None  # owns exactly its primes, no reserved tail
 
 
 @pytest.fixture(scope="module")

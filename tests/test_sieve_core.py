@@ -217,11 +217,13 @@ def _traced_prime_list(lo, end, base):
 
 def test_prime_list_holds_one_list():
     # The primes of [0, p_601^2) (MoebiusContext's list at legendre --kmax 600)
-    # go straight into one array sized by Rosser and Schoenfeld's bound, so
-    # the peak is that array and one row block, not rows, a join and a sort.
+    # go straight into one reserved array, shrunk in place to the primes
+    # found, so the peak is that array and one row block, not rows, a join
+    # and a sort, and the list keeps no unused tail of the reservation.
     primes, peak = _traced_prime_list(0, 4421 ** 2, build_prime_table(4421).primes)  # p_601
     assert len(primes) == 1_243_513 and primes[-1] == 19_545_203  # sympy's primepi, prevprime
     assert peak <= 1.6 * primes.nbytes, peak / primes.nbytes
+    assert primes.base is None  # its buffer is exactly len * itemsize bytes
 
 
 def test_prime_list_of_a_narrow_window_far_out():
