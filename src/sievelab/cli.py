@@ -8,6 +8,10 @@ writes every file through one column writer (header row, LF endings,
 UTF-8; float columns at 15 significant digits, any other with ``str``),
 then the JSON run manifest carrying the command line, seed (null except
 for randmodel), and the sha256 of the bytes written per output. The
+writer formats, writes and hashes a fixed block of rows at a time, and
+the interval checkpoint is read a block of lines at a time, so neither
+holds a whole file as Python objects; the digests come from the
+interpreter's built-in SHA-256, so no command maps OpenSSL. The
 manifest's shell-quoted ``command_line`` is the run's complete input: no
 setting comes from the environment, and a command accepts no flag it
 does not read, save ``--threads``, which maier accepts unread so that
@@ -38,13 +42,16 @@ and the Python, numpy and sievelab versions. It is
 the only part of a manifest that varies between runs; no CSV byte and
 no ``outputs`` digest depends on it.
 
-Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error.
+Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error. A
+flag value out of its range (``--kmax 0``, ``--budget 1``, ``--step -1``,
+``--lambda nan``) is a usage error, refused before ``--out`` is made.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -71,11 +78,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+def _int_at_least(low: int):
+    """The argparse type of an integer flag that must be at least ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() refuses the text
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be finite")
     return value
+
+
+_finite_float.__name__ = "float"
 
 
 def _int_list(text: str) -> list:
@@ -107,38 +130,59 @@ class _BudgetAction(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _segment_size(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be an integer >= 2")
-    return value
+# Rows that _write_csv formats at a time, and checkpoint lines that
+# _checkpoint_load parses at a time: the most either holds as Python objects.
+_BLOCK_ROWS = 1024
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _sha256():
+    """A SHA-256 object from the interpreter's built-in module, which maps
+    no OpenSSL: ``_sha2`` from CPython 3.12, ``_sha256`` before it, and
+    ``hashlib`` only where neither exists, as ``hashlib`` itself falls back."""
     try:
-        tmp.write_bytes(data)
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
+
+
+def _write_atomic(path: Path, blocks) -> str:
+    """Write the byte strings ``blocks`` to a temp file beside ``path``, then
+    rename it over ``path``; return the sha256 of the bytes written."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    digest = _sha256()
+    try:
+        with tmp.open("wb") as fh:
+            for block in blocks:
+                fh.write(block)
+                digest.update(block)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return digest.hexdigest()
+
+
+def _csv_blocks(columns: dict):
+    """The header line, then ``_BLOCK_ROWS`` rows at a time, as UTF-8 bytes."""
+    arrays = [np.asarray(values) for values in columns.values()]
+    formats = ["{:.15g}".format if a.dtype.kind == "f" else str for a in arrays]
+    yield (",".join(columns) + "\n").encode("utf-8")
+    for lo in range(0, len(arrays[0]), _BLOCK_ROWS):
+        cells = [map(fmt, a[lo:lo + _BLOCK_ROWS].tolist()) for fmt, a in zip(formats, arrays)]
+        yield ("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8")
 
 
 def _write_csv(path: Path, columns: dict) -> str:
     """Write equal-length ``columns`` under a header of their names; return
     the sha256 of the bytes written. A float column is written at 15
     significant digits, any other column (ints, big ints, text) with str.
-    ``hashlib`` maps OpenSSL, so it loads here, after the scan."""
-    import hashlib
-
-    cells = []
-    for values in map(np.asarray, columns.values()):
-        fmt = "{:.15g}".format if values.dtype.kind == "f" else str
-        cells.append(map(fmt, values.tolist()))
-    data = ("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n").encode("utf-8")
-    _write_atomic(path, data)
-    return hashlib.sha256(data).hexdigest()
+    Rows are formatted, written and hashed ``_BLOCK_ROWS`` at a time, so
+    the writer holds the columns and one block, never the file's text."""
+    return _write_atomic(path, _csv_blocks(columns))
 
 
 def _clock() -> tuple:
@@ -200,55 +244,85 @@ def _table_for(k_needed: int):
 _FIELDS = ["k", *IntervalSet.COLUMNS]
 
 
-def _checkpoint_load(path: Path) -> dict:
-    """Checkpoint columns for k = 1..n, repairing a torn tail in place.
+def _parse_lines(lines: list) -> list:
+    """The JSON values of ``lines``, up to the first line that does not parse.
 
-    Only an append cut short leaves a bad line, and it is the last one,
-    so every line before the last non-blank one is parsed in one
-    ``json.loads`` of a single array and the last is parsed on its own.
-    If the array does not parse, or holds more values than lines, the
-    lines are parsed one at a time to find the first bad one. An
-    unparseable last line is cut from the file with a warning, so the
-    scan resumes after the last complete record. A complete last record
-    missing only its newline gets one. Any other bad line raises
-    DomainError naming it.
+    All are parsed in one ``json.loads`` of a single array; if that does
+    not parse, or holds more values than lines, they are parsed one at a
+    time to find the first bad one.
     """
-    data = path.read_bytes() if path.exists() else b""
-    lines = [raw for raw in data.split(b"\n") if raw.strip()]
-    # Only whitespace follows the last line, so it is its text's last occurrence.
-    last_at, ended = (data.rfind(lines[-1]) if lines else 0), data.endswith(b"\n")
-    del data  # the lines hold its bytes, and the parse below is a reader's peak memory
-    body, tail = lines[:-1], lines[-1:]
     try:
-        rows = json.loads(b"[%b]" % b",".join(body))
+        rows = json.loads(b"[%b]" % b",".join(lines))
     except ValueError:
         rows = None
-    if rows is None or len(rows) != len(body):
-        rows, tail = [], lines
-    for raw in tail:
+    if rows is not None and len(rows) == len(lines):
+        return rows
+    rows = []
+    for raw in lines:
         try:
             rows.append(json.loads(raw))
         except ValueError:
             break
-    fields = set(_FIELDS)
-    for n, row in enumerate(rows, 1):
-        if not isinstance(row, dict) or row.keys() != fields or row["k"] != n:
-            raise DomainError(f"checkpoint {path} corrupt at line {n}")
-    n = len(rows)
-    if n < len(lines) - 1:
-        raise DomainError(f"checkpoint {path} corrupt at line {n + 1}")
-    if n < len(lines):
+    return rows
+
+
+def _checkpoint_load(path: Path) -> list:
+    """Checkpoint columns for k = 1..n, in blocks, repairing a torn tail in place.
+
+    The file is read ``_BLOCK_ROWS`` lines at a time, and each block's
+    records become numpy columns before the next block is read, so the
+    reader holds the columns and one block, never the file. Only an
+    append cut short leaves a bad line, and it is the last one, so every
+    non-blank line before it is parsed with its block (``_parse_lines``)
+    and the last is parsed on its own. An unparseable last line is cut
+    from the file with a warning, so the scan resumes after the last
+    complete record. A complete last record missing only its newline gets
+    one. Any other bad line raises DomainError naming it, and a value that
+    is not a number raises DomainError once the tail is mended. Returns
+    one dict of ``IntervalSet.COLUMNS`` per block, in k order.
+    """
+    if not path.exists():
+        return []
+    fields, blocks, n, numeric = set(_FIELDS), [], 0, True
+    last, last_at, at, ended = [], 0, 0, False  # the latest non-blank line, unparsed
+
+    def take(lines):
+        nonlocal n, numeric
+        rows = _parse_lines(lines)
+        for row in rows:
+            n += 1
+            if not isinstance(row, dict) or row.keys() != fields or row["k"] != n:
+                raise DomainError(f"checkpoint {path} corrupt at line {n}")
+        if numeric and rows:
+            try:
+                blocks.append({name: np.array([row[name] for row in rows], dtype=dtype)
+                               for name, dtype in IntervalSet.COLUMNS.items()})
+            except (TypeError, ValueError, OverflowError):
+                numeric = False
+        return len(rows) == len(lines)
+
+    with path.open("rb") as fh:
+        while raw_lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            lines = last  # carried from the blocks before, with this block's added
+            for raw in raw_lines:
+                if raw.strip():
+                    lines.append(raw)
+                    last_at = at
+                at += len(raw)
+            ended = raw_lines[-1].endswith(b"\n")
+            last = lines[-1:]
+            if not take(lines[:-1]):
+                raise DomainError(f"checkpoint {path} corrupt at line {n + 1}")
+    if last and not take(last):
         with path.open("r+b") as fh:
             fh.truncate(last_at)
         _progress(f"checkpoint: dropped torn line {n + 1} of {path}, resuming after k={n}")
     elif n and not ended:
         with path.open("ab") as fh:
             fh.write(b"\n")
-    try:
-        return {name: np.array([row[name] for row in rows], dtype=dtype)
-                for name, dtype in IntervalSet.COLUMNS.items()}
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"checkpoint {path} corrupt: a value is not a number") from None
+    if not numeric:
+        raise DomainError(f"checkpoint {path} corrupt: a value is not a number")
+    return blocks
 
 
 def _checkpoint_append(path: Path, k_from: int, block: dict) -> None:
@@ -265,8 +339,8 @@ def _interval_set(args):
     table = _table_for(args.kmax + 1)
     run, start = args.run, _clock()
     ck = args.checkpoint
-    blocks = [_checkpoint_load(ck)] if ck else []
-    k_next = len(blocks[0]["pi_k"]) + 1 if ck else 1
+    blocks = _checkpoint_load(ck) if ck else []
+    k_next = sum(len(block["pi_k"]) for block in blocks) + 1
     if k_next > 1:
         run.resumed_from_k = k_next
         _progress(f"checkpoint: {k_next - 1} records loaded from {ck}")
@@ -389,15 +463,15 @@ def _cmd_conjecture(args):
 
 def _add_common(sp, kmax=True):
     sp.add_argument("--out", type=Path, default="out", help="output directory (default: ./out)")
-    sp.add_argument("--threads", type=_positive_int, default=len(os.sched_getaffinity(0)),
+    sp.add_argument("--threads", type=_int_at_least(1), default=len(os.sched_getaffinity(0)),
                     help="worker processes (default: the CPUs this process may use)")
     if kmax:
-        sp.add_argument("--kmax", type=_positive_int, required=True,
+        sp.add_argument("--kmax", type=_int_at_least(1), required=True,
                         help="largest interval index k")
 
 
 def _add_interval_scan_flags(sp):
-    sp.add_argument("--segment-size", type=_segment_size, default=DEFAULT_CHUNK_ENTRIES,
+    sp.add_argument("--segment-size", type=_int_at_least(2), default=DEFAULT_CHUNK_ENTRIES,
                     help="sieve chunk span in integers: the unit of work of one worker")
     sp.add_argument("--checkpoint", type=Path, help="JSONL checkpoint for resumable interval scans")
 
@@ -421,8 +495,8 @@ def build_parser() -> _Parser:
     _add_common(sp, kmax=False)
     sp.add_argument("--k", type=_int_list, required=True,
                     help="comma-separated interval indices")
-    sp.add_argument("--lambda", dest="lam", type=float, default=3.0)
-    sp.add_argument("--step", type=int, default=0,
+    sp.add_argument("--lambda", dest="lam", type=_finite_float, default=3.0)
+    sp.add_argument("--step", type=_int_at_least(0), default=0,
                     help="scan stride; 0 means ceil(Phi/100)")
     sp.set_defaults(func=_cmd_maier)
 
@@ -432,9 +506,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("randmodel", help="shifted-window model summary for one interval")
     _add_common(sp, kmax=False)
-    sp.add_argument("--k", type=_positive_int, required=True)
+    sp.add_argument("--k", type=_int_at_least(1), required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--budget", type=int, action=_BudgetAction,
+    sp.add_argument("--budget", type=_int_at_least(2), action=_BudgetAction,
                     help="exhaustive threshold / sampled draw count")
     sp.set_defaults(func=_cmd_randmodel)
 
@@ -476,7 +550,7 @@ def main(argv=None) -> int:
                     "k_max": k_max, "version": __version__, "outputs": outputs,
                     "run": args.run.block(), **extras}
         _write_atomic(args.out / f"{args.command}.manifest.json",
-                      (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+                      [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")])
         return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

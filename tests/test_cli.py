@@ -1,11 +1,13 @@
 import gc
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import shlex
 import statistics
 
+import numpy as np
 import pytest
 
 from sievelab import cli
@@ -214,6 +216,94 @@ def test_non_numeric_checkpoint_value_is_domain_error(tmp_path, capsys):
     assert "a value is not a number" in capsys.readouterr().err
 
 
+# The block size of the seam tests below: lines or rows 9..16 make the second block.
+_SEAM = 8
+
+
+def _one_shot_csv(columns):
+    """The CSV bytes of ``columns`` formatted and joined in one piece."""
+    cells = []
+    for values in map(np.asarray, columns.values()):
+        fmt = "{:.15g}".format if values.dtype.kind == "f" else str
+        cells.append(map(fmt, values.tolist()))
+    return ("\n".join([",".join(columns), *map(",".join, zip(*cells))]) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("rows", [0, 1, _SEAM - 1, _SEAM, _SEAM + 1, 3 * _SEAM + 5])
+def test_csv_writer_blocks_join_to_the_one_shot_bytes(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", _SEAM)
+    floats = [0.1, math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, 1 / 3, 2.0]
+    ints = [0, -1, 2 ** 63 - 1, -2 ** 63, 7]
+    bigs = [2 ** 64, -(3 ** 50), 10 ** 30 + 1]
+    texts = ["", "exhaustive", "\u03c0"]
+    columns = {"f": np.array([floats[i % 9] for i in range(rows)], dtype=np.float64),
+               "i": np.array([ints[i % 5] for i in range(rows)], dtype=np.int64),
+               "big": [bigs[i % 3] * (i + 1) for i in range(rows)],
+               "text": [texts[i % 3] for i in range(rows)]}
+    path = tmp_path / "t.csv"
+    data = _one_shot_csv(columns)
+    assert cli._write_csv(path, columns) == hashlib.sha256(data).hexdigest()
+    assert path.read_bytes() == data and len(data.splitlines()) == rows + 1
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left
+
+
+@pytest.mark.parametrize("line", [_SEAM + 1, _SEAM + 4, 2 * _SEAM])
+def test_checkpoint_corrupt_line_in_the_second_block_is_named(tmp_path, monkeypatch, capsys,
+                                                              line):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", _SEAM)
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "part", "--checkpoint", ck]) == 0
+    lines = read_lines(ck)
+    not_a_number = json.dumps({**json.loads(lines[2]), "pi_k": "many"})
+    for damage in ({line: lines[line - 1][:20]},  # unparseable
+                   {line: '{"k": %d}' % line},  # parses, but is not a record
+                   {3: not_a_number, line: "{"}):  # a bad line outranks a bad value before it
+        ck.write_text("\n".join(damage.get(k, text) for k, text in enumerate(lines, 1)) + "\n",
+                      encoding="utf-8")
+        before = ck.read_bytes()
+        capsys.readouterr()
+        assert run(["bias", "--kmax", 60, "--out", tmp_path / "o", "--checkpoint", ck]) == 2
+        assert f"corrupt at line {line}\n" in capsys.readouterr().err
+        assert ck.read_bytes() == before
+
+
+@pytest.mark.parametrize("records, blanks", [(_SEAM + 1, 0), (_SEAM + 4, 0), (2 * _SEAM, 0),
+                                             (_SEAM, _SEAM + 1)])
+def test_checkpoint_torn_tail_in_the_second_block_is_cut(tmp_path, monkeypatch, capsys,
+                                                         records, blanks):
+    # (_SEAM, _SEAM + 1): the torn line ends the first block, and the blank
+    # lines after it fill the second and start a third.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", _SEAM)
+    ck = tmp_path / "scan.ckpt"
+    assert run(["intervals", "--kmax", records, "--out", tmp_path / "part",
+                "--checkpoint", ck]) == 0
+    data = ck.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    ck.write_bytes(data[: last + 30] + b"\n  " * blanks)
+    capsys.readouterr()
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "full", "--checkpoint", ck]) == 0
+    assert f"dropped torn line {records} of" in capsys.readouterr().err
+    assert ck.read_bytes().startswith(data[:last] + b"{")
+    assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, 31))
+    assert run(["intervals", "--kmax", 30, "--out", tmp_path / "direct"]) == 0
+    assert sha(tmp_path / "full" / "intervals.csv") == sha(tmp_path / "direct" / "intervals.csv")
+
+
+@pytest.mark.parametrize("records", [_SEAM + 1, _SEAM + 4, 2 * _SEAM])
+def test_checkpoint_missing_final_newline_in_the_second_block_is_repaired(tmp_path, monkeypatch,
+                                                                          records):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", _SEAM)
+    ck = tmp_path / "scan.ckpt"
+    assert run(["conjecture", "--kmax", records, "--out", tmp_path / "a",
+                "--checkpoint", ck]) == 0
+    data = ck.read_bytes()
+    ck.write_bytes(data[:-1])
+    assert run(["conjecture", "--kmax", records, "--out", tmp_path / "b",
+                "--checkpoint", ck]) == 0
+    assert ck.read_bytes() == data
+    assert sha(tmp_path / "b" / "conjecture.csv") == sha(tmp_path / "a" / "conjecture.csv")
+
+
 def test_maier_command(tmp_path):
     out = tmp_path / "o"
     assert run(["maier", "--k", "50", "--lambda", 3, "--out", out]) == 0
@@ -226,9 +316,10 @@ def test_maier_command(tmp_path):
     assert run(["maier", "--k", "3", "--lambda", 3, "--out", tmp_path / "bad"]) == 2
 
 
-@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "1e308", "-1e308"])
+@pytest.mark.parametrize("lam", ["1e308", "-1e308"])
 def test_maier_non_finite_window_is_domain_error(tmp_path, capsys, lam):
-    # nan and +-inf are not finite; (log x)^1e308 overflows, (log x)^-1e308 underflows to 0.
+    # (log x)^1e308 overflows, (log x)^-1e308 underflows to 0; a non-finite
+    # lambda is refused when parsed (test_bad_flag_value_is_usage_error).
     assert run(["maier", "--k", "50", f"--lambda={lam}", "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert "domain error" in err and "Traceback" not in err
@@ -483,11 +574,20 @@ def test_segment_size_below_two_is_usage_error(tmp_path, size):
     assert not out.exists()
 
 
-def test_maier_negative_step_is_domain_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["randmodel", "--k", 20, "--budget", 1], "--budget: must be an integer >= 2"),
+    (["maier", "--k", 100, "--step", -2], "--step: must be an integer >= 0"),
+    *((["maier", "--k", 100, f"--lambda={lam}"], "--lambda: must be finite")
+      for lam in ("nan", "inf", "-inf")),
+], ids=["budget-1", "step-2", "lambda-nan", "lambda-inf", "lambda--inf"])
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):
+    # Refused when parsed, before main makes --out; the library raises its
+    # own DomainError for each (test_randmodel, test_stats_lab).
     out = tmp_path / "o"
-    assert run(["maier", "--k", 30, "--step", -5, "--out", out]) == 2
-    assert "domain error: step must be >= 0" in capsys.readouterr().err
-    assert not (out / "maier_scan.csv").exists()
+    assert run([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_randmodel_digit_table_beyond_memory_budget_exits_3(tmp_path, capsys, pool_sizes):

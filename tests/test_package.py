@@ -5,11 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sievelab
+from sievelab import cli
+from sievelab.intervals import IntervalSet
 
 # Every public name, by the submodule that defines it.
 PUBLIC = {
@@ -114,6 +118,74 @@ def test_cli_import_and_prime_table_load_no_openssl():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# Runs one command through the program entry, then reports its pool and
+# whether OpenSSL's modules were loaded.
+_OPENSSL_CHILD = """
+import json, sys
+from sievelab import cli
+code = cli.console_main()
+print(json.dumps({"code": code, "workers": cli.sieve_core._pool_workers,
+                  "openssl": sorted({"hashlib", "_hashlib"} & set(sys.modules))}))
+"""
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # Full runs that write their CSVs and manifests; the scan forks two
+    # workers. The output digests come from the interpreter's built-in
+    # SHA-256, so no command maps OpenSSL.
+    src = os.path.dirname(os.path.dirname(sievelab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    scan = ("--kmax", "300", "--checkpoint", str(tmp_path / "scan.ckpt"), "--threads", "1")
+    runs = {
+        ("intervals", "--kmax", "300", "--checkpoint", str(tmp_path / "scan.ckpt"),
+         "--threads", "2", "--segment-size", "65536"): 2,
+        ("bias", *scan): 0, ("corr", *scan): 0, ("conjecture", *scan): 0,
+        ("maier", "--k", "30", "--threads", "1"): 0,
+        ("legendre", "--kmax", "20", "--threads", "1"): 0,
+        ("randmodel", "--k", "5", "--threads", "1"): 0,
+    }
+    for argv, workers in runs.items():
+        out = tmp_path / argv[0]
+        report = subprocess.run([sys.executable, "-c", _OPENSSL_CHILD, *argv, "--out", str(out)],
+                                capture_output=True, text=True, env=env, check=True)
+        assert json.loads(report.stdout) == {"code": 0, "workers": workers, "openssl": []}, argv
+        manifest = json.loads((out / f"{argv[0]}.manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(p.name for p in out.glob("*.csv"))
+
+
+def _interval_columns(n):
+    """n rows shaped like the interval columns: ints to 1e11, floats at full precision."""
+    rng = np.random.default_rng(29)
+    return {name: rng.integers(1, 10 ** 11, n) if dtype is np.int64 else rng.random(n) * 1e5
+            for name, dtype in IntervalSet.COLUMNS.items()}
+
+
+def _traced_peak(call):
+    """The peak bytes ``call()`` allocates beyond what is held before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_and_checkpoint_reader_hold_their_columns_and_one_block(tmp_path):
+    # 3e4 rows: a one-shot writer allocated 14 MB beyond its columns, and a
+    # reader holding every line and one dict per record 26 MB.
+    n, mb = 30000, 1 << 20
+    columns = _interval_columns(n)
+    size = sum(values.nbytes for values in columns.values())
+    assert _traced_peak(lambda: cli._write_csv(tmp_path / "t.csv", {"k": np.arange(1, n + 1),
+                                                                    **columns})) < 3 * mb
+    ck = tmp_path / "scan.ckpt"
+    cli._checkpoint_append(ck, 1, columns)
+    loaded = []
+    assert _traced_peak(lambda: loaded.extend(cli._checkpoint_load(ck))) < size + 3 * mb
+    for name, values in columns.items():
+        assert np.array_equal(np.concatenate([block[name] for block in loaded]), values), name
 
 
 def test_pool_state_lives_in_sieve_core():

@@ -8,6 +8,7 @@ import pytest
 
 from sievelab import (
     EULER_GAMMA,
+    DomainError,
     ResourceError,
     binomial_reference,
     conjecture_check,
@@ -72,6 +73,12 @@ def test_exhaustive_histogram_matches_window_count(table_small):
         lo0, length = table_small.nth(k) ** 2, _length(table_small, k)
         counts = [window_count(lo0 + j, length, table_small.first(k)) for j in range(s.samples)]
         assert np.array_equal(s.histogram, np.bincount(counts))
+
+
+@pytest.mark.parametrize("budget", [1, 0, -3])
+def test_budget_below_two_is_domain_error(table_small, budget):
+    with pytest.raises(DomainError, match="budget must be >= 2"):
+        shift_model(5, table_small, budget=budget)
 
 
 def test_exhaustive_period_beyond_memory_budget(table_small):

@@ -198,6 +198,12 @@ def test_maier_scan_window_too_big(table):
         maier_scan(3, 3.0, table)  # (log 25)^3 = 33 > l_3 = 24
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_maier_scan_non_finite_lambda(table, lam):
+    with pytest.raises(DomainError, match="lambda must be finite"):
+        maier_scan(30, lam, table)
+
+
 def test_maier_scan_negative_step(table):
     with pytest.raises(DomainError, match="step must be >= 0"):
         maier_scan(30, 3.0, table, step=-5)
