@@ -80,7 +80,9 @@ class IntervalSet:
 
     One column per ``IntervalRecord`` field except k, indexed by k - 1,
     plus the running sums ``pi_cum`` and ``li_cum``, built on first use
-    (the primes 2, 3 and li(4) lie below s_1).
+    (the primes 2, 3 and li(4) lie below s_1). A given column that already
+    has its dtype is kept as a read-only view, not copied, and the
+    caller's array keeps its flags.
     """
 
     # Column name -> dtype for every IntervalRecord field after k, in field order.
@@ -89,7 +91,7 @@ class IntervalSet:
 
     def __init__(self, columns):
         for name, dtype in self.COLUMNS.items():
-            setattr(self, name, _read_only(np.array(columns[name], dtype=dtype)))
+            setattr(self, name, _read_only(np.asarray(columns[name], dtype=dtype).view()))
         self.k_max = len(self.p_k)
         if self.k_max == 0 or self.p_k[0] != 2:
             raise DomainError("interval set must start at k = 1")

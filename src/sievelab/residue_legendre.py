@@ -34,34 +34,38 @@ t = (B-1)//q < p_{k+1} (Deleglise & Rivat's grouping for the Mobius
 summation, Exp. Math. 5, 1996). MoebiusContext finds, for each t, how
 many primes q >= p_{k+1} share it: pi((B-1)//t) - pi((B-1)//(t+1)),
 from binary searches on its prime list (every prime up to its limit, as
-float64, from ``sieve_core._prime_list``), so a bound costs O(p_{k+1})
-searches instead of a floor division per prime. The term count is then
-one exact integer dot product over t. The truncated sum keeps its terms
-per prime, M(t)/q, added over the ascending q in the order of numpy's
-pairwise sum (Higham, SIAM J. Sci. Comput. 14, 1993): exactly the float
-operations of the per-prime form, with no array per prime.
+int32, from ``sieve_core._prime_list``; _search casts each needle to
+int32 first, as numpy copies the list for a needle of another dtype), so
+a bound costs O(p_{k+1}) searches instead of a floor division per prime.
+The term count is then one exact integer dot product over t. The
+truncated sum keeps its terms per prime, M(t)/q, added over the
+ascending q in the order of numpy's pairwise sum (Higham, SIAM J. Sci.
+Comput. 14, 1993): exactly the float operations of the per-prime form,
+with no array per prime.
 _pairwise_sum splits the terms where numpy's pairwise_sum does, down to
-leaves of _SUM_LEAF terms, and np.sum adds each leaf, computed into one
-buffer: a lattice point with _DENSE_COUNT primes or more divides its
-M(t) by its slice of the prime list, and only the sparse points before
-them repeat M(t) per prime. Summing M(t) * (S((B-1)/t) - S((B-1)/(t+1)))
-per t, with S(v) = sum_{p <= v} 1/p, would reorder the additions and
-move the last bits of ratio_truncated.
+leaves of _SUM_LEAF terms, and np.sum adds each leaf, computed in one
+buffer: the leaf's q are cast to float64 into it, a lattice point with
+_DENSE_COUNT primes or more divides its M(t) by its slice of them, and
+only the sparse points before them repeat M(t) per prime. Summing
+M(t) * (S((B-1)/t) - S((B-1)/(t+1))) per t, with S(v) = sum_{p <= v} 1/p,
+would reorder the additions and move the last bits of ratio_truncated.
 
-M(B-1) reads mu from a stream of int8 blocks, each exact after two
-phases: struck by the primes up to r = isqrt(limit), then
-mu(q * m) = -mu(m) written for the primes q > r with q * m in the block
-(n <= limit has at most one such factor). M(y) is one running float over
-the grid of interval ends g = p_j^2 - 1, j >= 27, up to the context's
-limit: each segment from the previous end (or m = 1) is cut into pieces
-of 2^22 integers from its own start, and each piece's np.sum of mu(m)/m
-is added to it. A block holds whole pieces, about 2^21 integers (a
-longer piece is a block of its own), and is dropped once summed, as in
-Deleglise & Rivat's segmented sum of M, so no array spans the range.
-The first m_full call walks the whole grid and keeps M at each end; a y
-off the grid sieves only (last g <= y, y] and adds its own pieces. So
-M(y), and each scan column's entry for k, depends on y alone:
-legendre_scan(k, k) holds row k of any longer scan.
+M(B-1) reads mu from int8 blocks, each exact after two phases: struck
+by the primes up to r = isqrt(limit), then mu(q * m) = -mu(m) written
+for the primes q > r with q * m in the block (n <= limit has at most one
+such factor). M(y) is one running float over the grid of interval ends
+g = p_j^2 - 1, j >= 27, up to the context's limit: each segment from the
+previous end (or m = 1) is cut into pieces of 2^22 integers from its own
+start, and each piece's np.sum of mu(m)/m is added to it. A block holds
+whole pieces, about 2^21 integers (a longer piece is a block of its
+own), and is one task of _m_tasks: the process that runs it sieves the
+block and returns the np.sum of each piece, and only the running float's
+adds are in order, as in Deleglise & Rivat's segmented sum of M, so no
+array spans the range. sum_grid, or else the first m_full call, walks
+the whole grid and keeps M at each end; a y off the grid sieves only
+(last g <= y, y] and adds its own pieces. So M(y), and each scan
+column's entry for k, depends on y alone: legendre_scan(k, k) holds row
+k of any longer scan.
 
 One rule, _enumerated, picks the path of the truncated sum, the term
 count and the scan alike: the context serves exactly the bounds in
@@ -79,15 +83,17 @@ that order. legendre_scan takes the sums and counts of all its
 enumerated rows (k <= 171, where p_{k+1}^2 <= 2^20) from one call.
 
 legendre_scan builds the enumerated rows, then the context, in the
-calling process. Its context rows (k >= 172) then go, in k-order tasks
-of _SCAN_BLOCK k, to at most ``threads`` workers forked by
-``sieve_core._worker_map``, which share the context's pages as the
-pool's shared input.
+calling process. Its context rows (k >= 172), in k-order tasks of
+_SCAN_BLOCK k, and then the blocks of M's grid go to at most ``threads``
+workers forked by ``sieve_core._worker_map``, which share the context's
+pages as the pool's shared input.
 truncated_sum is M(y) plus prime_sum's tail, and only M reads the grid:
-a worker returns each k's (y, tail, term count), while the parent sums
-M's grid, the one full-range pass, and then adds M(y) + tail in k order.
-Each float comes from the same operations in the same order as in one
-process, so no bit of a column depends on ``threads``.
+a worker returns each k's (y, tail, term count) or each grid piece's
+sum, while the parent adds the piece sums into M's grid in order and
+then adds M(y) + tail in k order. With one worker the same tasks run
+through the builtin ``map``. Each float comes from the same operations
+in the same order as in one process, so no bit of a column depends on
+``threads``.
 """
 
 from __future__ import annotations
@@ -96,7 +102,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -113,8 +119,8 @@ DEFAULT_TERM_CAP = 5_000_000
 # p_27^2 - 1 = 10608 on: every bit of M(y) depends on this value.
 _M_GRID_K0 = 25
 
-# Integers per block of _mobius_blocks (2 MiB of int8 values), unless one
-# piece of M(y)'s running sum is longer.
+# Integers per mu block of _m_tasks and _mobius_array (2 MiB of int8 values),
+# unless one piece of M(y)'s running sum is longer.
 _MOBIUS_BLOCK = 1 << 21
 
 # Integers per np.sum of MoebiusContext's running sum M(y).
@@ -291,31 +297,34 @@ def _squarefree_products(ps, limit: int, term_cap: int = DEFAULT_TERM_CAP
     return d, mu, top
 
 
-def _mobius_blocks(limit: int, primes: np.ndarray, cuts) -> Iterator[np.ndarray]:
-    """mu(n) for cuts[i] <= n < cuts[i+1], one int8 block per i; the cuts ascend to <= limit + 1.
+def _search(primes: np.ndarray, x, side: str = "left"):
+    """np.searchsorted on the ascending primes with the needle x cast to their dtype:
+    a needle of another dtype, a Python int among them, makes numpy copy the list."""
+    return np.searchsorted(primes, np.asarray(x, dtype=primes.dtype), side=side)
 
-    primes is ascending, int64 or float64, and holds every prime <= limit.
-    Phase 1 strikes each block with the primes p <= r = isqrt(limit): it
-    flips the sign of the multiples of p and zeroes the multiples of p^2,
-    which is exact for r-smooth n. Any other n <= limit is q * m with
-    exactly one prime q > r and m <= limit // (r+1) <= r, so mu(n) = -mu(m).
-    Phase 2 writes that at m * q for every squarefree m, over the q whose
-    multiple falls in the block: one searchsorted pair per block finds
-    every m's range of q. Each block is yielded and held nowhere else.
+
+def _mobius_sieve(limit: int, primes: np.ndarray) -> tuple:
+    """(small, large, ms, values): what _mobius_block needs for mu(n) over any n <= limit.
+
+    primes is ascending, int32, int64 or float64, and holds every prime
+    <= limit. Phase 1 strikes each block with the primes p in small, those
+    <= r = isqrt(limit): it flips the sign of the multiples of p and zeroes
+    the multiples of p^2, which is exact for r-smooth n. Any other n <= limit
+    is q * m with exactly one prime q > r, from large, and m <= limit // (r+1)
+    <= r, so mu(n) = -mu(m). Phase 2 writes that at m * q for every
+    squarefree m, listed in ms with values = -mu(ms).
     """
     r = math.isqrt(limit)
-    primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
-    n_small = int(np.searchsorted(primes, r, side="right"))
+    primes = primes[: int(_search(primes, limit, side="right"))]
+    n_small = int(_search(primes, r, side="right"))
     small, large = primes[:n_small].astype(np.int64).tolist(), primes[n_small:]
     mu_m = _strike(0, limit // (r + 1) + 1, small)  # every such m is r-smooth
     ms = np.flatnonzero(mu_m)
-    values = -mu_m[ms]
-    for lo, end in zip(cuts, cuts[1:]):
-        yield _mobius_block(lo, end, small, large, ms, values)
+    return small, large, ms, -mu_m[ms]
 
 
 def _strike(lo: int, end: int, small: list) -> np.ndarray:
-    """Phase 1 of _mobius_blocks over [lo, end): mu(n) up to the factors above small[-1]."""
+    """Phase 1 of _mobius_sieve over [lo, end): mu(n) up to the factors above small[-1]."""
     block = np.ones(end - lo, dtype=np.int8)
     for p in small:
         flip = block[_first_multiple(p, lo) :: p]
@@ -329,18 +338,19 @@ def _strike(lo: int, end: int, small: list) -> np.ndarray:
 
 def _mobius_block(lo: int, end: int, small: list, large: np.ndarray,
                   ms: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Both phases of _mobius_blocks over [lo, end); values[i] is -mu(ms[i]).
+    """mu(n) for lo <= n < end as int8, by both phases of _mobius_sieve.
 
     Phase 2 lists each m's q in one slice of large, from one searchsorted
     pair over all m. Consecutive m are written together, in runs of at
     most len(block) // 32 products, so a run's index arrays stay within
     half the block's bytes; an m with more products runs alone. The
-    products q * m take large's dtype; in float64 they are exact, being
-    at most limit < 2^53, and each run is cast to int64 once.
+    products q * m are at most end - 1 <= limit, so exact in large's
+    dtype (int32 below 2^31, float64 below 2^53), and each run is cast to
+    int64 once.
     """
     block = _strike(lo, end, small)
-    firsts = np.searchsorted(large, -(-lo // ms))
-    counts = np.searchsorted(large, (end - 1) // ms, side="right") - firsts
+    firsts = _search(large, -(-lo // ms))
+    counts = _search(large, (end - 1) // ms, side="right") - firsts
     cum = np.cumsum(counts)  # products written up to each m
     run, a = max(1, len(block) // 32), 0
     while a < len(ms):
@@ -362,9 +372,10 @@ def _mobius_block(lo: int, end: int, small: list, large: np.ndarray,
 
 
 def _mobius_array(limit: int, primes: np.ndarray) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit (int8): _mobius_blocks cut every _MOBIUS_BLOCK integers, joined."""
-    cuts = [*range(0, limit + 1, _MOBIUS_BLOCK), limit + 1]
-    return np.concatenate(list(_mobius_blocks(limit, primes, cuts)))
+    """mu(n) for 0 <= n <= limit (int8): _mobius_block every _MOBIUS_BLOCK integers, joined."""
+    sieve = _mobius_sieve(limit, primes)
+    return np.concatenate([_mobius_block(lo, min(lo + _MOBIUS_BLOCK, limit + 1), *sieve)
+                           for lo in range(0, limit + 1, _MOBIUS_BLOCK)])
 
 
 def _first_multiple(m: int, lo: int) -> int:
@@ -372,35 +383,29 @@ def _first_multiple(m: int, lo: int) -> int:
     return max(m, lo + (-lo) % m) - lo
 
 
-def _m_running(acc: float, ends: list, limit: int, primes: np.ndarray) -> list:
-    """acc, then acc plus the sum of mu(m)/m up to each later end of the ascending ends.
+def _m_tasks(ends: list) -> list:
+    """The integers from ends[0] + 1 to ends[-1] as M's pieces, one (lo, pieces) task per block.
 
-    Each segment between consecutive ends is cut into _M_CHUNK pieces from
-    its own start, and each piece's np.sum is added to the running float.
-    mu comes from _mobius_blocks (limit and primes as there) in blocks of
-    whole pieces, about _MOBIUS_BLOCK integers each, so no piece crosses a
-    block seam. A piece's floats are dropped once summed, and a block
-    before the next one is sieved.
+    Each segment between consecutive ends of the ascending ends is cut into
+    pieces [pos, end) of _M_CHUNK integers from its own start. A block holds
+    whole pieces from lo, about _MOBIUS_BLOCK integers (a longer piece is a
+    block of its own), so no piece crosses a block seam.
     """
-    pieces = [(pos, min(g1 + 1, pos + _M_CHUNK))
-              for g0, g1 in zip(ends, ends[1:]) for pos in range(g0 + 1, g1 + 1, _M_CHUNK)]
-    cuts = [ends[0] + 1]
-    for pos, end in pieces:
-        if end - cuts[-1] > _MOBIUS_BLOCK and pos > cuts[-1]:
-            cuts.append(pos)
-    cuts.append(ends[-1] + 1)
-    sums, blocks, block = [acc], _mobius_blocks(limit, primes, cuts), None
-    for pos, end in pieces:
-        if block is None or end > lo + len(block):
-            block = None
-            block, lo = next(blocks), pos
-        # The quotients of mu.astype(float64) /= arange, without a second float array.
-        seg = np.arange(pos, end, dtype=np.float64)
-        acc += float(np.sum(np.divide(block[pos - lo : end - lo], seg, out=seg)))
-        del seg
-        if end > ends[len(sums)]:  # the piece closes a segment
-            sums.append(acc)
-    return sums
+    tasks = []
+    for g0, g1 in zip(ends, ends[1:]):
+        for pos in range(g0 + 1, g1 + 1, _M_CHUNK):
+            end = min(g1 + 1, pos + _M_CHUNK)
+            if not tasks or end - tasks[-1][0] > _MOBIUS_BLOCK:
+                tasks.append((pos, []))
+            tasks[-1][1].append((pos, end))
+    return tasks
+
+
+def _grid_block(task: tuple) -> list:
+    """MoebiusContext._piece_sums of one _m_tasks task, on the context shared by
+    legendre_scan's pool."""
+    context, _ = sieve_core._shared
+    return context._piece_sums(*task)
 
 
 def _pairwise_sum(leaf, lo: int, n: int) -> float:
@@ -421,11 +426,11 @@ class MoebiusContext:
     """Shared sieves for truncated sums and divisor counts at bounds <= limit+1.
 
     Built once per scan; supports every k whose bound p_{k+1}^2 - 1 is
-    at most ``limit``. It holds every prime up to ``limit`` in one
-    float64 list, exact below 2^53 (``limit`` stays below 2^31), and both
-    mu sieves take their primes from that list: the small prefix tables
-    at build, and the block stream that the first m_full call sums over
-    the module docstring's grid, keeping only M at each grid end.
+    at most ``limit``. It holds every prime up to ``limit`` in one int32
+    list (``limit`` stays below 2^31), and both mu sieves take their
+    primes from that list: the small prefix tables at build, and the
+    blocks of the module docstring's grid, which sum_grid (or the first
+    m_full call) sums, keeping only M at each grid end.
     """
 
     MIN_LIMIT = 4  # smallest limit a context is built for
@@ -434,7 +439,7 @@ class MoebiusContext:
         if limit < self.MIN_LIMIT:
             raise DomainError("moebius context limit too small")
         if limit >= 1 << 31:
-            # Its prime list and the list's build take about 0.6 bytes per integer
+            # Its prime list and the list's build take about 0.3 bytes per integer
             # (peak RSS, limit 1.95e7 to 6.28e7); mu is only ever a block.
             raise ResourceError(f"moebius context limit {limit} is 2^31 or more")
         self.limit = limit
@@ -442,10 +447,10 @@ class MoebiusContext:
         if root > table.bound:
             raise DomainError("prime table too small for moebius context")
         base = table.primes[: table.count_upto(root)]
-        # Primes up to limit, for the single-large-factor correction; float64,
-        # so that truncated_sum divides by them without a cast.
-        self.primes = _prime_list(0, limit + 1, base, dtype=np.float64)
-        self._leaf = np.empty(min(len(self.primes), _SUM_LEAF))  # truncated_sum's terms
+        # Primes up to limit, for the single-large-factor correction; int32
+        # holds them exactly, and prime_sum casts each leaf's q to float64 once.
+        self.primes = _prime_list(0, limit + 1, base, dtype=np.int32)
+        self._leaf = np.empty(min(len(self.primes), _SUM_LEAF))  # prime_sum's terms
         # Small prefix tables cover every reduced argument (B-1)//q < p_{k+1}.
         small_cap = root + 1
         mu_small = _mobius_array(small_cap, self.primes)
@@ -454,22 +459,65 @@ class MoebiusContext:
         self._m_small = np.cumsum(contrib)             # M(t) for t <= small_cap
         self._sq_small = np.cumsum(mu_small != 0)      # squarefree count <= t
         self._mu_small = mu_small
-        self._m_grid: Optional[tuple] = None  # (grid ends, M at each end)
+        self._sieve = _mobius_sieve(limit, self.primes)  # mu over any block up to limit
+        top = int(_search(self.primes, math.isqrt(limit + 1), side="right"))
+        squares = self.primes[_M_GRID_K0 + 1 : top].astype(np.int64) ** 2
+        self._grid_ends = [0, *(squares - 1).tolist()]  # M's grid, up to the limit
+        self._grid_m: Optional[list] = None  # M at each grid end, once summed
         self._last_lattice: tuple = (None, None)
 
     def m_full(self, y: int) -> float:
         """M(y) = sum_{m <= y} mu(m)/m: the running sum at the last grid end <= y plus its tail."""
         if not 0 <= y <= self.limit:
             raise DomainError(f"M({y}) outside the context's range [0, {self.limit}]")
-        if self._m_grid is None:
-            top = int(np.searchsorted(self.primes, math.isqrt(self.limit + 1), side="right"))
-            ends = [0, *(self.primes[_M_GRID_K0 + 1 : top].astype(np.int64) ** 2 - 1).tolist()]
-            self._m_grid = (ends, _m_running(0.0, ends, self.limit, self.primes))
-        ends, values = self._m_grid
+        if self._grid_m is None:
+            self.sum_grid()
+        ends, values = self._grid_ends, self._grid_m
         i = bisect.bisect_right(ends, y) - 1
         if ends[i] == y:
             return values[i]
-        return _m_running(values[i], [ends[i], y], self.limit, self.primes)[-1]
+        return self._m_running(values[i], [ends[i], y])[-1]
+
+    def sum_grid(self, imap=None) -> None:
+        """Sum M's running sum over the module docstring's grid and keep M at each end;
+        imap as in _m_running."""
+        self._grid_m = self._m_running(0.0, self._grid_ends, imap)
+
+    def _m_running(self, acc: float, ends: list, imap=None) -> list:
+        """acc, then acc plus the sum of mu(m)/m up to each later end of the ascending ends.
+
+        The _m_tasks blocks' piece sums are added to the running float in
+        task order. imap maps _grid_block over the tasks on legendre_scan's
+        pool; without it this process sums them with the same tasks.
+        """
+        tasks = _m_tasks(ends)
+        block_sums = (imap(_grid_block, tasks) if imap is not None
+                      else itertools.starmap(self._piece_sums, tasks))
+        sums = [acc]
+        for (_, pieces), piece_sums in zip(tasks, block_sums):
+            for (_, end), piece_sum in zip(pieces, piece_sums):
+                acc += piece_sum
+                if end > ends[len(sums)]:  # the piece closes a segment
+                    sums.append(acc)
+        return sums
+
+    def _piece_sums(self, lo: int, pieces: list) -> list:
+        """np.sum of mu(m)/m over each piece [pos, end) of one _m_tasks block from lo.
+
+        mu is one _mobius_block, and a piece's floats are dropped once summed.
+        """
+        block = _mobius_block(lo, pieces[-1][1], *self._sieve)
+        sums = []
+        for pos, end in pieces:
+            # The quotients of mu.astype(float64) /= arange, without a second float array.
+            seg = np.arange(pos, end, dtype=np.float64)
+            sums.append(float(np.sum(np.divide(block[pos - lo : end - lo], seg, out=seg))))
+            del seg
+        return sums
+
+    def prime_count(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The number of primes in [lo, hi) for each pair of the arrays lo <= hi <= limit + 1."""
+        return _search(self.primes, hi) - _search(self.primes, lo)
 
     def _lattice(self, k: int, bound: int,
                  table: PrimeTable) -> tuple[int, np.ndarray, np.ndarray, int, int]:
@@ -488,9 +536,9 @@ class MoebiusContext:
             y = bound - 1
             if y > self.limit:
                 raise DomainError(f"bound {bound} beyond context limit {self.limit}")
-            i0 = int(np.searchsorted(self.primes, p_next))
+            i0 = int(_search(self.primes, p_next))
             ts = np.arange(y // p_next, 0, -1, dtype=np.int64)
-            ends = np.searchsorted(self.primes, y // ts, side="right")
+            ends = _search(self.primes, y // ts, side="right")
             counts = np.diff(ends, prepend=i0)
             self._last_lattice = ((k, bound), (y, ts, counts, i0, i0 + int(counts.sum())))
         return self._last_lattice[1]
@@ -509,10 +557,12 @@ class MoebiusContext:
         q in [p_{k+1}, y], which truncated_sum adds to M(y).
 
         The terms are added over the ascending q in np.sum's pairwise order,
-        a leaf of at most _SUM_LEAF terms at a time: M is read once per
-        lattice point from the small prefix table, and a point with
-        _DENSE_COUNT primes or more divides it by its slice of q directly.
-        It never reads M's grid, so a forked worker can run it alone.
+        a leaf of at most _SUM_LEAF terms at a time: the leaf's q are cast
+        to float64 once, into the leaf buffer, and each term is divided in
+        place. M is read once per lattice point from the small prefix
+        table, and a point with _DENSE_COUNT primes or more divides it by
+        its slice of q directly. It never reads M's grid, so a forked
+        worker can run it alone.
         """
         y, ts, counts, i0, i1 = self._lattice(k, bound, table)
         qs, m_t, ends = self.primes[i0:i1], self._m_small[ts], np.cumsum(counts)
@@ -522,6 +572,8 @@ class MoebiusContext:
         split = int(ends[sparse[-1]]) if len(sparse) else 0
 
         def leaf(lo: int, n: int) -> np.ndarray:
+            terms = self._leaf[:n]
+            terms[:] = qs[lo : lo + n]
             pos, hi = lo, lo + n
             while pos < hi:
                 j = int(np.searchsorted(ends, pos, side="right"))  # the point of term pos
@@ -532,9 +584,10 @@ class MoebiusContext:
                     m = np.repeat(m_t[j:jb], c)
                 else:
                     end, m = min(int(ends[j]), hi), m_t[j]
-                np.divide(m, qs[pos:end], out=self._leaf[pos - lo : end - lo])
+                q = terms[pos - lo : end - lo]
+                np.divide(m, q, out=q)
                 pos = end
-            return self._leaf[:n]
+            return terms
 
         return y, _pairwise_sum(leaf, 0, len(qs))
 
@@ -663,15 +716,16 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -
     rows = _enumerated_rows(listed, table) if listed else []  # (sum, terms) per k
     context = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
     if tasks:
-        with _worker_map(threads, len(tasks), shared=(context, table)) as imap:
+        blocks = len(_m_tasks(context._grid_ends))
+        with _worker_map(threads, len(tasks) + blocks, shared=(context, table)) as imap:
             tails = imap(_context_prime_sums, tasks)
-            context.m_full(context.limit)  # sums M's grid, whose last end is the limit
+            context.sum_grid(imap)  # every row's y is a grid end
             for y, tail, terms in itertools.chain.from_iterable(tails):
                 rows.append((context.m_full(y) + tail, terms))
     tsums, terms = zip(*rows)
     lo, hi = (table.primes[k_from - 1 + i : k_to + i] ** 2 for i in (0, 1))
     log_hi = np.array([math.log(x) for x in hi])  # math.log: np.log may differ in the last bit
-    pi_k = np.searchsorted(context.primes, hi) - np.searchsorted(context.primes, lo)
+    pi_k = context.prime_count(lo, hi)
     return ScanSeries(label="legendre_scan", columns={
         "k": np.arange(k_from, k_to + 1), "length": hi - lo,
         "ratio_full": analytic.mertens_products(k_to, table)[k_from:] * log_hi,

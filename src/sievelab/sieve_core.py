@@ -321,6 +321,10 @@ _WHEEL_PRESIEVE = (7, 11, 13, 17)
 # is one block.
 _BLOCK_SLOTS = 1 << 21
 
+# Row slots per np.flatnonzero of ``_prime_list``: its int64 positions stay
+# within 512 KiB, whatever the block.
+_LIST_SLOTS = 1 << 16
+
 # Base primes from here on strike each block with one shared scatter. This,
 # _BLOCK_SLOTS and _WHEEL_PRESIEVE come from a sweep of thresholds 2^11..2^15,
 # blocks of 2^19..2^21 rows and presieves through 17 or 19 on 2^25-integer
@@ -582,24 +586,27 @@ def _prime_list(lo: int, end: int, base_primes, dtype=np.int64) -> np.ndarray:
     """The primes of [lo, end) as an ascending array of ``dtype``.
 
     ``base_primes`` is ascending and must hold every prime up to
-    sqrt(end - 1). Requires lo >= 0. Each row block of ``_wheel_rows``
-    gives the primes 30*(m_lo + a + i) + r at its True flags i below
-    ``end``, written straight into one array of ``_prime_count_bound``
-    entries after the primes 2, 3 and 5, which have no row; that array is
-    shrunk in place to the primes found, sorted and returned, so it owns
-    exactly its primes.
+    sqrt(end - 1); ``dtype`` must hold end - 1. Requires lo >= 0. Each row
+    block of ``_wheel_rows`` gives the primes 30*(m_lo + a + i) + r at its
+    True flags i below ``end``, found ``_LIST_SLOTS`` slots at a time and
+    written straight into one array of ``_prime_count_bound`` entries
+    after the primes 2, 3 and 5, which have no row; that array is shrunk
+    in place to the primes found, sorted and returned, so it owns exactly
+    its primes.
     """
     out = np.empty(_prime_count_bound(lo, end), dtype=dtype)
     rowless = [q for q in _ROWLESS_PRIMES if lo <= q < end]
     out[: len(rowless)] = rowless
     n, m_lo = len(rowless), lo // _WHEEL
     for r, a, block in _wheel_rows(lo, end, base_primes):
-        primes = np.flatnonzero(block[: (end - r + _WHEEL - 1) // _WHEEL - m_lo - a])
-        primes += m_lo + a
-        primes *= _WHEEL
-        primes += r
-        out[n : n + len(primes)] = primes
-        n += len(primes)
+        block = block[: (end - r + _WHEEL - 1) // _WHEEL - m_lo - a]
+        for s in range(0, len(block), _LIST_SLOTS):
+            primes = np.flatnonzero(block[s : s + _LIST_SLOTS])
+            primes += m_lo + a + s
+            primes *= _WHEEL
+            primes += r
+            out[n : n + len(primes)] = primes
+            n += len(primes)
     out.resize(n, refcheck=False)
     out.sort()
     return out

@@ -87,6 +87,19 @@ def test_columns_are_read_only(set200):
             getattr(set200, name)[0] = 0
 
 
+def test_columns_are_views_of_arrays_of_their_dtype(set200):
+    # A fresh int64 or float64 column is shared, not copied, and the caller's
+    # array stays writeable; a column of another dtype is converted.
+    cols = {name: np.array(getattr(set200, name)) for name in IntervalSet.COLUMNS}
+    cols["pi_k"] = cols["pi_k"].astype(np.int32)
+    view = IntervalSet(cols)
+    for name, col in cols.items():
+        assert np.shares_memory(getattr(view, name), col) == (name != "pi_k"), name
+        assert col.flags.writeable, name
+    assert view.pi_k.dtype == np.int64
+    assert np.array_equal(view.pi_k, set200.pi_k)
+
+
 def test_pi_matches_coprime_count(table_small, set200):
     for k in range(1, 31):
         r = set200.record(k)

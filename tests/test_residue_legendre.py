@@ -328,7 +328,7 @@ def test_truncated_sum_equals_depth_first_reference(table, k, frac):
 def test_moebius_context_primes(table_small, limit):
     base = table_small.primes[: table_small.count_upto(math.isqrt(limit))]
     ctx = MoebiusContext(limit, table_small)
-    assert ctx.primes.dtype == np.float64
+    assert ctx.primes.dtype == np.int32
     assert ctx.primes.tolist() == np.flatnonzero(mark_primality(0, limit, base)).tolist()
     assert ctx.primes.base is None  # owns exactly its primes, no reserved tail
 
@@ -381,10 +381,10 @@ def test_one_rule_for_sums_and_counts(table, ctx300, k):
 
 
 def _assert_mobius_matches_reference(table, limit):
-    # The context passes float64 primes; the int64 list gives the same mu.
+    # The context passes int32 primes; int64 and float64 lists give the same mu.
     base = table.primes[: table.count_upto(math.isqrt(limit))]
     expected = mobius_array(limit, base)
-    for dtype in (np.int64, np.float64):
+    for dtype in (np.int32, np.int64, np.float64):
         got = _mobius_array(limit, _prime_list(0, limit + 1, base, dtype))
         assert got.dtype == np.int8
         assert np.array_equal(got, expected), (limit, dtype)
@@ -607,6 +607,60 @@ def test_truncated_sum_holds_no_term_array(table):
             tracemalloc.stop()
     assert peaks[600] <= 1 << 20, peaks
     assert peaks[600] - peaks[300] <= 64 * (table.nth(601) - table.nth(301)), peaks
+
+
+def test_context_searches_copy_no_prime_list(table, ctx300):
+    # Each binary search on the int32 prime list casts its needle to int32:
+    # numpy copies the whole list for a needle of another dtype, a Python int
+    # among them, which is twice the list's bytes as int64.
+    k, bound = 300, table.nth(301) ** 2
+    lo, hi = (table.primes[i : 300 + i] ** 2 for i in (0, 1))
+    ctx300.sum_grid()
+    y = ctx300._grid_ends[-2] + 1000  # off the grid: M sieves a short tail
+    calls = {"_lattice": lambda: ctx300._lattice(k, bound, table),
+             "prime_sum": lambda: ctx300.prime_sum(k, bound, table),
+             "term_count": lambda: ctx300.term_count(k, bound, table),
+             "m_full": lambda: ctx300.m_full(y),
+             "prime_count": lambda: ctx300.prime_count(lo, hi)}
+    for name, call in calls.items():
+        ctx300._last_lattice = (None, None)
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ctx300.primes.nbytes // 4, (name, peak)
+
+
+def test_legendre_scan_sums_m_grid_on_the_pool(table, monkeypatch, tmp_path):
+    # With the pool open the workers sieve every mu block of M's grid and the
+    # parent only adds their piece sums in order: its grid is a serial
+    # context's bit for bit, and it sieves no block while the pool is open.
+    parent, log, contexts = os.getpid(), tmp_path / "blocks", []
+    real_block, real_sum_grid = residue_legendre._mobius_block, MoebiusContext.sum_grid
+
+    def logged_block(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {sieve_core._shared is not None}\n")
+        return real_block(*args)
+
+    def kept_sum_grid(self, imap=None):
+        contexts.append(self)
+        return real_sum_grid(self, imap)
+
+    monkeypatch.setattr(residue_legendre, "_mobius_block", logged_block)
+    monkeypatch.setattr(MoebiusContext, "sum_grid", kept_sum_grid)
+    legendre_scan(180, 230, table, threads=2)
+    (pooled,) = contexts
+    serial = MoebiusContext(pooled.limit, table)
+    serial.m_full(serial.limit)
+    assert pooled._grid_ends == serial._grid_ends
+    assert pooled._grid_m == serial._grid_m
+    blocks = [(int(pid), pool_open == "True")
+              for pid, pool_open in map(str.split, log.read_text().splitlines())]
+    assert (parent, True) not in blocks
+    assert {pid for pid, pool_open in blocks if pool_open} - {parent}
 
 
 @pytest.mark.parametrize("k_to", [25, 200])
