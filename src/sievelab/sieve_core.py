@@ -16,13 +16,13 @@ Two marking disciplines live here and must not be confused:
   square root of the window's end, exactly its primes. Every primality
   count and prime list in the package comes from this one kernel.
   ``_prime_list`` turns the rows into one sorted array of primes, for
-  ``build_prime_table``, ``gap_series`` in ``stats_lab`` and
-  ``MoebiusContext``.
+  ``build_prime_table``, ``gap_series`` and ``maier_scan`` in
+  ``stats_lab``, and ``MoebiusContext``.
   ``_primes_below`` sums them into the primes below a list of bounds:
-  struck with every base prime for ``partial_counts`` in ``intervals``
-  and ``maier_scan`` in ``stats_lab``, and only below the cube root of
-  the window's end for the interval scan and ``count_primes_upto``,
-  which subtract the semiprimes this leaves (below).
+  struck with every base prime for ``partial_counts`` in ``intervals``,
+  and only below the cube root of the window's end for the interval
+  scan and ``count_primes_upto``, which subtract the semiprimes this
+  leaves (below).
   ``_semiprime_lookup`` packs the rows into the prime-count table that
   the subtraction reads.
 
@@ -61,7 +61,7 @@ Math. 3 (1959); M. Deleglise and J. Rivat, Math. Comp. 65 (1996)). A
 2^25-integer scan chunk at k = 5000 then strikes with about 200 primes
 instead of 5000, and below k of about 6*10^4 no chunk reaches the
 scatter tier. A lone window much shorter than (end - 1)^(2/3) does not
-repay the table, so ``maier_scan`` and ``partial_counts`` strike fully.
+repay the table, so ``partial_counts`` strikes fully.
 
 The coprime counter keeps one flag per odd integer. It starts each
 window as a rotated copy of an odd presieve pattern in which the odd
@@ -98,7 +98,6 @@ index arguments are named ``k`` and documented as 1-based.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import ctypes
 import functools
@@ -332,10 +331,6 @@ _LIST_SLOTS = 1 << 16
 # no gain above the noise.
 _SCATTER_MIN = 1 << 13
 
-# A block cut by fewer bounds than one per this many slots is counted
-# segment by segment; denser cuts are looked up among its primes' positions.
-_SPARSE_CUTS = 1 << 10
-
 
 @functools.cache
 def _presieve_pattern(primes: tuple) -> np.ndarray:
@@ -471,12 +466,10 @@ def _wheel_rows(lo: int, end: int, base_primes):
 def _prefix_counts(block: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """``count_nonzero(block[:c])`` for every c of the ascending int64 ``cuts``.
 
-    Each c lies in [0, len(block)]. A few cuts split the block into
-    segments counted one by one; many are looked up among the positions
-    of the True flags.
+    Each c lies in [0, len(block)]. The distinct cuts split the block into
+    segments, counted one by one; the counters' bounds are far fewer than
+    a block's slots.
     """
-    if len(cuts) * _SPARSE_CUTS >= len(block):
-        return np.searchsorted(np.flatnonzero(block), cuts)
     inner = np.unique(cuts[cuts > 0])
     edges = inner.tolist()
     below = np.cumsum([np.count_nonzero(block[a:b])
@@ -615,16 +608,17 @@ def _prime_list(lo: int, end: int, base_primes, dtype=np.int64) -> np.ndarray:
 def _prime_count_bound(lo: int, end: int) -> int:
     """An upper bound on the number of primes in [lo, end).
 
-    It is 3, for 2, 3 and 5, plus the smaller of Rosser and Schoenfeld's
-    pi(x) < 1.25506 x / ln x at x = end - 1 (Illinois J. Math. 6, 1962)
-    and the number of integers in [lo, end) coprime to 30. The second
-    keeps a narrow window far from 0 from reserving a list sized for every
-    prime below its end.
+    The smaller of two published bounds, plus one for rounding: Dusart's
+    pi(x) <= x/ln x (1 + 1.2762/ln x) for x > 1 (thesis, Limoges 1998) at
+    x = end - 1, and Montgomery and Vaughan's pi(z + y) - pi(z) <= 2y/ln y
+    for y > 1 (Mathematika 20, 1973) over the y = end - lo integers from
+    z + 1 = lo. The second keeps a narrow window far from 0 from reserving
+    a list sized for every prime below its end.
     """
-    x = end - 1
-    pi_bound = int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
-    below = [8 * (n // _WHEEL) + bisect.bisect_left(_RESIDUES, n % _WHEEL) for n in (lo, end)]
-    return len(_ROWLESS_PRIMES) + min(pi_bound, max(below[1] - below[0], 0))
+    x, y = end - 1, end - lo
+    dusart = x / math.log(x) * (1 + 1.2762 / math.log(x)) if x > 1 else 0
+    montgomery_vaughan = 2 * y / math.log(y) if y > 1 else max(y, 0)
+    return int(min(dusart, montgomery_vaughan)) + 1
 
 
 # Starts are split into little-endian digits of this many bits.

@@ -2,11 +2,11 @@
 
 Everything here transforms already-computed interval data into labeled
 sets of numpy columns (``ScanSeries``) that back the dataset CSVs:
-density scans over Maier windows [x, x + (log x)^lambda], the prime gaps
-inside one s_k (``gap_series``, read from ``sieve_core._prime_list``) and
-their moving averages, moment-fitted empirical densities, lag
-correlations of the deviation sequence pi_k - li_k, and the normalized
-bias curves.
+density scans over Maier windows (x, x + (log x)^lambda] and the prime
+gaps inside one s_k (``maier_scan`` and ``gap_series``, both read off
+the primes of s_k from ``sieve_core._prime_list``), moving averages,
+moment-fitted empirical densities, lag correlations of the deviation
+sequence pi_k - li_k, and the normalized bias curves.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import analytic
 from .errors import DomainError
 from .intervals import IntervalSet, _read_only
-from .sieve_core import PrimeTable, _prime_list, _primes_below
+from .sieve_core import PrimeTable, _prime_list
 
 # Halvings per crossing in phi_vs_lengths.
 _BISECT_ITERS = 80
@@ -90,12 +90,13 @@ class MaierScan:
 def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierScan:
     """Scan s_k with windows of length (log x)^lam.
 
-    Counts come from one pass of the wheel counter over s_k; the scan
-    step only subsamples x (default ceil(Phi(p_k^2)/100)). x ranges over
-    [p_k^2, p_{k+1}^2 - Phi(x)), which leaves the last stretch of the
-    interval unscanned by construction. A non-finite lam, or a window
-    length Phi(p_k^2) that overflows, underflows to 0 or does not fit
-    inside s_k, raises DomainError, and so does a negative step.
+    Counts are read off the primes of s_k (``sieve_core._prime_list``)
+    with two binary searches per window; the scan step only subsamples x
+    (default ceil(Phi(p_k^2)/100)). x ranges over [p_k^2, p_{k+1}^2 -
+    Phi(x)), which leaves the last stretch of the interval unscanned by
+    construction. A non-finite lam, or a window length Phi(p_k^2) that
+    overflows, underflows to 0 or does not fit inside s_k, raises
+    DomainError, and so does a negative step.
     """
     if not math.isfinite(lam):
         raise DomainError(f"lambda must be finite, got {lam}")
@@ -116,19 +117,16 @@ def maier_scan(k: int, lam: float, table: PrimeTable, step: int = 0) -> MaierSca
     upper = np.floor(xs + logs ** lam).astype(np.int64)
     keep = upper <= hi
     xs, logs, upper = xs[keep], logs[keep], upper[keep]
-    # primes in (x, x + phi] = primes in [lo, upper + 1) - primes in [lo, x + 1),
-    # counted in one pass over s_k along with pi_k = primes in [lo, hi + 1).
-    # Each window end is overwritten by the primes below it.
-    below = np.concatenate((xs + 1, upper + 1, [hi + 1]))
-    order = np.argsort(below, kind="stable")
-    below[order] = _primes_below(lo, below[order], table.first(k))
-    counts = below[len(xs) : 2 * len(xs)] - below[: len(xs)]
+    primes = _prime_list(lo, hi + 1, table.first(k))
+    # primes in (x, x + phi] = primes <= upper - primes <= x
+    counts = np.searchsorted(primes, upper, side="right")
+    counts -= np.searchsorted(primes, xs, side="right")
     ratios = counts / logs ** (lam - 1.0)
     series = ScanSeries(label=f"maier_k{k}", columns={"x": xs, "ratio": ratios, "count": counts})
     up, down = float(np.max(ratios) - 1.0), float(1.0 - np.min(ratios))
     return MaierScan(
         k=k, lam=lam, step=step, phi_start=phi_lo, phi_end=math.log(hi) ** lam, ratios=series,
-        whole_interval_ratio=int(below[-1]) / ((hi - lo + 1) / math.log(p_next * p_next)),
+        whole_interval_ratio=len(primes) / ((hi - lo + 1) / math.log(p_next * p_next)),
         up_deviation=up, down_deviation=down, delta=min(up, down),
     )
 

@@ -19,8 +19,9 @@ import sympy
 import sievelab as sl
 from sievelab import cli
 from sievelab.cli import main as cli_main
+from sievelab.intervals import DEFAULT_CHUNK_ENTRIES, _chunk_bounds
 
-from _oracles import lucy_pi
+from _oracles import _odd_blocks, lucy_pi
 
 ACCEPT_KMAX = 10_000
 _cache = {}
@@ -189,6 +190,32 @@ def test_rows_match_lucy_hedgehog_every_1000th_k(set10k):
         x = set10k.record(k).p_next ** 2 - 1
         assert int(set10k.pi_cum[k - 1]) == lucy_pi(x), k
     assert lucy_pi(set10k.record(ACCEPT_KMAX).p_next ** 2) == 497138058
+
+
+# Blocks of 25 consecutive k checked row by row: the scan's first block,
+# then blocks that each straddle a chunk seam of the default scan to 10^4.
+# 1016..1040 also holds k = 1028 and 1029, where p_k passes 8192, the
+# wheel's scatter threshold.
+_ROW_BLOCKS = (1, 748, 1016, 1220, 1380, 1530, 1660, 1984, 2090, 2490, 2560, 3006, 3490,
+               3984, 4990, 5990, 6990, 7990, 8990, 9976)
+
+
+def test_rows_match_the_odds_only_sieve_on_fixed_blocks(set10k, table):
+    # _oracles._odd_blocks is the package's former odds-only kernel, kept
+    # with its own presieve, blocking and strikes: it shares no code with the
+    # mod-30 wheel or the semiprime subtraction that counted set10k.
+    seams = [k for k, _ in _chunk_bounds(1, ACCEPT_KMAX, table, DEFAULT_CHUNK_ENTRIES)]
+    for start in _ROW_BLOCKS:
+        assert start == 1 or any(start < k < start + 25 for k in seams), start
+        sq = table.primes[start - 1 : start + 25] ** 2
+        lo, end = int(sq[0]), int(sq[-1])
+        cuts = ((sq - (lo | 1) + 1) // 2).tolist()  # the odd slots below each square
+        counts = [0] * 25
+        for a, block in _odd_blocks(lo, end - 1, table.primes[: start + 24]):
+            for j in range(25):
+                segment = block[max(cuts[j] - a, 0) : max(cuts[j + 1] - a, 0)]
+                counts[j] += int(np.count_nonzero(segment))
+        assert counts == set10k.pi_k[start - 1 : start + 24].tolist(), start
 
 
 def test_intervals_kmax_10k_bytes_pinned(set10k, tmp_path, monkeypatch):

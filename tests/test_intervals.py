@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import tracemalloc
@@ -215,12 +214,9 @@ def _oracle_counts(k_lo, ps):
 
 def test_chunk_counts_across_block_seams(table_small, monkeypatch):
     # Small blocks and a low scatter threshold, so that interval bounds, block
-    # edges and scatter strikes meet in every combination; the bounds are
-    # counted both segment by segment and by lookup.
+    # edges and scatter strikes meet in every combination.
     monkeypatch.setattr(sieve_core, "_SCATTER_MIN", 37)
-    for (k_lo, k_hi), sparse_cuts in itertools.product(((1, 12), (1, 40), (9, 30), (200, 203)),
-                                                       (0, 1 << 10)):
-        monkeypatch.setattr(sieve_core, "_SPARSE_CUTS", sparse_cuts)
+    for k_lo, k_hi in ((1, 12), (1, 40), (9, 30), (200, 203)):
         ps = table_small.primes[: k_hi + 1]
         sq = ps[k_lo - 1 :] ** 2
         rows = ((sq - 1) // 30 + 1 - int(sq[0]) // 30).tolist()  # row-1 slots below each square
@@ -230,7 +226,7 @@ def test_chunk_counts_across_block_seams(table_small, monkeypatch):
         for slots in {3, 64, rows[1], rows[1] - 1, rows[1] + 1, rows[2],
                       rows[-1], rows[-1] - 1, rows[-1] // 3, rows[-1] + 5}:
             monkeypatch.setattr(sieve_core, "_BLOCK_SLOTS", max(slots, 1))
-            assert _chunk_counts((k_lo, ps)).tolist() == expected, (k_lo, k_hi, slots, sparse_cuts)
+            assert _chunk_counts((k_lo, ps)).tolist() == expected, (k_lo, k_hi, slots)
 
 
 def test_chunk_counts_match_whole_flags_at_default_blocks(table):

@@ -199,3 +199,12 @@ def test_pool_state_lives_in_sieve_core():
         if path.name == "cli.py":
             for name in ("_pool_size", "_context_tasks", "_draw_ranges"):
                 assert name not in source, name
+
+
+def test_only_the_counters_use_primes_below():
+    # sieve_core._primes_below counts primes below a few bounds, for the
+    # interval scan, partial_counts and count_primes_upto; statistics over
+    # the windows of one interval read its primes off _prime_list.
+    for path in sorted(Path(sievelab.__file__).parent.glob("*.py")):
+        if path.name not in ("intervals.py", "sieve_core.py"):
+            assert "_primes_below" not in path.read_text(encoding="utf-8"), path.name

@@ -28,9 +28,10 @@ from sievelab.residue_legendre import MoebiusContext
 from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _PRESIEVE_PRIMES, _RESIDUES,
                                  _check_coprime_starts, _chunk_digits, _coprime_counts,
                                  _digit_width, _fill_rotated, _icbrt, _pi_from,
-                                 _prefix_counts, _presieve_pattern, _prime_list, _primes_below,
-                                 _rotated_rows, _semiprime_lookup, _semiprimes_below,
-                                 _strike_limit, _strike_offsets, _wheel_pattern, _wheel_rows)
+                                 _prefix_counts, _presieve_pattern, _prime_count_bound,
+                                 _prime_list, _primes_below, _rotated_rows, _semiprime_lookup,
+                                 _semiprimes_below, _strike_limit, _strike_offsets,
+                                 _wheel_pattern, _wheel_rows)
 
 from _oracles import (coprime_survivors, lucy_pi, mark_primality, odd_primality, trial_primes,
                       window_count)
@@ -239,6 +240,26 @@ def test_prime_list_of_a_narrow_window_far_out():
     assert peak <= 8 * (slots + 3) + (1 << 20), (peak, 8 * (slots + 3))
 
 
+def test_prime_count_bound_covers_every_window():
+    # The reservation of _prime_list never falls below the primes of its
+    # window: every window of [0, 500], windows sampled below 10^7 (counted
+    # on the plain sieve), and the context lists of legendre --kmax 600 and
+    # 1000 (counted by the Lucy-Hedgehog recursion).
+    below = np.searchsorted(trial_primes(500), np.arange(501)).tolist()  # primes below n
+    for lo in range(501):
+        for end in range(lo, 501):
+            assert _prime_count_bound(lo, end) >= below[end] - below[lo], (lo, end)
+    primes = np.flatnonzero(mark_primality(0, 10 ** 7 - 1, _BASE))
+    rng = np.random.default_rng(31)
+    lo = rng.integers(0, 10 ** 7, 20_000)
+    end = lo + np.exp(rng.uniform(0, np.log(10 ** 7 - lo))).astype(np.int64)  # log-uniform length
+    counts = np.searchsorted(primes, end) - np.searchsorted(primes, lo)
+    for a, b, count in zip(lo.tolist(), end.tolist(), counts.tolist()):
+        assert _prime_count_bound(a, b) >= count, (a, b)
+    assert _prime_count_bound(0, 4421 ** 2) >= 1_243_513  # p_601; sympy's primepi
+    assert lucy_pi(7927 ** 2 - 1) <= _prime_count_bound(0, 7927 ** 2) <= 3_748_231  # p_1001
+
+
 def _edge_bounds(lo, hi):
     """Bounds in [lo, hi + 1] on, and next to, the row start and every residue of block edges.
 
@@ -283,16 +304,12 @@ def _check_wheel_paths(lo, hi, base=_BASE):
     _check_prime_list(lo, hi, base)
     prefix = np.concatenate(([0], np.cumsum(reference)))
     bounds = _edge_bounds(lo, hi)
-    # Every bound counted segment by segment, then by lookup (the default
-    # for these short blocks), there also below every integer of a short window.
-    for sparse_cuts in (0, sieve_core._SPARSE_CUTS):
-        if sparse_cuts and hi - lo < 2000:
-            bounds = sorted({*bounds, *range(lo, hi + 2)})
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sieve_core, "_SPARSE_CUTS", sparse_cuts)
-            got = _primes_below(lo, bounds, base)
-        assert got.dtype == np.int64
-        assert got.tolist() == prefix[np.array(bounds) - lo].tolist(), (lo, hi, sparse_cuts)
+    # In a short window, also below every integer.
+    if hi - lo < 2000:
+        bounds = sorted({*bounds, *range(lo, hi + 2)})
+    got = _primes_below(lo, bounds, base)
+    assert got.dtype == np.int64
+    assert got.tolist() == prefix[np.array(bounds) - lo].tolist(), (lo, hi)
 
 
 def test_wheel_rows_seams_at_window_starts(small_blocks):
@@ -350,15 +367,12 @@ def test_wheel_inverse_and_patterns():
 @given(
     flags=st.lists(st.booleans(), min_size=1, max_size=300),
     picks=st.lists(st.integers(0, 300), max_size=40),
-    sparse_cuts=st.sampled_from([0, 1, 1 << 10]),
 )
-def test_prefix_counts_match_cumsum(flags, picks, sparse_cuts):
+def test_prefix_counts_match_cumsum(flags, picks):
     block = np.array(flags)
     cuts = np.array(sorted(min(c, len(block)) for c in picks), dtype=np.int64)
     prefix = np.concatenate(([0], np.cumsum(block)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sieve_core, "_SPARSE_CUTS", sparse_cuts)
-        assert _prefix_counts(block, cuts).tolist() == prefix[cuts].tolist()
+    assert _prefix_counts(block, cuts).tolist() == prefix[cuts].tolist()
 
 
 def test_wheel_patterns_are_built_lazily():

@@ -8,6 +8,7 @@ import pytest
 from sievelab import (
     DomainError,
     bias_series,
+    compute_interval_records,
     delta_normalizer,
     empirical_pdf,
     extract_delta,
@@ -22,7 +23,7 @@ from sievelab.randmodel import conjecture_check, variance_comparison
 from sievelab.residue_legendre import legendre_scan
 from sievelab.stats_lab import ScanSeries
 
-from _oracles import bisect_root
+from _oracles import bisect_root, mark_primality
 
 
 def test_scan_series_validation():
@@ -177,6 +178,32 @@ def test_maier_scan_whole_ratio(table, set1000):
     s = maier_scan(500, 3.0, table)
     r = set1000.record(500)
     assert s.whole_interval_ratio == pytest.approx(r.pi_k / r.pnt_estimate, rel=1e-12)
+
+
+def _window_ends(xs, lam):
+    """floor(x + (log x)^lam) for each x: the last integer of each window (x, x + (log x)^lam]."""
+    return np.floor(xs + np.log(xs.astype(np.float64)) ** lam).astype(np.int64)
+
+
+@pytest.mark.parametrize("k", [50, 1028, 1029, 3000])
+def test_maier_counts_match_plain_sieve(table, k):
+    # p_1028 = 8191 is the last base prime below the wheel's scatter tier
+    # (8192), so s_1029 and s_3000 are struck by primes on both sides of it.
+    p, p_next = table.nth(k), table.nth(k + 1)
+    lo, hi = p * p, p_next * p_next - 1
+    prefix = np.concatenate(([0], np.cumsum(mark_primality(lo, hi, table.first(k)))))
+    for lam in (2.0, 3.0):
+        for step in (0, 1):
+            s = maier_scan(k, lam, table, step=step)
+            xs, counts = s.ratios.columns["x"], s.ratios.columns["count"]
+            upper = _window_ends(xs, lam)
+            assert np.array_equal(counts, prefix[upper - lo + 1] - prefix[xs - lo + 1]), (lam, step)
+            # x steps from p_k^2 through the last window that fits inside s_k.
+            assert np.array_equal(xs, np.arange(lo, xs[-1] + 1, s.step))
+            assert upper[-1] <= hi < _window_ends(xs[-1:] + s.step, lam)[0]
+    pi_k = int(compute_interval_records(k, k, table)["pi_k"][0])
+    assert pi_k == prefix[-1]
+    assert s.whole_interval_ratio == pi_k / ((hi - lo + 1) / math.log(p_next * p_next))
 
 
 def test_maier_scan_holds_no_interval_sized_array(table):
