@@ -8,26 +8,30 @@ writes every file through one column writer (header row, LF endings,
 UTF-8; float columns at 15 significant digits, any other with ``str``),
 then the JSON run manifest carrying the command line, seed (null except
 for randmodel), and the sha256 of the bytes written per output. The
-writer formats, writes and hashes a fixed block of rows at a time, and
-the interval checkpoint is read a block of lines at a time, so neither
-holds a whole file as Python objects; the digests come from the
-interpreter's built-in SHA-256, so no command maps OpenSSL. The
-manifest's shell-quoted ``command_line`` is the run's complete input: no
-setting comes from the environment, and a command accepts no flag it
-does not read, save ``--threads``, which maier accepts unread so that
-one flag set drives all seven commands. ``--threads`` sets the worker
-processes of the interval scan, of legendre's context rows (k >= 172)
-and of randmodel's sampled draws, and defaults to the CPUs this process
-may use (``os.sched_getaffinity``); ``main`` runs OpenBLAS on one
-thread, as each worker does. So re-running it reproduces every output
-byte for the same version, regardless of thread count. Outputs are
-renamed into place from a temp file. Each subcommand imports the modules
-it runs when it runs, and the program entry (``console_main``) freezes
+writer formats, writes and hashes ``_BLOCK_ROWS`` (256) rows at a time,
+and the interval checkpoint is appended and read that many lines at a
+time, so none of them holds a whole file as Python objects; the digests
+come from the interpreter's built-in SHA-256, so no command maps
+OpenSSL. The manifest's shell-quoted ``command_line`` is the run's
+complete input: no setting comes from the environment, and a command
+accepts no flag it does not read, save ``--threads``, which maier
+accepts unread so that one flag set drives all seven commands.
+``--threads`` sets the worker processes of the interval scan, of
+legendre's context rows (k >= 172) and of randmodel's sampled draws,
+and defaults to the CPUs this process may use
+(``os.sched_getaffinity``); ``main`` runs OpenBLAS on one thread, as
+each worker does. So re-running it reproduces every output byte for the
+same version, regardless of thread count. Outputs are renamed into
+place from a temp file. Each subcommand imports the modules it runs
+when it runs, and the program entry (``console_main``) freezes
 the start-up heap, so a short command pays for no analysis it skips and
 no collection of numpy's objects. The interval commands run one scan
 from the first k missing in ``--checkpoint``, appending each sieve chunk
-to it as it arrives. Progress goes to stderr, one line per chunk; stdout
-stays quiet.
+to it as it arrives, one formatted line per record (the text ``json.dumps``
+writes for it). A fresh scan's columns become the interval set as they
+are; a resume joins the loaded blocks and the scan's columns with one
+concatenation. Progress goes to stderr, one line per chunk; stdout stays
+quiet.
 
 The manifest's ``run`` block says where the run's time and memory went:
 wall and CPU seconds per stage (``scan``, the interval scan with its
@@ -130,9 +134,12 @@ class _BudgetAction(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-# Rows that _write_csv formats at a time, and checkpoint lines that
-# _checkpoint_load parses at a time: the most either holds as Python objects.
-_BLOCK_ROWS = 1024
+# Rows that _write_csv and _checkpoint_append format at a time, and
+# checkpoint lines that _checkpoint_load parses at a time: the most any of
+# them holds as Python objects. Below 256 the interval pipeline's peak RSS
+# (intervals --kmax 5000 and the commands that read its checkpoint) stops
+# falling; at 1024 it was 0.5 MB higher.
+_BLOCK_ROWS = 256
 
 
 def _sha256():
@@ -325,11 +332,20 @@ def _checkpoint_load(path: Path) -> list:
     return blocks
 
 
+# One checkpoint line per record, as ``json.dumps`` of its dict writes it:
+# the columns hold ints and finite floats, whose JSON text is their repr.
+_CHECKPOINT_LINE = "{" + ", ".join(f'"{name}": %r' for name in _FIELDS) + "}\n"
+
+
 def _checkpoint_append(path: Path, k_from: int, block: dict) -> None:
-    columns = [block[name].tolist() for name in IntervalSet.COLUMNS]
+    """Append the records of ``block``, rows k_from, k_from + 1, ..., to the
+    checkpoint, formatted ``_BLOCK_ROWS`` lines at a time."""
+    n = len(block["pi_k"])
     with path.open("a", encoding="utf-8") as fh:
-        for k, *values in zip(range(k_from, k_from + len(columns[0])), *columns):
-            fh.write(json.dumps(dict(zip(_FIELDS, [k, *values]))) + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            columns = [block[name][lo : lo + _BLOCK_ROWS].tolist() for name in IntervalSet.COLUMNS]
+            rows = zip(range(k_from + lo, k_from + lo + len(columns[0])), *columns)
+            fh.write("".join(_CHECKPOINT_LINE % row for row in rows))
         fh.flush()
 
 
@@ -345,18 +361,19 @@ def _interval_set(args):
         run.resumed_from_k = k_next
         _progress(f"checkpoint: {k_next - 1} records loaded from {ck}")
 
-    def save(k_lo, block):
+    def save(k_lo, rows):
         if ck:
-            _checkpoint_append(ck, k_lo, block)
-        _progress(f"intervals k={k_lo}..{k_lo + len(block['pi_k']) - 1} done")
+            _checkpoint_append(ck, k_lo, rows)
+        _progress(f"intervals k={k_lo}..{k_lo + len(rows['pi_k']) - 1} done")
 
     if k_next <= args.kmax:
         blocks.append(compute_interval_records(k_next, args.kmax, table, threads=args.threads,
                                                chunk_entries=args.segment_size, progress=save))
         run.sieve_entries = table.nth(args.kmax + 1) ** 2 - table.nth(k_next) ** 2
     run.record("scan", start)
-    return IntervalSet({name: np.concatenate([b[name] for b in blocks])[: args.kmax]
-                        for name in IntervalSet.COLUMNS})
+    columns = blocks[0] if len(blocks) == 1 else {
+        name: np.concatenate([b[name] for b in blocks]) for name in IntervalSet.COLUMNS}
+    return IntervalSet({name: column[: args.kmax] for name, column in columns.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ checkpoint append. It does not set the memory a worker uses.
 
 A scan is one loop over its chunks, whose counts come in k order from
 ``sieve_core._worker_map``: ``map``, or one fork pool's ``imap`` (each
-task carries its primes); each chunk's columns go to the caller's
-``progress`` hook as they arrive.
+task carries its primes). The parent allocates the seven columns once
+for the whole k range, writes each chunk's rows into them as its counts
+arrive and hands the caller's ``progress`` hook views of those rows, so
+it holds one copy of the scan's rows, whatever the number of chunks.
 
 All per-interval quantities (pi_k, li_k, the PNT estimate) are computed
 independently per k; neither chunk boundaries nor worker count can
@@ -160,23 +162,21 @@ def _chunk_counts(task) -> np.ndarray:
     return np.diff(_primes_below(int(sq[0]), sq, ps, lookup))
 
 
-def _block(k_lo: int, pi_k: np.ndarray, table: PrimeTable) -> dict:
-    """The ``IntervalSet.COLUMNS`` for k = k_lo, ..., k_lo + len(pi_k) - 1."""
+def _fill_rows(columns: dict, i: int, k_lo: int, pi_k: np.ndarray, table: PrimeTable) -> dict:
+    """Write the rows k = k_lo, ..., k_lo + len(pi_k) - 1 of the
+    ``IntervalSet.COLUMNS`` into ``columns`` from row i on; return views of them."""
+    rows = {name: column[i : i + len(pi_k)] for name, column in columns.items()}
     p_k = table.primes[k_lo - 1 : k_lo - 1 + len(pi_k)]
     p_next = table.primes[k_lo : k_lo + len(pi_k)]
-    length = p_next * p_next - p_k * p_k
+    rows["p_k"][:], rows["p_next"][:], rows["pi_k"][:] = p_k, p_next, pi_k
+    np.subtract(p_next, p_k, out=rows["gap"])
+    np.subtract(p_next * p_next, p_k * p_k, out=rows["length"])
     # li_between per k and math.log on Python ints: np.log can differ from
     # math.log in the last bit, which would change CSV bytes.
     ps, pns = p_k.tolist(), p_next.tolist()
-    return {
-        "p_k": p_k,
-        "p_next": p_next,
-        "gap": p_next - p_k,
-        "length": length,
-        "pi_k": pi_k,
-        "li_k": np.array([analytic.li_between(p * p, q * q) for p, q in zip(ps, pns)]),
-        "pnt_estimate": np.array([l / math.log(q * q) for l, q in zip(length.tolist(), pns)]),
-    }
+    rows["li_k"][:] = [analytic.li_between(p * p, q * q) for p, q in zip(ps, pns)]
+    rows["pnt_estimate"][:] = [l / math.log(q * q) for l, q in zip(rows["length"].tolist(), pns)]
+    return rows
 
 
 def compute_interval_records(
@@ -190,9 +190,13 @@ def compute_interval_records(
     """The ``IntervalSet.COLUMNS`` for k in [k_from, k_to], sieved chunk by chunk.
 
     threads > 1 streams the chunks through one fork pool of at most one
-    worker per chunk; blocks arrive in k order and are bit-identical for
-    any thread count. ``progress(k_lo, block)`` is called once per chunk,
-    in k order, with that chunk's columns starting at k_lo.
+    worker per chunk; counts arrive in k order and are bit-identical for
+    any thread count. ``progress(k_lo, rows)`` is called once per chunk,
+    in k order, with views of that chunk's rows, starting at k_lo, of the
+    returned columns, which are allocated once for the whole range. The
+    scan's prime-count table is built first, so a table beyond
+    ``sieve_core.DEFAULT_MEMORY_BUDGET`` raises ResourceError before any
+    chunk is cut or sieved.
     """
     if k_from < 1 or k_to < k_from:
         raise DomainError(f"bad interval range [{k_from}, {k_to}]")
@@ -200,16 +204,17 @@ def compute_interval_records(
         raise DomainError(f"table holds {len(table)} primes, need {k_to + 1}")
     if chunk_entries < 2:
         raise ResourceError("chunk_entries too small to hold an interval")
+    lookup = _semiprime_lookup(table.nth(k_to + 1) ** 2, table.primes[: k_to + 1])
     chunks = _chunk_bounds(k_from, k_to, table, chunk_entries)
-    tasks = [(k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks]
-    blocks = []
-    with _worker_map(threads, len(tasks), shared=_semiprime_lookup(
-            table.nth(k_to + 1) ** 2, table.primes[: k_to + 1])) as imap:
+    tasks = ((k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks)
+    with _worker_map(threads, len(chunks), shared=lookup) as imap:
+        columns = {name: np.empty(k_to - k_from + 1, dtype=dtype)
+                   for name, dtype in IntervalSet.COLUMNS.items()}
         for (k_lo, _), pi_k in zip(chunks, imap(_chunk_counts, tasks)):
-            blocks.append(_block(k_lo, pi_k, table))
+            rows = _fill_rows(columns, k_lo - k_from, k_lo, pi_k, table)
             if progress:
-                progress(k_lo, blocks[-1])
-    return {name: np.concatenate([b[name] for b in blocks]) for name in IntervalSet.COLUMNS}
+                progress(k_lo, rows)
+    return columns
 
 
 def build_intervals(

@@ -24,7 +24,8 @@ Two marking disciplines live here and must not be confused:
   scan and ``count_primes_upto``, which subtract the semiprimes this
   leaves (below).
   ``_semiprime_lookup`` packs the rows into the prime-count table that
-  the subtraction reads.
+  the subtraction reads, summing its prefix one block at a time, and
+  refuses a table beyond ``DEFAULT_MEMORY_BUDGET`` before building it.
 
 The primality kernel is a mod-30 wheel. It keeps only the integers
 coprime to 30, in eight residue rows, one per r in {1, 7, 11, 13, 17, 19,
@@ -247,7 +248,12 @@ def build_prime_table(bound: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) ->
 
     Args:
         bound: inclusive upper limit, must be >= 2.
-        memory_budget: limit on bound + 1, a flag per integer in bytes.
+        memory_budget: limit in bytes on bound + 1. The rows stream
+            through one block of at most ``_BLOCK_SLOTS`` flags, so what
+            grows with the bound is the int64 list reserved for its
+            primes, 8 bytes per entry of ``_prime_count_bound``; from
+            bound = 10^4 on that list takes fewer than bound + 1 bytes,
+            so the cap bounds it.
 
     Returns:
         PrimeTable with a read-only int64 array that owns exactly its primes.
@@ -502,16 +508,29 @@ def _semiprime_lookup(end: int, base_primes) -> tuple:
     all of its chunks. ``base_primes`` must hold every prime up to
     sqrt(end - 1). The table takes 5 bytes per 30 integers, an int32 list
     of the same primes 7 to 8 bytes, and a count is two gathers instead
-    of a binary search.
+    of a binary search. The prefix is summed ``_LIST_SLOTS`` rows at a
+    time with a carry, so no temporary spans the table. Raises
+    ResourceError before allocating a table of more than
+    ``DEFAULT_MEMORY_BUDGET`` bytes.
     """
     n = max(end - 1, 1)
     limit = n // _icbrt(n)
-    mask = np.zeros(limit // _WHEEL + 1, dtype=np.uint8)
+    rows = limit // _WHEEL + 1
+    if 5 * rows > DEFAULT_MEMORY_BUDGET:
+        raise ResourceError(f"prime-count table of {5 * rows} bytes up to {limit} exceeds "
+                            f"the {DEFAULT_MEMORY_BUDGET}-byte memory budget")
+    mask = np.zeros(rows, dtype=np.uint8)
     for r, a, block in _wheel_rows(0, limit + 1, base_primes):
         mask[a : a + len(block)] |= block.view(np.uint8) * _ROW_BIT[r]
-    ones = _ONES[mask]
-    prefix = np.cumsum(ones, dtype=np.int32)
-    prefix -= ones
+    del block  # the wheel rows' buffer, freed before the prefix is allocated
+    prefix = np.empty(rows, dtype=np.int32)
+    below = 0  # primes from 7 in the rows before the current block
+    for s in range(0, rows, _LIST_SLOTS):
+        ones = _ONES[mask[s : s + _LIST_SLOTS]]
+        part = np.cumsum(ones, out=prefix[s : s + _LIST_SLOTS])
+        part -= ones
+        part += below
+        below = int(part[-1]) + int(ones[-1])
     return prefix, mask
 
 
@@ -827,7 +846,9 @@ def count_primes_upto(x: int, table: PrimeTable) -> int:
     The rows are streamed one block at a time, so no array spans [0, x]:
     they are struck below cbrt(x) and the semiprimes left are subtracted,
     which takes a table of about x^(2/3) / 6 bytes and 0.45 to 0.65 of
-    the full strike's time for x from 10^6 to 10^10.
+    the full strike's time for x from 10^6 to 10^10. Raises ResourceError
+    where that table would exceed ``DEFAULT_MEMORY_BUDGET`` bytes, from x
+    of about 1.46 * 10^15 on.
     """
     if x < 2:
         raise DomainError(f"pi(x) needs x >= 2, got {x}")

@@ -10,7 +10,7 @@ import statistics
 import numpy as np
 import pytest
 
-from sievelab import cli
+from sievelab import cli, sieve_core
 from sievelab.cli import main
 from sievelab.intervals import _chunk_bounds
 
@@ -245,6 +245,30 @@ def test_csv_writer_blocks_join_to_the_one_shot_bytes(tmp_path, monkeypatch, row
     assert cli._write_csv(path, columns) == hashlib.sha256(data).hexdigest()
     assert path.read_bytes() == data and len(data.splitlines()) == rows + 1
     assert list(tmp_path.iterdir()) == [path]  # no temp file left
+
+
+def test_checkpoint_lines_are_the_json_of_their_records(tmp_path, monkeypatch):
+    # Each line is formatted directly; it must be the text json.dumps writes
+    # for the record's dict, across block seams, for ints near 2^62 and
+    # floats whose shortest repr is subnormal, exponent or long.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", _SEAM)
+    ints = [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 12345, 1, 0, -(2 ** 62)]
+    floats = [5e-324, 0.1, 1e16, 123456.789, 1e-07, 1e22, 2.0 ** 62, -0.0, 1 / 3, 2.5e-310]
+    n = 3 * _SEAM + 5
+    block = {}
+    for j, (name, dtype) in enumerate(cli.IntervalSet.COLUMNS.items()):
+        values = floats if dtype is np.float64 else ints
+        block[name] = np.array([values[(i + j) % len(values)] for i in range(n)], dtype=dtype)
+    ck = tmp_path / "scan.ckpt"
+    k_from = 2 ** 62 - 7
+    cli._checkpoint_append(ck, k_from, block)
+    rows = zip(range(k_from, k_from + n), *(block[name].tolist() for name in block))
+    assert read_lines(ck) == [json.dumps(dict(zip(cli._FIELDS, row))) for row in rows]
+    ck.unlink()
+    cli._checkpoint_append(ck, 1, block)
+    loaded = cli._checkpoint_load(ck)
+    for name, values in block.items():
+        assert np.concatenate([b[name] for b in loaded]).tobytes() == values.tobytes(), name
 
 
 @pytest.mark.parametrize("line", [_SEAM + 1, _SEAM + 4, 2 * _SEAM])
@@ -597,6 +621,24 @@ def test_randmodel_digit_table_beyond_memory_budget_exits_3(tmp_path, capsys, po
         err = capsys.readouterr().err
         assert "resource limit" in err and "Traceback" not in err
     assert pool_sizes == [] and multiprocessing.active_children() == []
+
+
+def test_interval_lookup_beyond_memory_budget_exits_3(tmp_path, capsys, monkeypatch, pool_sizes):
+    # The scan's prime-count table for k <= 100 (up to p_101^2 - 1 = 299208)
+    # has 152 rows of 5 bytes; one byte less of budget refuses it before
+    # any chunk is sieved or any pool opens.
+    end = cli._table_for(101).nth(101) ** 2
+    need = 5 * ((end - 1) // sieve_core._icbrt(end - 1) // 30 + 1)
+    ck = tmp_path / "scan.ckpt"
+    argv = ["intervals", "--kmax", 100, "--threads", 2, "--checkpoint", ck]
+    monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", need - 1)
+    capsys.readouterr()
+    assert run([*argv, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "resource limit" in err and "Traceback" not in err
+    assert pool_sizes == [] and not ck.exists()
+    monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", need)
+    assert run([*argv, "--out", tmp_path / "o"]) == 0
 
 
 def test_output_lines_end_with_lf(tmp_path):

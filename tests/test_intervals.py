@@ -158,7 +158,8 @@ def test_chunking_and_threads_invisible(table_small):
     tiny_chunks = _columns(build_intervals(80, table_small, chunk_entries=4096))
     threaded = _columns(build_intervals(80, table_small, threads=2))
     assert base == tiny_chunks == threaded
-    # The blocks handed to progress, one per chunk in k order, are the result.
+    # The rows handed to progress, one chunk at a time in k order, are the
+    # result: views of the columns the scan allocated once, not copies.
     for threads in (1, 2):
         blocks = []
         whole = compute_interval_records(1, 80, table_small, threads=threads, chunk_entries=4096,
@@ -168,6 +169,27 @@ def test_chunking_and_threads_invisible(table_small):
                                                      for k_lo, b in blocks[:-1]]
         assert _columns({name: np.concatenate([b[name] for _, b in blocks])
                          for name in IntervalSet.COLUMNS}) == _columns(whole) == base
+        assert all(np.shares_memory(b[name], whole[name]) for _, b in blocks for name in whole)
+
+
+def _traced_scan_peak(k_to, table, chunk_entries):
+    compute_interval_records(1, 20, table, chunk_entries=chunk_entries)  # warm the caches
+    tracemalloc.start()
+    try:
+        compute_interval_records(1, k_to, table, chunk_entries=chunk_entries)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_peak_does_not_grow_with_the_chunk_count(table_small):
+    # k <= 200 in 6 chunks and in 163: a scan that kept each chunk's
+    # columns until its end peaked 6x higher with the small chunks.
+    few, many = 1 << 18, 1 << 12
+    assert len(_chunk_bounds(1, 200, table_small, many)) >= \
+        25 * len(_chunk_bounds(1, 200, table_small, few))
+    peak_few = _traced_scan_peak(200, table_small, few)
+    assert _traced_scan_peak(200, table_small, many) < peak_few + (16 << 10), peak_few
 
 
 def test_pool_never_exceeds_chunk_count(table_small, pool_sizes):

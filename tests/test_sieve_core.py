@@ -468,6 +468,48 @@ def test_semiprime_lookup_layout_and_no_copy():
     assert peak < (prefix.nbytes + mask.nbytes) / 2, peak
 
 
+def test_semiprime_lookup_sums_its_prefix_block_by_block():
+    # At p_30001^2 the table is 4.1 MB. A prefix summed in one piece held an
+    # int32 count array of its own size beside it, 2.0x the table at peak.
+    table = build_prime_table(360_000)  # p_30001 = 350381
+    end, base = table.nth(30_001) ** 2, table.first(30_001)
+    _semiprime_lookup(10 ** 6, base)  # build the presieve patterns outside the trace
+    tracemalloc.start()
+    try:
+        prefix, mask = _semiprime_lookup(end, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * (prefix.nbytes + mask.nbytes), peak / (prefix.nbytes + mask.nbytes)
+    # The same counts as one cumulative sum over the whole mask.
+    ones = sieve_core._ONES[mask]
+    assert np.array_equal(prefix, np.cumsum(ones, dtype=np.int32) - ones)
+
+
+def test_semiprime_lookup_refuses_a_table_beyond_the_budget(monkeypatch):
+    # pi(2e15) would take a table of 2.6 GB up to 1.6e10 (and, summed in
+    # one piece, a 2.1 GB temporary). It is refused before anything is built.
+    table = build_prime_table(50_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            count_primes_upto(2 * 10 ** 15, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+    # The bound is inclusive: a table of exactly the budget is built.
+    end = 10 ** 9
+    limit = (end - 1) // _icbrt(end - 1)
+    need = 5 * (limit // 30 + 1)
+    monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", need)
+    prefix, mask = _semiprime_lookup(end, _BASE)
+    assert prefix.nbytes + mask.nbytes == need
+    monkeypatch.setattr(sieve_core, "DEFAULT_MEMORY_BUDGET", need - 1)
+    with pytest.raises(ResourceError):
+        _semiprime_lookup(end, _BASE)
+
+
 _SMALL = build_prime_table(2000).primes
 _BATCH_SIZES = (1, _COPRIME_BATCH - 1, _COPRIME_BATCH, _COPRIME_BATCH + 1,
                 3 * _COPRIME_BATCH + 5)
