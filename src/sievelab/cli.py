@@ -16,8 +16,8 @@ OpenSSL. The manifest's shell-quoted ``command_line`` is the run's
 complete input: no setting comes from the environment, and a command
 accepts no flag it does not read, save ``--threads``, which maier
 accepts unread so that one flag set drives all seven commands.
-``--threads`` sets the worker processes of the interval scan, of
-legendre's context rows (k >= 172) and of randmodel's sampled draws,
+``--threads`` sets the processes forked for the interval scan, for
+legendre's context rows (k >= 172) and for randmodel's sampled draws,
 and defaults to the CPUs this process may use
 (``os.sched_getaffinity``); ``main`` runs OpenBLAS on one thread, as
 each worker does. So re-running it reproduces every output byte for the

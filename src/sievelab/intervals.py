@@ -28,8 +28,8 @@ span of integers: the unit of work handed to one worker and of one
 checkpoint append. It does not set the memory a worker uses.
 
 A scan is one loop over its chunks, whose counts come in k order from
-``sieve_core._worker_map``: ``map``, or one fork pool's ``imap`` (each
-task carries its primes). The parent allocates the seven columns once
+``sieve_core._worker_map``: ``map``, or forked workers, which inherit
+their tasks. The parent allocates the seven columns once
 for the whole k range, writes each chunk's rows into them as its counts
 arrive and hands the caller's ``progress`` hook views of those rows, so
 it holds one copy of the scan's rows, whatever the number of chunks.
@@ -189,9 +189,9 @@ def compute_interval_records(
 ) -> dict:
     """The ``IntervalSet.COLUMNS`` for k in [k_from, k_to], sieved chunk by chunk.
 
-    threads > 1 streams the chunks through one fork pool of at most one
-    worker per chunk; counts arrive in k order and are bit-identical for
-    any thread count. ``progress(k_lo, rows)`` is called once per chunk,
+    threads > 1 spreads the chunks over at most one forked worker per
+    chunk; counts arrive in k order and are bit-identical for any
+    thread count. ``progress(k_lo, rows)`` is called once per chunk,
     in k order, with views of that chunk's rows, starting at k_lo, of the
     returned columns, which are allocated once for the whole range. The
     scan's prime-count table is built first, so a table beyond
@@ -206,7 +206,7 @@ def compute_interval_records(
         raise ResourceError("chunk_entries too small to hold an interval")
     lookup = _semiprime_lookup(table.nth(k_to + 1) ** 2, table.primes[: k_to + 1])
     chunks = _chunk_bounds(k_from, k_to, table, chunk_entries)
-    tasks = ((k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks)
+    tasks = [(k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks]
     with _worker_map(threads, len(chunks), shared=lookup) as imap:
         columns = {name: np.empty(k_to - k_from + 1, dtype=dtype)
                    for name, dtype in IntervalSet.COLUMNS.items()}

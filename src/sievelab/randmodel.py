@@ -9,12 +9,12 @@ the 2^31-byte memory budget raises ResourceError before anything is
 allocated. Sampled mode draws shifts with a derived per-sample seed, so
 results are independent of evaluation order and worker count; the
 drawn windows are counted in fixed batches by the coprime counter of
-``sieve_core``, in contiguous ranges of draw indices, one per worker of
-the pool of ``sieve_core._worker_map``, whose integer histograms the
-parent adds; each task carries its whole input, so the pool shares
-none. Both modes feed their counts into one histogram, off which the
-count sum, sum of squares, minimum and maximum are read in exact
-integer arithmetic, so memory does not grow with the draw count.
+``sieve_core``, in contiguous ranges of draw indices, one per worker
+forked by ``sieve_core._worker_map``, which inherits its task at the
+fork; the parent adds their integer histograms. Both modes feed their
+counts into one histogram, off which the count sum, sum of squares,
+minimum and maximum are read in exact integer arithmetic, so memory
+does not grow with the draw count.
 
 Rescaling the raw (coprimality) model by e^gamma / 2 moves its mean to
 the density-of-primes scale l_k / log p_{k+1}^2, where it is compared

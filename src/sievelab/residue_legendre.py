@@ -83,10 +83,10 @@ that order. legendre_scan takes the sums and counts of all its
 enumerated rows (k <= 171, where p_{k+1}^2 <= 2^20) from one call.
 
 legendre_scan builds the enumerated rows, then the context, in the
-calling process. Its context rows (k >= 172), in k-order tasks of
-_SCAN_BLOCK k, and then the blocks of M's grid go to at most ``threads``
-workers forked by ``sieve_core._worker_map``, which share the context's
-pages as the pool's shared input.
+calling process. The blocks of M's grid, then its context rows (k >=
+172) in k-order tasks of _SCAN_BLOCK k, go as two maps in turn to at
+most ``threads`` workers forked by ``sieve_core._worker_map``, which
+inherit the context's pages as the pool's shared input.
 truncated_sum is M(y) plus prime_sum's tail, and only M reads the grid:
 a worker returns each k's (y, tail, term count) or each grid piece's
 sum, while the parent adds the piece sums into M's grid in order and
@@ -718,9 +718,8 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -
     if tasks:
         blocks = len(_m_tasks(context._grid_ends))
         with _worker_map(threads, len(tasks) + blocks, shared=(context, table)) as imap:
-            tails = imap(_context_prime_sums, tasks)
             context.sum_grid(imap)  # every row's y is a grid end
-            for y, tail, terms in itertools.chain.from_iterable(tails):
+            for y, tail, terms in itertools.chain.from_iterable(imap(_context_prime_sums, tasks)):
                 rows.append((context.m_full(y) + tail, terms))
     tsums, terms = zip(*rows)
     lo, hi = (table.primes[k_from - 1 + i : k_to + i] ** 2 for i in (0, 1))

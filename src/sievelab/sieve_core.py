@@ -85,12 +85,12 @@ leans on.
 
 ``_worker_map`` is the package's one process pool, for the interval
 scan, legendre's context rows and the sampled shift model. It sizes the
-pool, one worker per task at most: the builtin ``map`` for one worker,
-else a fork pool whose workers each run OpenBLAS on one thread
-(``_pin_blas_threads``, through ``ctypes`` on numpy's bundled library; a
-no-op where that library or its symbol is missing). It hands the tasks'
-shared inputs to the workers as ``_shared``, which they inherit at the
-fork, and records the size in ``_pool_workers``, which the CLI reports.
+pool, one worker per task at most, and records the size in
+``_pool_workers``, which the CLI reports. Its ``imap(fn, tasks)`` forks
+the n workers when first read, each on one OpenBLAS thread
+(``_pin_blas_threads``). Worker w inherits ``tasks`` and ``_shared``, so
+no task is pickled, runs tasks w, w + n, ... and pipes back each result
+or exception as one pickle, which the parent reads in task order.
 
 Prime indexing is 1-based throughout: ``p_1 = 2``, ``p_2 = 3``,
 ``p_3 = 5``. Off-by-one here corrupts every downstream interval, so all
@@ -106,6 +106,8 @@ import glob
 import itertools
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,30 +169,69 @@ _pool_workers = 0
 
 @contextlib.contextmanager
 def _worker_map(threads: int, tasks: int, shared=None):
-    """An ``imap`` over a fork pool of ``_pool_size(threads, tasks)``
-    processes, or the builtin ``map`` for one.
-
-    Results arrive in task order. ``shared`` is ``_shared`` while the
-    block runs, here and in the workers, which inherit it at the fork, and
-    None once the block exits, also on an error. Each worker is pinned to
-    one BLAS thread (``_pin_blas_threads``), and the pool is torn down when
-    the block exits, so no worker outlives it. Forked workers share the
-    parent's pages as they were at the fork.
-    """
+    """An ``imap`` over at most ``_pool_size(threads, tasks)`` forked
+    processes, or the builtin ``map`` for one. A worker's exception is
+    raised with its type; a pipe that ends early, as when the OOM killer
+    ends its worker, raises ResourceError. ``_shared`` is ``shared`` until
+    the block exits; the exit kills and waits for every worker left."""
     global _shared, _pool_workers
     _pool_workers = workers = _pool_size(threads, tasks)
     _shared = shared
-    try:
-        if workers == 1:
-            yield map
-        else:
-            import multiprocessing  # here, so a run that never forks never loads it
+    running = {}  # pid -> the read end of its pipe, until it is waited for
 
-            fork = multiprocessing.get_context("fork")
-            with fork.Pool(workers, initializer=_pin_blas_threads) as pool:
-                yield pool.imap
+    def imap(fn, tasks):
+        n = min(workers, len(tasks))
+        pids = []
+        for w in range(n):
+            read, write = os.pipe()
+            pids.append(os.fork())
+            if pids[-1] == 0:
+                _work(fn, tasks[w::n], read, write)
+            os.close(write)
+            running[pids[-1]] = open(read, "rb")
+        for i, pid in zip(range(len(tasks)), itertools.cycle(pids)):
+            try:
+                ok, result = pickle.load(running[pid])
+            except (EOFError, pickle.UnpicklingError):
+                raise ResourceError(f"worker process {pid} ended before its results") from None
+            if i + n >= len(tasks):  # its last result: reap it, for RUSAGE_CHILDREN
+                running.pop(pid).close()
+                os.waitpid(pid, 0)
+            if not ok:
+                raise result
+            yield result
+
+    try:
+        yield map if workers == 1 else imap
     finally:
         _shared = None
+        for pid, pipe in running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _work(fn, tasks, read: int, write: int) -> None:
+    """A worker of ``_worker_map`` on one OpenBLAS thread; ends the process."""
+    try:
+        os.close(read)
+        _pin_blas_threads()
+        with open(write, "wb") as pipe:
+            for task in tasks:
+                try:
+                    reply = pickle.dumps((True, fn(task)))
+                except Exception as exc:  # the parent raises it
+                    try:
+                        reply = pickle.dumps((False, exc))
+                        pickle.loads(reply)  # an exception may pickle and not unpickle
+                    except Exception:
+                        reply = pickle.dumps((False, RuntimeError(f"a worker raised {exc!r}, "
+                                                                  "which does not pickle")))
+                pipe.write(reply)
+                pipe.flush()
+        os._exit(0)
+    finally:  # also when the pipe breaks
+        os._exit(1)
 
 
 @dataclass(frozen=True)

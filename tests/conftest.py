@@ -1,8 +1,19 @@
-import multiprocessing.context
+import contextlib
+import os
 
 import pytest
 
-from sievelab import build_intervals, build_prime_table, sieve_core
+from sievelab import (build_intervals, build_prime_table, intervals, randmodel, residue_legendre,
+                      sieve_core)
+
+
+def no_child_left() -> bool:
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 @pytest.fixture(scope="session")
@@ -36,13 +47,18 @@ def small_blocks(monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Worker counts of the multiprocessing pools created during the test."""
+    """Worker counts of the sieve_core._worker_map blocks opened during the
+    test that fork, one per block."""
     sizes = []
-    real_pool = multiprocessing.context.BaseContext.Pool
+    real_map = sieve_core._worker_map
 
-    def recording_pool(self, processes=None, *args, **kwargs):
-        sizes.append(processes)
-        return real_pool(self, processes, *args, **kwargs)
+    @contextlib.contextmanager
+    def recording_map(*args, **kwargs):
+        with real_map(*args, **kwargs) as imap:
+            if imap is not map:
+                sizes.append(sieve_core._pool_workers)
+            yield imap
 
-    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", recording_pool)
+    for module in (sieve_core, intervals, randmodel, residue_legendre):
+        monkeypatch.setattr(module, "_worker_map", recording_map)
     return sizes

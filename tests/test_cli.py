@@ -2,19 +2,21 @@ import gc
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import shlex
 import statistics
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sievelab import cli, sieve_core
+from sievelab import DomainError, ResourceError, cli, intervals, sieve_core
 from sievelab.cli import main
 from sievelab.intervals import _chunk_bounds
 
 from _oracles import shift_moments
+from conftest import no_child_left
 
 
 def run(args):
@@ -620,7 +622,7 @@ def test_randmodel_digit_table_beyond_memory_budget_exits_3(tmp_path, capsys, po
         assert run(["randmodel", "--k", 30000, *argv, "--out", tmp_path / "o"]) == 3
         err = capsys.readouterr().err
         assert "resource limit" in err and "Traceback" not in err
-    assert pool_sizes == [] and multiprocessing.active_children() == []
+    assert pool_sizes == [] and no_child_left()
 
 
 def test_interval_lookup_beyond_memory_budget_exits_3(tmp_path, capsys, monkeypatch, pool_sizes):
@@ -757,9 +759,71 @@ def test_interrupted_scan_keeps_whole_chunks(tmp_path, monkeypatch, capsys):
     chunks = _chunk_bounds(1, 300, cli._table_for(301), 65536)
     assert appended == [chunks[0][0], chunks[1][0]]
     assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, chunks[1][1] + 1))
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
     monkeypatch.undo()
     assert _interval_digests(tmp_path, ck, CHUNKED_SCAN) == PINNED_KMAX_300
+
+
+# Runs main on a chunked two-worker scan whose workers kill themselves on
+# every chunk after the first, then prints its exit code and whether a
+# child process is left.
+_KILLED_SCAN = """
+import os, signal, sys
+from sievelab import cli, intervals
+
+parent, real_counts = os.getpid(), intervals._chunk_counts
+
+def killing(task):
+    if os.getpid() != parent and task[0] > 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_counts(task)
+
+intervals._chunk_counts = killing
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print(code, "a child is left")
+except ChildProcessError:
+    print(code, "no child left")
+"""
+
+
+def test_killed_worker_exits_3(tmp_path):
+    # A worker killed mid-scan, as by the OOM killer, is a resource limit:
+    # exit 3 at once, not a wait forever. The checkpoint keeps the chunk
+    # before it, and a resume writes the pinned bytes. The scan runs in a
+    # child process with a timeout, so a hang fails this test, not the suite.
+    ck = tmp_path / "scan.ckpt"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["intervals", "--kmax", 300, "--out", tmp_path / "o", "--checkpoint", ck, *CHUNKED_SCAN]
+    out = subprocess.run([sys.executable, "-c", _KILLED_SCAN, *map(str, argv)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout == "3 no child left\n"
+    assert "sievelab: resource limit: worker process " in out.stderr
+    assert "Traceback" not in out.stderr
+    first = _chunk_bounds(1, 300, cli._table_for(301), 65536)[0]
+    assert [json.loads(line)["k"] for line in read_lines(ck)] == list(range(1, first[1] + 1))
+    assert _interval_digests(tmp_path, ck, CHUNKED_SCAN) == PINNED_KMAX_300
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (DomainError("chunk out of range"), 2, "domain error"),
+    (ResourceError("chunk over budget"), 3, "resource limit"),
+], ids=["domain", "resource"])
+def test_worker_error_keeps_its_exit_code(tmp_path, capsys, monkeypatch, error, code, label):
+    # The error a chunk raises in a forked worker reaches main with its type.
+    parent, real_counts = os.getpid(), intervals._chunk_counts
+
+    def failing(task):
+        if os.getpid() != parent and task[0] > 1:
+            raise error
+        return real_counts(task)
+
+    monkeypatch.setattr(intervals, "_chunk_counts", failing)
+    assert run(["intervals", "--kmax", 300, "--out", tmp_path / "o", *CHUNKED_SCAN]) == code
+    err = capsys.readouterr().err
+    assert f"sievelab: {label}: {error}" in err and "Traceback" not in err
+    assert no_child_left()
 
 
 _RUN_KEYS = {"stages", "sieve_entries", "workers", "blas_threads", "resumed_from_k",
@@ -802,7 +866,7 @@ def test_sampled_randmodel_reports_its_pool(tmp_path, pool_sizes):
         assert manifest["run"]["workers"] == workers
         digests.add(tuple(manifest["outputs"].values()))
     assert pool_sizes == [2, 2] and len(digests) == 1
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_legendre_reports_its_pool(tmp_path, pool_sizes):
@@ -817,7 +881,7 @@ def test_legendre_reports_its_pool(tmp_path, pool_sizes):
         if kmax == 200:
             digests.add(tuple(manifest["outputs"].values()))
     assert pool_sizes == [2] and len(digests) == 1
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_threads_default_to_the_usable_cpus():

@@ -70,12 +70,14 @@ def test_star_import_binds_every_public_name():
             assert namespace[name] is getattr(getattr(sievelab, module), name), name
 
 
-# Runs one command through the program entry, then reports what it loaded.
+# Runs one command through the program entry, then reports its pool and
+# what it loaded.
 _CHILD = """
 import gc, json, sys
 from sievelab import cli
 code = cli.console_main()
 print(json.dumps({"code": code, "frozen": gc.get_freeze_count() > 0,
+                  "workers": cli.sieve_core._pool_workers,
                   "modules": sorted(m for m in sys.modules
                                     if m.split(".")[0] in ("sievelab", "multiprocessing"))}))
 """
@@ -86,24 +88,31 @@ _BASE = ["sievelab", "sievelab.analytic", "sievelab.cli", "sievelab.errors",
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
     # One scan writes the checkpoint, and three readers load it, as in the
-    # paper's desk workflow; randmodel at k = 5 is exhaustive. None forks,
-    # so none imports multiprocessing.
+    # paper's desk workflow; randmodel at k = 5 is exhaustive. The last
+    # three fork two workers each, with os.fork, so no command imports
+    # multiprocessing.
     src = os.path.dirname(os.path.dirname(sievelab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    scan = ("--kmax", "300", "--checkpoint", str(tmp_path / "scan.ckpt"))
+    scan = ("--kmax", "300", "--checkpoint", str(tmp_path / "scan.ckpt"), "--threads", "1")
     expected = {
-        ("intervals", *scan): _BASE,
-        ("bias", *scan): sorted([*_BASE, "sievelab.stats_lab"]),
-        ("corr", *scan): sorted([*_BASE, "sievelab.stats_lab"]),
-        ("conjecture", *scan): sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"]),
-        ("randmodel", "--k", "5"): sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"]),
+        ("intervals", *scan): (1, _BASE),
+        ("bias", *scan): (0, sorted([*_BASE, "sievelab.stats_lab"])),
+        ("corr", *scan): (0, sorted([*_BASE, "sievelab.stats_lab"])),
+        ("conjecture", *scan): (0, sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"])),
+        ("randmodel", "--k", "5", "--threads", "1"):
+            (0, sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"])),
+        ("intervals", "--kmax", "300", "--threads", "2", "--segment-size", "65536"): (2, _BASE),
+        ("legendre", "--kmax", "200", "--threads", "2"):
+            (2, sorted([*_BASE, "sievelab.residue_legendre", "sievelab.stats_lab"])),
+        ("randmodel", "--k", "30", "--budget", "100", "--threads", "2"):
+            (2, sorted([*_BASE, "sievelab.randmodel", "sievelab.stats_lab"])),
     }
-    for argv, modules in expected.items():
-        out = subprocess.run([sys.executable, "-c", _CHILD, *argv, "--threads", "1",
-                              "--out", str(tmp_path / "o")],
+    for argv, (workers, modules) in expected.items():
+        out = subprocess.run([sys.executable, "-c", _CHILD, *argv, "--out", str(tmp_path / "o")],
                              capture_output=True, text=True, env=env, check=True)
         report = json.loads(out.stdout)
-        assert report == {"code": 0, "frozen": True, "modules": modules}, argv[0]
+        assert report == {"code": 0, "frozen": True, "workers": workers,
+                          "modules": modules}, argv
 
 
 def test_cli_import_and_prime_table_load_no_openssl():
@@ -189,13 +198,15 @@ def test_csv_writer_and_checkpoint_reader_hold_their_columns_and_one_block(tmp_p
 
 
 def test_pool_state_lives_in_sieve_core():
-    # sieve_core._worker_map sizes every pool and hands its workers their
-    # shared inputs; no other module forks or rebinds a module global.
+    # sieve_core._worker_map sizes every pool, forks its workers and hands
+    # them their shared inputs; no other module forks or rebinds a module
+    # global, and no module, sieve_core included, uses multiprocessing.
     for path in sorted(Path(sievelab.__file__).parent.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         declared = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+        assert "multiprocessing" not in source, path.name
         if path.name != "sieve_core.py":
-            assert "multiprocessing" not in source and not declared, path.name
+            assert "fork(" not in source and not declared, path.name
         if path.name == "cli.py":
             for name in ("_pool_size", "_context_tasks", "_draw_ranges"):
                 assert name not in source, name

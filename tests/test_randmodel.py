@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import random
 import tracemalloc
 
@@ -22,6 +21,7 @@ from sievelab.cli import build_parser
 from sievelab.randmodel import DEFAULT_BUDGET, _draw_ranges, _draw_starts
 
 from _oracles import shift_moments, totient_of_primorial, window_count
+from conftest import no_child_left
 
 
 def test_exhaustive_k2(table_small):
@@ -166,7 +166,7 @@ def test_sampled_histogram_independent_of_threads(table_small, pool_sizes, budge
         assert (s.samples, s.mean, s.variance, s.count_sq_sum) == \
             (runs[0].samples, runs[0].mean, runs[0].variance, runs[0].count_sq_sum)
     assert pool_sizes == ([2, 2] if budget == 100 else [2, 3])
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_draw_ranges_split_whole_batches():

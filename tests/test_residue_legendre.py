@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import random
 import tracemalloc
@@ -45,6 +44,7 @@ from _oracles import (
     subset_legendre_count,
     totient_of_primorial,
 )
+from conftest import no_child_left
 
 
 def test_rho_values(table_small):
@@ -461,7 +461,7 @@ def test_legendre_scan_columns_independent_of_threads(table, monkeypatch, pool_s
         assert one[name].tobytes() == two[name].tobytes(), name
     assert pool_sizes == [2]
     assert sieve_core._shared is None
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_legendre_scan_row_depends_on_k_alone(table):

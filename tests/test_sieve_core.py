@@ -1,11 +1,11 @@
 import ctypes
 import functools
 import math
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -35,6 +35,7 @@ from sievelab.sieve_core import (_COPRIME_BATCH, _INT64_MAX, _INVERSE, _PRESIEVE
 
 from _oracles import (coprime_survivors, lucy_pi, mark_primality, odd_primality, trial_primes,
                       window_count)
+from conftest import no_child_left
 
 # Base primes up to 4000 cover every window below 1.6e7.
 _BASE = build_prime_table(4000).primes
@@ -755,7 +756,7 @@ def test_pool_workers_run_one_blas_thread():
             assert list(imap(_worker_blas_threads, range(4))) == [1] * 4
     finally:
         set_threads(before)
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_blas_pin_is_a_no_op_without_openblas(tmp_path, monkeypatch):
@@ -803,5 +804,97 @@ def test_parent_fault_tears_the_pool_down(table_small, monkeypatch, pool_sizes, 
     with pytest.raises(_ParentFault):
         run()
     assert pool_sizes == [2]
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
     assert sieve_core._shared is None
+
+
+# Maps six tasks over two forked workers; task 3, the second of worker 1,
+# kills its own worker. Prints how the map ended, the results it gave and
+# whether a child process is left.
+_KILLED_WORKER = """
+import os, signal
+from sievelab import ResourceError, sieve_core
+
+def task(i):
+    if i == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+seen = []
+try:
+    with sieve_core._worker_map(2, 6) as imap:
+        seen.extend(imap(task, range(6)))
+except ResourceError as exc:
+    print("ResourceError:", exc)
+print(seen)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_killed_worker_raises_resource_error():
+    # A worker killed mid-map, as by the OOM killer, ends its pipe early: the
+    # parent raises after the results before it, instead of waiting forever,
+    # and reaps every worker. It runs in a child process with a timeout, so
+    # a hang fails this test, not the suite.
+    src = os.path.dirname(os.path.dirname(sieve_core.__file__))
+    out = subprocess.run([sys.executable, "-c", _KILLED_WORKER], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    error, seen, left = out.stdout.splitlines()
+    assert error.startswith("ResourceError: worker process ")
+    assert error.endswith(" ended before its results")
+    assert (seen, left) == ("[0, 1, 2]", "no child left")
+
+
+def _raising_at(i, error, task):
+    if task == i:
+        raise error
+    return task
+
+
+class _Unpicklable(Exception):
+    """Holds a lock, which does not pickle."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class _TwoArgs(Exception):
+    """Pickles, but its one joined message does not unpickle into two arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.parametrize("error", [DomainError("k out of range"), ResourceError("over budget"),
+                                   ZeroDivisionError("no rows")], ids=lambda e: type(e).__name__)
+def test_worker_exception_keeps_its_type(error):
+    # Task 3 raises in worker 1 after worker 0 has sent tasks 0 and 2.
+    seen = []
+    with pytest.raises(type(error), match=str(error)) as info:
+        with sieve_core._worker_map(2, 6) as imap:
+            seen.extend(imap(functools.partial(_raising_at, 3, error), range(6)))
+    assert type(info.value) is type(error) and seen == [0, 1, 2]
+    assert no_child_left() and sieve_core._shared is None
+
+
+@pytest.mark.parametrize("error", [_Unpicklable("holds a lock"), _TwoArgs("two", "parts")],
+                         ids=lambda e: type(e).__name__)
+def test_worker_exception_that_does_not_pickle_ends_the_map(error):
+    with pytest.raises(RuntimeError) as info:
+        with sieve_core._worker_map(2, 4) as imap:
+            list(imap(functools.partial(_raising_at, 1, error), range(4)))
+    assert type(info.value) is RuntimeError
+    assert str(info.value) == f"a worker raised {error!r}, which does not pickle"
+    assert no_child_left()
+
+
+def test_worker_result_that_does_not_pickle_ends_the_map():
+    with pytest.raises(TypeError, match="cannot pickle"):
+        with sieve_core._worker_map(2, 4) as imap:
+            list(imap(lambda task: threading.Lock() if task == 2 else task, range(4)))
+    assert no_child_left()
