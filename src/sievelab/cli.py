@@ -48,7 +48,8 @@ no ``outputs`` digest depends on it.
 
 Exit codes: 1 usage, 2 domain error, 3 resource limit, 4 I/O error. A
 flag value out of its range (``--kmax 0``, ``--budget 1``, ``--step -1``,
-``--lambda nan``) is a usage error, refused before ``--out`` is made.
+``--lambda nan``, ``--block -1``) is a usage error, refused before
+``--out`` is made.
 """
 
 from __future__ import annotations
@@ -538,8 +539,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("corr", help="lag correlation of pi_k - li_k")
     _add_common(sp)
     _add_interval_scan_flags(sp)
-    sp.add_argument("--max-lag", type=int, default=50)
-    sp.add_argument("--block", type=int, default=0,
+    sp.add_argument("--max-lag", type=_int_at_least(0), default=50)
+    sp.add_argument("--block", type=_int_at_least(0), default=0,
                     help="non-overlapping block size; 0 = whole range")
     sp.set_defaults(func=_cmd_corr)
 

@@ -79,17 +79,20 @@ over the primes of their largest k. The depth-first order is the
 lexicographic order of index tuples, and a filter keeps order, so the
 terms with largest prime index <= k and d < bound are k's own
 enumeration, term for term; each row adds its mu(d)/d one at a time in
-that order. legendre_scan takes the sums and counts of all its
-enumerated rows (k <= 171, where p_{k+1}^2 <= 2^20) from one call.
+that order, _ENUM_BLOCK terms of the enumeration at a time. legendre_scan
+takes the sums and counts of all its enumerated rows (k <= 171, where
+p_{k+1}^2 <= 2^20) from one call.
 
-legendre_scan builds the enumerated rows, then the context, in the
-calling process. The blocks of M's grid, then its context rows (k >=
-172) in k-order tasks of _SCAN_BLOCK k, go as two maps in turn to at
-most ``threads`` workers forked by ``sieve_core._worker_map``, which
-inherit the context's pages as the pool's shared input.
-truncated_sum is M(y) plus prime_sum's tail, and only M reads the grid:
-a worker returns each k's (y, tail, term count) or each grid piece's
-sum, while the parent adds the piece sums into M's grid in order and
+legendre_scan with no context rows (k_to <= 171) enumerates in the
+calling process and forks nothing; otherwise that process builds only
+the context. The blocks of M's grid, then one task of the enumerated
+rows and the context rows (k >= 172) in k-order tasks of _SCAN_BLOCK k,
+go as two maps in turn to at most ``threads`` workers forked by
+``sieve_core._worker_map``, which inherit the context's pages as the
+pool's shared input. truncated_sum is M(y) plus prime_sum's tail, and
+only M reads the grid: a worker returns each grid piece's sum, the
+enumerated rows' (sum, term count) or each context k's (y, tail, term
+count), while the parent adds the piece sums into M's grid in order and
 then adds M(y) + tail in k order. With one worker the same tasks run
 through the builtin ``map``. Each float comes from the same operations
 in the same order as in one process, so no bit of a column depends on
@@ -126,8 +129,11 @@ _MOBIUS_BLOCK = 1 << 21
 # Integers per np.sum of MoebiusContext's running sum M(y).
 _M_CHUNK = 1 << 22
 
-# Terms per leaf of truncated_sum's pairwise sum; at least numpy's 128-term
-# block, so that a leaf's np.sum continues numpy's own tree.
+# Terms per block of _enumerated_rows' enumeration.
+_ENUM_BLOCK = 1 << 15
+
+# Terms per leaf of _pairwise_sum (prime_sum's tail, M's pieces); at least
+# numpy's 128-term block, so that a leaf's np.sum continues numpy's own tree.
 _SUM_LEAF = 1 << 16
 
 # Primes per lattice point from which truncated_sum divides M(t) by its q
@@ -504,16 +510,17 @@ class MoebiusContext:
     def _piece_sums(self, lo: int, pieces: list) -> list:
         """np.sum of mu(m)/m over each piece [pos, end) of one _m_tasks block from lo.
 
-        mu is one _mobius_block, and a piece's floats are dropped once summed.
+        mu is one _mobius_block, and _pairwise_sum holds the floats of one
+        leaf at a time, never a whole piece's.
         """
         block = _mobius_block(lo, pieces[-1][1], *self._sieve)
-        sums = []
-        for pos, end in pieces:
+
+        def leaf(pos: int, n: int) -> np.ndarray:
             # The quotients of mu.astype(float64) /= arange, without a second float array.
-            seg = np.arange(pos, end, dtype=np.float64)
-            sums.append(float(np.sum(np.divide(block[pos - lo : end - lo], seg, out=seg))))
-            del seg
-        return sums
+            seg = np.arange(pos, pos + n, dtype=np.float64)
+            return np.divide(block[pos - lo : pos - lo + n], seg, out=seg)
+
+        return [_pairwise_sum(leaf, pos, end - pos) for pos, end in pieces]
 
     def prime_count(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The number of primes in [lo, hi) for each pair of the arrays lo <= hi <= limit + 1."""
@@ -613,17 +620,27 @@ def _enumerated_rows(rows: list, table: PrimeTable,
 
     The rows share one enumeration over the first max-k primes; a row's
     terms are those with top <= k and d < bound, in its own order (module
-    docstring). cumsum adds them term by term in that order; a pairwise
-    sum would change the last bits of ratio_truncated.
+    docstring). cumsum adds them term by term in that order, a block of
+    _ENUM_BLOCK terms of the enumeration at a time, carrying the row's
+    running float into its first term there: the adds of one cumsum over
+    the row, with no float copy of it. A pairwise sum would change the
+    last bits of ratio_truncated.
     """
+    if not rows:
+        return []
     d, mu, top = _squarefree_products(table.first(max(k for k, _ in rows)),
                                       max(bound for _, bound in rows) - 1, term_cap)
-    terms = mu / d
-    sums = []
-    for k, bound in rows:
-        row = terms[(top <= k) & (d < bound)]
-        sums.append((float(np.cumsum(row, out=row)[-1]) if len(row) else 0.0, len(row)))
-    return sums
+    sums, counts = [0.0] * len(rows), [0] * len(rows)
+    for lo in range(0, len(d), _ENUM_BLOCK):
+        block = slice(lo, lo + _ENUM_BLOCK)
+        terms = mu[block] / d[block]
+        for i, (k, bound) in enumerate(rows):
+            row = terms[(top[block] <= k) & (d[block] < bound)]
+            if len(row):
+                row[0] += sums[i]
+                sums[i] = float(np.cumsum(row, out=row)[-1])
+                counts[i] += len(row)
+    return list(zip(sums, counts))
 
 
 def truncated_moebius_sum(k: int, table: PrimeTable, bound: Optional[int] = None,
@@ -682,12 +699,15 @@ def _context_tasks(k_from: int, k_to: int, table: PrimeTable) -> list:
     return [range(k, min(k + _SCAN_BLOCK, k_to + 1)) for k in range(k0, k_to + 1, _SCAN_BLOCK)]
 
 
-def _context_prime_sums(ks: range) -> list:
-    """(y, prime_sum's tail, term count) at the bound p_{k+1}^2 for each k in ks,
-    on the (context, table) shared by legendre_scan's pool."""
+def _scan_rows(task) -> list:
+    """On the (context, table) shared by legendre_scan's pool: _enumerated_rows of a
+    task that lists (k, bound) rows, or for a range of context rows each k's
+    (y, prime_sum's tail, term count) at the bound p_{k+1}^2."""
     context, table = sieve_core._shared
+    if not isinstance(task, range):
+        return _enumerated_rows(task, table)
     rows = []
-    for k in ks:
+    for k in task:
         bound = table.nth(k + 1) ** 2
         rows.append((*context.prime_sum(k, bound, table), context.term_count(k, bound, table)))
     return rows
@@ -701,11 +721,11 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -
     ``pi_ratio`` of the exact pi_k; ``terms`` counts the admissible
     divisors below p_{k+1}^2, and ``length`` is l_k. The rows whose bound
     p_{k+1}^2 is enumerated (k <= 171, where p_{k+1}^2 <= 2^20) take their
-    truncated sum and term count from one _enumerated_rows call, built and
-    dropped before the context's prime list exists. pi_k is counted on
-    that list, which holds every prime up to p_{k_to+1}^2.
+    truncated sum and term count from one _enumerated_rows call, the first
+    task of the pool's context-row map when there are context rows. pi_k
+    is counted on the context's prime list, of every prime up to p_{k_to+1}^2.
 
-    The context rows run on at most ``threads`` forked workers (module
+    The pool's tasks run on at most ``threads`` forked workers (module
     docstring); no bit depends on ``threads``.
     """
     if k_from < 1 or k_to < k_from:
@@ -713,13 +733,16 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -
     tasks = _context_tasks(k_from, k_to, table)
     k0 = tasks[0].start if tasks else k_to + 1  # the first context row
     listed = [(k, table.nth(k + 1) ** 2) for k in range(k_from, k0)]
-    rows = _enumerated_rows(listed, table) if listed else []  # (sum, terms) per k
+    if not tasks:
+        rows = _enumerated_rows(listed, table)  # (sum, terms) per k
     context = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
     if tasks:
         blocks = len(_m_tasks(context._grid_ends))
-        with _worker_map(threads, len(tasks) + blocks, shared=(context, table)) as imap:
+        with _worker_map(threads, 1 + len(tasks) + blocks, shared=(context, table)) as imap:
             context.sum_grid(imap)  # every row's y is a grid end
-            for y, tail, terms in itertools.chain.from_iterable(imap(_context_prime_sums, tasks)):
+            results = imap(_scan_rows, [listed, *tasks])
+            rows = next(results)
+            for y, tail, terms in itertools.chain.from_iterable(results):
                 rows.append((context.m_full(y) + tail, terms))
     tsums, terms = zip(*rows)
     lo, hi = (table.primes[k_from - 1 + i : k_to + i] ** 2 for i in (0, 1))

@@ -558,22 +558,12 @@ def test_manifest_command_line_reproduces_outputs(tmp_path, monkeypatch, argv):
     assert {name: sha(out / name) for name in first["outputs"]} == first["outputs"]
 
 
-def test_corr_negative_block_is_domain_error(tmp_path, capsys):
-    out, ck = tmp_path / "o", tmp_path / "scan.ckpt"
-    assert run(["corr", "--kmax", 80, "--max-lag", 5, "--block", -1, "--out", out,
-                "--checkpoint", ck]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "intervals k=" not in err
-    assert not (out / "corr.csv").exists() and not ck.exists()
-
-
 @pytest.mark.parametrize("flags, message", [
-    (["--max-lag", -1], "max_lag must be >= 0"),
     (["--max-lag", 80], "deviation sequence shorter than max_lag"),
     (["--max-lag", 5, "--block", 5], "block must exceed max_lag"),
     (["--max-lag", 5, "--block", 81], "deviation sequence shorter than one block"),
     (["--max-lag", 0, "--block", 10], "block mode needs max_lag >= 1"),
-], ids=["max-lag<0", "max-lag>=kmax", "block<=max-lag", "block>kmax", "block-with-max-lag-0"])
+], ids=["max-lag>=kmax", "block<=max-lag", "block>kmax", "block-with-max-lag-0"])
 def test_corr_bad_flags_refused_before_scan(tmp_path, capsys, flags, message):
     out, ck = tmp_path / "o", tmp_path / "scan.ckpt"
     assert run(["corr", "--kmax", 80, *flags, "--out", out, "--checkpoint", ck]) == 2
@@ -605,7 +595,9 @@ def test_segment_size_below_two_is_usage_error(tmp_path, size):
     (["maier", "--k", 100, "--step", -2], "--step: must be an integer >= 0"),
     *((["maier", "--k", 100, f"--lambda={lam}"], "--lambda: must be finite")
       for lam in ("nan", "inf", "-inf")),
-], ids=["budget-1", "step-2", "lambda-nan", "lambda-inf", "lambda--inf"])
+    (["corr", "--kmax", 80, "--max-lag", -1], "--max-lag: must be an integer >= 0"),
+    (["corr", "--kmax", 80, "--max-lag", 5, "--block", -1], "--block: must be an integer >= 0"),
+], ids=["budget-1", "step-2", "lambda-nan", "lambda-inf", "lambda--inf", "max-lag<0", "block<0"])
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):
     # Refused when parsed, before main makes --out; the library raises its
     # own DomainError for each (test_randmodel, test_stats_lab).

@@ -29,8 +29,8 @@ from sievelab import (
     truncated_moebius_sum,
 )
 from sievelab import residue_legendre, sieve_core
-from sievelab.residue_legendre import (_MOBIUS_BLOCK, _SUM_LEAF, _mobius_array, _pairwise_sum,
-                                       _squarefree_products)
+from sievelab.residue_legendre import (_MOBIUS_BLOCK, _SUM_LEAF, _enumerated_rows, _mobius_array,
+                                       _pairwise_sum, _squarefree_products)
 from sievelab.sieve_core import _prime_list
 
 from _oracles import (
@@ -544,6 +544,18 @@ def test_m_full_across_block_seams(table, monkeypatch, chunk):
         assert ctx.m_full(y) == _chunked_m_reference(mu, ends, y, chunk), y
 
 
+def test_m_full_sums_long_pieces_leaf_by_leaf(table, monkeypatch):
+    # With 1000-term leaves, the grid segments longer than that (from 127^2
+    # on; about 6000 integers near 547^2) are pieces of several leaves, added
+    # in np.sum's own pairwise order: the bits of one np.sum over the piece.
+    monkeypatch.setattr(residue_legendre, "_SUM_LEAF", 1000)
+    ctx = MoebiusContext(_M_LIMIT, table)
+    mu = mobius_array(_M_LIMIT, table.primes[: table.count_upto(math.isqrt(_M_LIMIT))])
+    ends = [0] + [p * p - 1 for p in table.primes[26:].tolist() if p * p - 1 <= _M_LIMIT]
+    for y in (10608, 541 ** 2 - 1, 547 ** 2 - 1, _M_LIMIT):
+        assert ctx.m_full(y) == _chunked_m_reference(mu, ends, y, residue_legendre._M_CHUNK), y
+
+
 def test_m_full_holds_no_full_range_array(table):
     # The grid pass streams mu one block at a time: its traced peak is a
     # block, a piece's floats and their index arrays, not mu over [0, limit]
@@ -661,6 +673,60 @@ def test_legendre_scan_sums_m_grid_on_the_pool(table, monkeypatch, tmp_path):
               for pid, pool_open in map(str.split, log.read_text().splitlines())]
     assert (parent, True) not in blocks
     assert {pid for pid, pool_open in blocks if pool_open} - {parent}
+
+
+def test_legendre_scan_enumerates_on_the_pool(table, monkeypatch, tmp_path, pool_sizes):
+    # With context rows the enumerated rows are the first task of the pool's
+    # context-row map, so the parent, which holds the context, enumerates
+    # nothing. With none (k_to <= 171) the calling process enumerates them
+    # once and nothing forks.
+    parent, log = os.getpid(), tmp_path / "calls"
+    real_rows = residue_legendre._enumerated_rows
+
+    def logged_rows(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_rows(*args, **kwargs)
+
+    monkeypatch.setattr(residue_legendre, "_enumerated_rows", logged_rows)
+    legendre_scan(160, 200, table, threads=2)
+    pids = [int(pid) for pid in log.read_text().split()]
+    assert len(pids) == 1 and parent not in pids
+    assert pool_sizes == [2]
+    log.unlink()
+    legendre_scan(100, 171, table, threads=2)
+    assert [int(pid) for pid in log.read_text().split()] == [parent]
+    assert pool_sizes == [2] and no_child_left()
+
+
+def _whole_row_sums(rows, table):
+    # The enumeration's terms as one float array, and one cumsum per whole row.
+    d, mu, top = _squarefree_products(table.first(max(k for k, _ in rows)),
+                                      max(bound for _, bound in rows) - 1)
+    terms = mu / d
+    sums = []
+    for k, bound in rows:
+        row = terms[(top <= k) & (d < bound)]
+        sums.append((float(np.cumsum(row)[-1]) if len(row) else 0.0, len(row)))
+    return sums
+
+
+# The default block, and a small odd one, so that rows split mid-block.
+@pytest.mark.parametrize("block", [residue_legendre._ENUM_BLOCK, 4099])
+def test_enumerated_rows_equal_whole_row_cumsum(table, monkeypatch, block):
+    monkeypatch.setattr(residue_legendre, "_ENUM_BLOCK", block)
+    rows = [(k, table.nth(k + 1) ** 2) for k in range(1, 172)]
+    rows += [(40, 10 ** 5), (3, 1), (171, 7 ** 6), (2, 1 << 20)]  # off the scan's bounds
+    tracemalloc.start()
+    try:
+        got = _enumerated_rows(rows, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _whole_row_sums(rows, table)
+    # The enumeration builder's own peak (2.8 MiB); no float copy of the
+    # enumeration or of a row is held (5.3 MiB with both).
+    assert peak <= 3.2 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("k_to", [25, 200])

@@ -155,6 +155,8 @@ def test_lag_correlation_errors():
         lag_correlation([1.0, 2.0], max_lag=-1)
     with pytest.raises(DomainError, match="shorter than one block"):
         lag_correlation([1.0, 2.0, 3.0], max_lag=1, block=4)
+    with pytest.raises(DomainError, match="block must be >= 0"):
+        lag_correlation([1.0, 2.0, 3.0], max_lag=1, block=-1)
 
 
 def test_maier_scan_phi_values(table):
