@@ -27,12 +27,12 @@ Chunk geometry (``chunk_entries``, the CLI's ``--segment-size``) is a
 span of integers: the unit of work handed to one worker and of one
 checkpoint append. It does not set the memory a worker uses.
 
-A scan is one loop over its chunks, whose counts come in k order from
-``sieve_core._worker_map``: ``map``, or forked workers, which inherit
-their tasks. The parent allocates the seven columns once
-for the whole k range, writes each chunk's rows into them as its counts
-arrive and hands the caller's ``progress`` hook views of those rows, so
-it holds one copy of the scan's rows, whatever the number of chunks.
+A scan is one loop over its chunks' counts, in k order from one
+``sieve_core._worker_map`` of ``_chunk_counts``: ``map``, or forked
+workers, which inherit their tasks. The parent allocates the seven
+columns once for the whole k range, writes each chunk's rows into them
+as its counts arrive and hands the caller's ``progress`` hook views of
+those rows, so it holds one copy of the scan's rows for any chunk count.
 
 All per-interval quantities (pi_k, li_k, the PNT estimate) are computed
 independently per k; neither chunk boundaries nor worker count can
@@ -207,10 +207,10 @@ def compute_interval_records(
     lookup = _semiprime_lookup(table.nth(k_to + 1) ** 2, table.primes[: k_to + 1])
     chunks = _chunk_bounds(k_from, k_to, table, chunk_entries)
     tasks = [(k_lo, table.primes[: k_hi + 1]) for k_lo, k_hi in chunks]
-    with _worker_map(threads, len(chunks), shared=lookup) as imap:
+    with _worker_map(threads, _chunk_counts, tasks, shared=lookup) as results:
         columns = {name: np.empty(k_to - k_from + 1, dtype=dtype)
                    for name, dtype in IntervalSet.COLUMNS.items()}
-        for (k_lo, _), pi_k in zip(chunks, imap(_chunk_counts, tasks)):
+        for (k_lo, _), pi_k in zip(chunks, results):
             rows = _fill_rows(columns, k_lo - k_from, k_lo, pi_k, table)
             if progress:
                 progress(k_lo, rows)

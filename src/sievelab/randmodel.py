@@ -9,9 +9,9 @@ the 2^31-byte memory budget raises ResourceError before anything is
 allocated. Sampled mode draws shifts with a derived per-sample seed, so
 results are independent of evaluation order and worker count; the
 drawn windows are counted in fixed batches by the coprime counter of
-``sieve_core``, in contiguous ranges of draw indices, one per worker
-forked by ``sieve_core._worker_map``, which inherits its task at the
-fork; the parent adds their integer histograms. Both modes feed their
+``sieve_core``, in contiguous ranges of draw indices, one task each of
+``sieve_core._worker_map``, which forks a worker per range (none for
+one) that inherits its task; the parent adds their integer histograms. Both modes feed their
 counts into one histogram, off which the count sum, sum of squares,
 minimum and maximum are read in exact integer arithmetic, so memory
 does not grow with the draw count.
@@ -167,8 +167,8 @@ def shift_model(k: int, table: PrimeTable, budget: int = DEFAULT_BUDGET,
         return _summarize(k, "exhaustive", _histogram(_period_counts(ps, length)), None)
     _check_coprime_starts(lo0 + period - 1, ps)
     tasks = [(draws, seed, k, lo0, period, length, ps) for draws in _draw_ranges(budget, threads)]
-    with _worker_map(threads, len(tasks)) as imap:
-        hist = functools.reduce(_add_histograms, imap(_draw_histogram, tasks))
+    with _worker_map(threads, _draw_histogram, tasks) as results:
+        hist = functools.reduce(_add_histograms, results)
     return _summarize(k, "sampled", hist, seed)
 
 

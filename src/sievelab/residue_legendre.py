@@ -86,8 +86,8 @@ p_{k+1}^2 <= 2^20) from one call.
 legendre_scan with no context rows (k_to <= 171) enumerates in the
 calling process and forks nothing; otherwise that process builds only
 the context. The blocks of M's grid, then one task of the enumerated
-rows and the context rows (k >= 172) in k-order tasks of _SCAN_BLOCK k,
-go as two maps in turn to at most ``threads`` workers forked by
+rows, then the context rows (k >= 172) in k-order tasks of _SCAN_BLOCK k
+go as one map to at most ``threads`` workers forked once by
 ``sieve_core._worker_map``, which inherit the context's pages as the
 pool's shared input. truncated_sum is M(y) plus prime_sum's tail, and
 only M reads the grid: a worker returns each grid piece's sum, the
@@ -407,13 +407,6 @@ def _m_tasks(ends: list) -> list:
     return tasks
 
 
-def _grid_block(task: tuple) -> list:
-    """MoebiusContext._piece_sums of one _m_tasks task, on the context shared by
-    legendre_scan's pool."""
-    context, _ = sieve_core._shared
-    return context._piece_sums(*task)
-
-
 def _pairwise_sum(leaf, lo: int, n: int) -> float:
     """np.sum of the n terms from position lo, bit for bit; leaf(lo, n) returns
     n <= _SUM_LEAF consecutive terms.
@@ -484,21 +477,21 @@ class MoebiusContext:
             return values[i]
         return self._m_running(values[i], [ends[i], y])[-1]
 
-    def sum_grid(self, imap=None) -> None:
+    def sum_grid(self, block_sums=None) -> None:
         """Sum M's running sum over the module docstring's grid and keep M at each end;
-        imap as in _m_running."""
-        self._grid_m = self._m_running(0.0, self._grid_ends, imap)
+        block_sums as in _m_running."""
+        self._grid_m = self._m_running(0.0, self._grid_ends, block_sums)
 
-    def _m_running(self, acc: float, ends: list, imap=None) -> list:
+    def _m_running(self, acc: float, ends: list, block_sums=None) -> list:
         """acc, then acc plus the sum of mu(m)/m up to each later end of the ascending ends.
 
         The _m_tasks blocks' piece sums are added to the running float in
-        task order. imap maps _grid_block over the tasks on legendre_scan's
-        pool; without it this process sums them with the same tasks.
+        task order. block_sums yields each block's, as legendre_scan's pool
+        does; without it this process sums the same tasks.
         """
         tasks = _m_tasks(ends)
-        block_sums = (imap(_grid_block, tasks) if imap is not None
-                      else itertools.starmap(self._piece_sums, tasks))
+        if block_sums is None:
+            block_sums = itertools.starmap(self._piece_sums, tasks)
         sums = [acc]
         for (_, pieces), piece_sums in zip(tasks, block_sums):
             for (_, end), piece_sum in zip(pieces, piece_sums):
@@ -700,10 +693,12 @@ def _context_tasks(k_from: int, k_to: int, table: PrimeTable) -> list:
 
 
 def _scan_rows(task) -> list:
-    """On the (context, table) shared by legendre_scan's pool: _enumerated_rows of a
-    task that lists (k, bound) rows, or for a range of context rows each k's
-    (y, prime_sum's tail, term count) at the bound p_{k+1}^2."""
+    """On the (context, table) shared by legendre_scan's pool: an _m_tasks block's
+    piece sums, _enumerated_rows of a list of (k, bound) rows, or for a range of
+    context rows each k's (y, prime_sum's tail, term count) at the bound p_{k+1}^2."""
     context, table = sieve_core._shared
+    if isinstance(task, tuple):
+        return context._piece_sums(*task)
     if not isinstance(task, range):
         return _enumerated_rows(task, table)
     rows = []
@@ -721,8 +716,8 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -
     ``pi_ratio`` of the exact pi_k; ``terms`` counts the admissible
     divisors below p_{k+1}^2, and ``length`` is l_k. The rows whose bound
     p_{k+1}^2 is enumerated (k <= 171, where p_{k+1}^2 <= 2^20) take their
-    truncated sum and term count from one _enumerated_rows call, the first
-    task of the pool's context-row map when there are context rows. pi_k
+    truncated sum and term count from one _enumerated_rows call, the pool's
+    task after M's grid blocks when there are context rows. pi_k
     is counted on the context's prime list, of every prime up to p_{k_to+1}^2.
 
     The pool's tasks run on at most ``threads`` forked workers (module
@@ -737,10 +732,10 @@ def legendre_scan(k_from: int, k_to: int, table: PrimeTable, threads: int = 1) -
         rows = _enumerated_rows(listed, table)  # (sum, terms) per k
     context = MoebiusContext(table.nth(k_to + 1) ** 2 - 1, table)
     if tasks:
-        blocks = len(_m_tasks(context._grid_ends))
-        with _worker_map(threads, 1 + len(tasks) + blocks, shared=(context, table)) as imap:
-            context.sum_grid(imap)  # every row's y is a grid end
-            results = imap(_scan_rows, [listed, *tasks])
+        grid = _m_tasks(context._grid_ends)
+        with _worker_map(threads, _scan_rows, [*grid, listed, *tasks],
+                         shared=(context, table)) as results:
+            context.sum_grid(itertools.islice(results, len(grid)))  # every row's y is a grid end
             rows = next(results)
             for y, tail, terms in itertools.chain.from_iterable(results):
                 rows.append((context.m_full(y) + tail, terms))

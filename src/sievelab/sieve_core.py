@@ -83,14 +83,15 @@ On a window ``[p_k^2, p_{k+1}^2 - 1]`` sieved by the first k primes the
 two disciplines coincide, which is the property everything downstream
 leans on.
 
-``_worker_map`` is the package's one process pool, for the interval
-scan, legendre's context rows and the sampled shift model. It sizes the
-pool, one worker per task at most, and records the size in
-``_pool_workers``, which the CLI reports. Its ``imap(fn, tasks)`` forks
-the n workers when first read, each on one OpenBLAS thread
-(``_pin_blas_threads``). Worker w inherits ``tasks`` and ``_shared``, so
-no task is pickled, runs tasks w, w + n, ... and pipes back each result
-or exception as one pickle, which the parent reads in task order.
+``_worker_map(threads, fn, tasks)`` is the package's one process pool,
+for the interval scan, legendre's scan and the sampled shift model. It
+sizes the pool from its tasks, one worker per task at most, records the
+size in ``_pool_workers``, which the CLI reports, and runs one worker as
+the builtin ``map``. More fork when the results are first read, each on
+one OpenBLAS thread (``_pin_blas_threads``). Worker w of n inherits
+``tasks`` and ``_shared``, so no task is pickled, runs tasks w, w + n,
+... and pipes back each result or exception as one pickle, which the
+parent reads in task order.
 
 Prime indexing is 1-based throughout: ``p_1 = 2``, ``p_2 = 3``,
 ``p_3 = 5``. Off-by-one here corrupts every downstream interval, so all
@@ -168,19 +169,18 @@ _pool_workers = 0
 
 
 @contextlib.contextmanager
-def _worker_map(threads: int, tasks: int, shared=None):
-    """An ``imap`` over at most ``_pool_size(threads, tasks)`` forked
-    processes, or the builtin ``map`` for one. A worker's exception is
-    raised with its type; a pipe that ends early, as when the OOM killer
-    ends its worker, raises ResourceError. ``_shared`` is ``shared`` until
-    the block exits; the exit kills and waits for every worker left."""
+def _worker_map(threads: int, fn, tasks, shared=None):
+    """``fn`` over ``tasks``, in task order: the builtin ``map`` for one process,
+    else on ``_pool_size(threads, len(tasks))`` forked ones. A worker's exception
+    is raised with its type; a pipe that ends early, as when the OOM killer ends
+    its worker, raises ResourceError. ``_shared`` is ``shared`` until the block
+    exits; the exit kills and waits for every worker left."""
     global _shared, _pool_workers
-    _pool_workers = workers = _pool_size(threads, tasks)
+    _pool_workers = n = _pool_size(threads, len(tasks))
     _shared = shared
     running = {}  # pid -> the read end of its pipe, until it is waited for
 
-    def imap(fn, tasks):
-        n = min(workers, len(tasks))
+    def results():
         pids = []
         for w in range(n):
             read, write = os.pipe()
@@ -202,7 +202,7 @@ def _worker_map(threads: int, tasks: int, shared=None):
             yield result
 
     try:
-        yield map if workers == 1 else imap
+        yield map(fn, tasks) if n == 1 else results()
     finally:
         _shared = None
         for pid, pipe in running.items():

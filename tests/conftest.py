@@ -54,11 +54,26 @@ def pool_sizes(monkeypatch):
 
     @contextlib.contextmanager
     def recording_map(*args, **kwargs):
-        with real_map(*args, **kwargs) as imap:
-            if imap is not map:
+        with real_map(*args, **kwargs) as results:
+            if sieve_core._pool_workers > 1:
                 sizes.append(sieve_core._pool_workers)
-            yield imap
+            yield results
 
     for module in (sieve_core, intervals, randmodel, residue_legendre):
         monkeypatch.setattr(module, "_worker_map", recording_map)
     return sizes
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that this process forks during the test, in order."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -23,6 +23,7 @@ from sievelab.intervals import (DEFAULT_CHUNK_ENTRIES, IntervalSet, _chunk_bound
 from sievelab.sieve_core import _prime_list, _primes_below, _semiprime_lookup
 
 from _oracles import li_between_oracle, mark_primality, odd_primality, trial_primes
+from conftest import no_child_left
 
 
 def _columns(source):
@@ -192,13 +193,29 @@ def test_scan_peak_does_not_grow_with_the_chunk_count(table_small):
     assert _traced_scan_peak(200, table_small, many) < peak_few + (16 << 10), peak_few
 
 
-def test_pool_never_exceeds_chunk_count(table_small, pool_sizes):
+def _pid(_):
+    return os.getpid()
+
+
+def test_pool_never_exceeds_chunk_count(table_small, pool_sizes, forks):
     # k = 10, 11, 12 at 512 integers a chunk: one chunk each.
     threaded = compute_interval_records(10, 12, table_small, threads=8, chunk_entries=512)
-    assert pool_sizes == [3]
+    assert pool_sizes == [3] and len(forks) == 3
     assert _columns(threaded) == _columns(compute_interval_records(10, 12, table_small))
     compute_interval_records(10, 12, table_small, threads=8)  # one chunk: no pool
-    assert pool_sizes == [3]
+    assert pool_sizes == [3] and len(forks) == 3
+    # The pool sizes itself from its task list: three tasks fork three
+    # workers, task i on worker i; one task runs in this process, and an
+    # empty list forks nothing and yields nothing.
+    forks.clear()
+    with sieve_core._worker_map(8, _pid, range(3)) as results:
+        assert list(results) == forks and len(forks) == 3
+    assert sieve_core._pool_workers == 3
+    with sieve_core._worker_map(8, _pid, range(1)) as results:
+        assert list(results) == [os.getpid()]
+    with sieve_core._worker_map(8, _pid, []) as results:
+        assert list(results) == []
+    assert len(forks) == 3 and pool_sizes == [3, 3] and no_child_left()
 
 
 def test_partial_range_matches_full(table_small):

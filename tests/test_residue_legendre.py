@@ -675,10 +675,16 @@ def test_legendre_scan_sums_m_grid_on_the_pool(table, monkeypatch, tmp_path):
     assert {pid for pid, pool_open in blocks if pool_open} - {parent}
 
 
+def test_legendre_scan_forks_once(table, pool_sizes, forks):
+    # M's grid blocks, the enumerated rows and the context rows are one map:
+    # the scan forks its two workers once, with no barrier between the maps.
+    legendre_scan(160, 230, table, threads=2)
+    assert len(forks) == 2 and pool_sizes == [2] and no_child_left()
+
+
 def test_legendre_scan_enumerates_on_the_pool(table, monkeypatch, tmp_path, pool_sizes):
-    # With context rows the enumerated rows are the first task of the pool's
-    # context-row map, so the parent, which holds the context, enumerates
-    # nothing. With none (k_to <= 171) the calling process enumerates them
+    # With context rows the enumerated rows are one task of the pool's map,
+    # so the parent, which holds the context, enumerates nothing. With none (k_to <= 171) the calling process enumerates them
     # once and nothing forks.
     parent, log = os.getpid(), tmp_path / "calls"
     real_rows = residue_legendre._enumerated_rows

@@ -752,8 +752,8 @@ def test_pool_workers_run_one_blas_thread():
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     set_threads(2)  # a worker inherits this unless its initializer pins it
     try:
-        with sieve_core._worker_map(2, 4) as imap:
-            assert list(imap(_worker_blas_threads, range(4))) == [1] * 4
+        with sieve_core._worker_map(2, _worker_blas_threads, range(4)) as results:
+            assert list(results) == [1] * 4
     finally:
         set_threads(before)
     assert no_child_left()
@@ -767,8 +767,8 @@ def test_blas_pin_is_a_no_op_without_openblas(tmp_path, monkeypatch):
     assert sieve_core._blas_threads() is None
     (tmp_path / "libopenblas.so").unlink()
     assert sieve_core._blas_threads() is None
-    with sieve_core._worker_map(2, 2) as imap:
-        assert list(imap(_worker_blas_threads, range(2))) == [None, None]
+    with sieve_core._worker_map(2, _worker_blas_threads, range(2)) as results:
+        assert list(results) == [None, None]
 
 
 class _ParentFault(Exception):
@@ -822,8 +822,8 @@ def task(i):
 
 seen = []
 try:
-    with sieve_core._worker_map(2, 6) as imap:
-        seen.extend(imap(task, range(6)))
+    with sieve_core._worker_map(2, task, range(6)) as results:
+        seen.extend(results)
 except ResourceError as exc:
     print("ResourceError:", exc)
 print(seen)
@@ -876,8 +876,9 @@ def test_worker_exception_keeps_its_type(error):
     # Task 3 raises in worker 1 after worker 0 has sent tasks 0 and 2.
     seen = []
     with pytest.raises(type(error), match=str(error)) as info:
-        with sieve_core._worker_map(2, 6) as imap:
-            seen.extend(imap(functools.partial(_raising_at, 3, error), range(6)))
+        with sieve_core._worker_map(2, functools.partial(_raising_at, 3, error),
+                                    range(6)) as results:
+            seen.extend(results)
     assert type(info.value) is type(error) and seen == [0, 1, 2]
     assert no_child_left() and sieve_core._shared is None
 
@@ -886,8 +887,9 @@ def test_worker_exception_keeps_its_type(error):
                          ids=lambda e: type(e).__name__)
 def test_worker_exception_that_does_not_pickle_ends_the_map(error):
     with pytest.raises(RuntimeError) as info:
-        with sieve_core._worker_map(2, 4) as imap:
-            list(imap(functools.partial(_raising_at, 1, error), range(4)))
+        with sieve_core._worker_map(2, functools.partial(_raising_at, 1, error),
+                                    range(4)) as results:
+            list(results)
     assert type(info.value) is RuntimeError
     assert str(info.value) == f"a worker raised {error!r}, which does not pickle"
     assert no_child_left()
@@ -895,6 +897,7 @@ def test_worker_exception_that_does_not_pickle_ends_the_map(error):
 
 def test_worker_result_that_does_not_pickle_ends_the_map():
     with pytest.raises(TypeError, match="cannot pickle"):
-        with sieve_core._worker_map(2, 4) as imap:
-            list(imap(lambda task: threading.Lock() if task == 2 else task, range(4)))
+        with sieve_core._worker_map(2, lambda task: threading.Lock() if task == 2 else task,
+                                    range(4)) as results:
+            list(results)
     assert no_child_left()
